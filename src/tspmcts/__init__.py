@@ -24,8 +24,8 @@ from .heatmaps import (
     zero_heatmap,
 )
 from .knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
-from .mcts import MctsParams, MctsState, init_state, sample_initial_tour, solve
-from .evalkit import Budget, GapReport, ResultTable, improvement, optimality_gap, run_benchmark
+from .mcts import Budget, MctsParams, MctsState, init_state, sample_initial_tour, solve
+from .evalkit import GapReport, ResultTable, improvement, optimality_gap, run_benchmark
 from .tuner import SearchSpace, TuningReport, grid_configs, shapley_importance, tune
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import heatmaps, instances, knn_stats, tours, tuner
-from .evalkit import Budget, MissingReferenceError, run_benchmark
+from .evalkit import Budget, run_benchmark
 from .mcts import MctsParams
 
 EXIT_OK = 0
@@ -313,9 +313,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MissingReferenceError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

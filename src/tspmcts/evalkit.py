@@ -4,14 +4,14 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .heatmaps import Heatmap
 from .instances import DistanceMatrix, Instance, Metric, RankTable, distance_matrix, nearest_neighbor_ranks
-from .mcts import MctsParams, solve
+from .mcts import Budget, MctsParams, solve
 from .tours import EXACT_SOLVE_MAX_N, Tour, exact_solve, tour_length
 
 RESULT_CSV_HEADER = ["instance", "config", "heatmap", "length", "ref_length", "gap_pct", "time_s", "seed"]
@@ -22,20 +22,6 @@ HeatmapSource = Callable[[Instance, DistanceMatrix, RankTable], Heatmap]
 
 class MissingReferenceError(ValueError):
     """Raised when an instance lacks a reference tour and is too big to solve exactly."""
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Either wall-clock seconds per city or a deterministic simulation cap."""
-
-    mode: str  # "wall" | "iters"
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("wall", "iters"):
-            raise ValueError(f"budget mode must be 'wall' or 'iters', got {self.mode!r}")
-        if self.value <= 0:
-            raise ValueError("budget value must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,10 +101,7 @@ def _evaluate_one(args) -> GapReport:
     ranks = nearest_neighbor_ranks(dm)
     ref_len = reference_length_for(inst, dm, reference_tour)
     hm = heatmap_source(inst, dm, ranks)
-    max_iters = int(budget.value) if budget.mode == "iters" else None
-    if budget.mode == "wall":
-        params = replace(params, time_limit_factor=budget.value)
-    result = solve(inst, dm, ranks, hm, params, seed=seed, max_iters=max_iters)
+    result = solve(inst, dm, ranks, hm, params, seed, budget)
     gap = optimality_gap(result.best_tour.length, ref_len)
     return GapReport(
         instance_id=inst.id,

@@ -50,15 +50,6 @@ class Heatmap:
     def entry_count(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def to_dense(self) -> np.ndarray:
-        if self.n > 2000:
-            raise ValueError("dense export is limited to n <= 2000")
-        dense = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                dense[i, j] = p
-        return dense
-
 
 def _sort_row(entries: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
@@ -97,7 +88,7 @@ class PriorVector:
         masses = np.array(self.masses, dtype=np.float64)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("prior needs a non-empty 1-d mass vector")
-        if (masses < 0).any() or (masses > 1).any():
+        if not ((masses >= 0) & (masses <= 1)).all():  # also rejects NaN
             raise ValueError("prior masses must lie in [0, 1]")
         if masses.sum() > 1 + 1e-9:
             raise ValueError(f"prior masses sum to {masses.sum()}, exceeding 1")
@@ -184,7 +175,7 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     temperature flag is this artifact's own definition of a distance-based
     heatmap; tau has no canonical default and is exposed as a CLI flag.
     """
-    if tau <= 0:
+    if not tau > 0:  # also rejects NaN
         raise ValueError(f"tau must be positive, got {tau}")
     if k_keep < 1:
         raise ValueError(f"k_keep must be >= 1, got {k_keep}")

@@ -43,6 +43,8 @@ class Instance:
             raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] < 3:
             raise ValueError(f"instance needs at least 3 cities, got {pts.shape[0]}")
+        if not np.isfinite(pts).all():
+            raise ValueError(f"instance {self.id!r} has non-finite coordinates")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

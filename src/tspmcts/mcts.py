@@ -1,10 +1,10 @@
 """Heatmap-guided Monte Carlo tree search over k-opt moves.
 
-The solver keeps an edge weight matrix W (initialized from the heatmap), an
-access count matrix Q, and a move counter M. Candidate moves are directed
-break/reconnect chains: starting from a random city, the tour is opened into
-a path and repeatedly rewired toward the candidate neighbor with the highest
-potential
+The solver keeps an edge weight W_ij (initialized from the heatmap) and an
+access count Q_ij on every candidate edge, and a move counter M. Candidate
+moves are directed break/reconnect chains: starting from a random city, the
+tour is opened into a path and repeatedly rewired toward the candidate
+neighbor with the highest potential
 
     Z_ij = W_ij / Omega_i + alpha * sqrt(ln(M + 1) / (Q_ij + 1)),
 
@@ -16,9 +16,11 @@ Chains are encoded on a path array where every reconnection is a prefix
 reversal, so intermediate states are always Hamiltonian paths and no
 reconnection can disconnect the tour.
 
-W and Q live only on candidate edges: reconnections always target candidate
-neighbors, and the bookkeeping after an accepted move skips the occasional
-non-candidate closing edge so the invariant survives.
+The state is sparse: W and Q exist only on the symmetric union of candidate
+edges, which takes O(n * max_candidate_num) memory. Row i lists i's own
+candidates first, then the cities that hold i as their candidate; chains
+scan only the own prefix, while Omega_i sums the whole row. The bookkeeping
+after an accepted move skips the occasional closing edge outside the union.
 """
 from __future__ import annotations
 
@@ -51,18 +53,29 @@ class MctsParams:
     max_candidate_num: int = 1000
     param_h: int = 10
     use_heatmap: bool = True
-    time_limit_factor: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         for name in ("max_depth", "max_candidate_num", "param_h"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.time_limit_factor <= 0:
-            raise ValueError("time_limit_factor must be positive")
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Either wall-clock seconds per city or a deterministic simulation cap."""
+
+    mode: str  # "wall" | "iters"
+    value: float
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("wall", "iters"):
+            raise ValueError(f"budget mode must be 'wall' or 'iters', got {self.mode!r}")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"budget value must be finite and positive, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -83,24 +96,26 @@ class Move:
 class MctsState:
     """Mutable search state owned by a single solver run.
 
-    The per-row Python lists (``cand_list``, ``wrow``, ``qinv``, ``omega``)
-    mirror W and Q on candidate edges for the hot sampling loop; they are
-    kept in sync eagerly by the mutators below.
+    Row i of ``nbrs`` holds ``candidates[i]`` in the same order, then the
+    cities that hold i as a candidate, so every edge of the candidate union
+    sits once in each of its two end rows. ``weights`` (W), ``counts`` (Q)
+    and ``qinv`` (1/sqrt(Q+1)) are aligned with ``nbrs``, ``slot[i]`` maps a
+    city to its index in row i, and ``omega[i]`` is row i's weight sum. The
+    mutators below keep both ends of an edge and omega in sync.
     """
 
     n: int
-    d: np.ndarray
+    d: np.ndarray  # distance entries, shared with the DistanceMatrix
     ranks: RankTable
     params: MctsParams
     rng: np.random.Generator
-    W: np.ndarray
-    Q: np.ndarray
     M: int
     candidates: list[np.ndarray]
     cand_exp: list[np.ndarray]  # exp(P_ij) aligned with candidates[i]
-    cand_list: list[list[int]]
-    cand_pos: list[dict[int, int]]
-    wrow: list[list[float]]
+    nbrs: list[list[int]]
+    slot: list[dict[int, int]]
+    weights: list[list[float]]
+    counts: list[list[int]]
     qinv: list[list[float]]
     omega: list[float]
     best_order: Optional[np.ndarray] = None
@@ -122,95 +137,120 @@ def init_state(
     Candidates are the ``max_candidate_num`` neighbors with the highest
     heatmap probability (ties and absent entries fall back to ascending
     distance); with ``use_heatmap`` off they are simply the nearest
-    neighbors. Candidate edges whose heatmap value is zero get weight 1.0
-    so that every weight row keeps positive mass.
+    neighbors. An edge gets the larger heatmap value of its two directions;
+    edges whose value is zero get weight 1.0 so that every weight row keeps
+    positive mass.
     """
     n = inst.n
     if hm.n != n or dm.n != n or ranks.n != n:
         raise ValueError(f"dimension mismatch: instance n={n}, heatmap n={hm.n}, dm n={dm.n}")
     mcn = min(params.max_candidate_num, n - 1)
-    d = dm.entries.astype(np.float64)
     prob_rows = [dict(hm.row(i)) for i in range(n)]
+    dense = np.zeros(n)  # scratch row over all cities, zero between uses
     candidates: list[np.ndarray] = []
     cand_exp: list[np.ndarray] = []
-    W = np.zeros((n, n))
+    nbrs: list[list[int]] = []
+    weights: list[list[float]] = []
     for i in range(n):
+        cols = list(prob_rows[i])
+        dense[cols] = list(prob_rows[i].values())
         by_distance = ranks.row(i)
         if params.use_heatmap:
-            p = np.array([prob_rows[i].get(int(j), 0.0) for j in by_distance])
-            chosen = by_distance[np.argsort(-p, kind="stable")][:mcn]
+            chosen = by_distance[np.argsort(-dense[by_distance], kind="stable")[:mcn]]
         else:
             chosen = by_distance[:mcn]
-        chosen = np.array(chosen, dtype=np.int32)
+        p_own = dense[chosen]
+        dense[cols] = 0.0
         candidates.append(chosen)
-        cand_exp.append(np.exp(np.array([prob_rows[i].get(int(j), 0.0) for j in chosen])))
-        for j in chosen:
-            p_edge = max(prob_rows[i].get(int(j), 0.0), prob_rows[int(j)].get(i, 0.0))
-            w = 100.0 * p_edge if p_edge > 0.0 else 1.0
-            W[i, j] = w
-            W[j, i] = w
-    cand_list = [c.tolist() for c in candidates]
-    cand_pos = [{j: t for t, j in enumerate(row)} for row in cand_list]
-    wrow = [W[i, candidates[i]].tolist() for i in range(n)]
-    qinv = [[1.0] * len(row) for row in cand_list]  # 1/sqrt(Q+1) with Q = 0
-    omega = W.sum(axis=1).tolist()
+        cand_exp.append(np.exp(p_own))
+        own = chosen.tolist()
+        p_edge = [max(p, prob_rows[j].get(i, 0.0)) for j, p in zip(own, p_own.tolist())]
+        nbrs.append(own)
+        weights.append([100.0 * p if p > 0.0 else 1.0 for p in p_edge])
+    slot = [{j: t for t, j in enumerate(row)} for row in nbrs]
+    for i in range(n):
+        own = len(candidates[i])
+        for j, w in zip(nbrs[i][:own], weights[i][:own]):
+            if i not in slot[j]:
+                slot[j][i] = len(nbrs[j])
+                nbrs[j].append(i)
+                weights[j].append(w)
+    omega = []
+    for row, w in zip(nbrs, weights):
+        # Summed over a full-length row: numpy's pairwise summation then
+        # rounds exactly as for a dense n x n weight matrix.
+        dense[row] = w
+        omega.append(float(dense.sum()))
+        dense[row] = 0.0
     return MctsState(
         n=n,
-        d=d,
+        d=dm.entries,
         ranks=ranks,
         params=params,
         rng=np.random.default_rng(seed),
-        W=W,
-        Q=np.zeros((n, n), dtype=np.int64),
         M=0,
         candidates=candidates,
         cand_exp=cand_exp,
-        cand_list=cand_list,
-        cand_pos=cand_pos,
-        wrow=wrow,
-        qinv=qinv,
+        nbrs=nbrs,
+        slot=slot,
+        weights=weights,
+        counts=[[0] * len(row) for row in nbrs],
+        qinv=[[1.0] * len(row) for row in nbrs],  # 1/sqrt(Q+1) with Q = 0
         omega=omega,
     )
 
 
 def is_candidate_edge(state: MctsState, i: int, j: int) -> bool:
-    return j in state.cand_pos[i] or i in state.cand_pos[j]
+    """Whether (i, j) is in the candidate union, i.e. carries W and Q."""
+    return j in state.slot[i]
+
+
+def weight(state: MctsState, i: int, j: int) -> float:
+    """W_ij; zero off the candidate union."""
+    t = state.slot[i].get(j)
+    return 0.0 if t is None else state.weights[i][t]
+
+
+def visits(state: MctsState, i: int, j: int) -> int:
+    """Q_ij; zero off the candidate union."""
+    t = state.slot[i].get(j)
+    return 0 if t is None else state.counts[i][t]
 
 
 def _set_weight(state: MctsState, i: int, j: int, w: float) -> None:
-    """Symmetric weight write that keeps omega and the row caches in sync."""
-    old = float(state.W[i, j])
-    state.W[i, j] = w
-    state.W[j, i] = w
+    """Symmetric weight write on a union edge that keeps omega in sync."""
+    ti = state.slot[i][j]
+    tj = state.slot[j][i]
+    old = state.weights[i][ti]
+    state.weights[i][ti] = w
+    state.weights[j][tj] = w
     state.omega[i] += w - old
     state.omega[j] += w - old
-    t = state.cand_pos[i].get(j)
-    if t is not None:
-        state.wrow[i][t] = w
-    t = state.cand_pos[j].get(i)
-    if t is not None:
-        state.wrow[j][t] = w
 
 
 def _bump_access(state: MctsState, i: int, j: int) -> None:
-    state.Q[i, j] += 1
-    state.Q[j, i] += 1
-    inv = 1.0 / math.sqrt(state.Q[i, j] + 1.0)
-    t = state.cand_pos[i].get(j)
-    if t is not None:
-        state.qinv[i][t] = inv
-    t = state.cand_pos[j].get(i)
-    if t is not None:
-        state.qinv[j][t] = inv
+    ti = state.slot[i][j]
+    tj = state.slot[j][i]
+    q = state.counts[i][ti] + 1
+    state.counts[i][ti] = q
+    state.counts[j][tj] = q
+    inv = 1.0 / math.sqrt(q + 1.0)
+    state.qinv[i][ti] = inv
+    state.qinv[j][tj] = inv
+
+
+def _explore_scale(state: MctsState) -> float:
+    """alpha * sqrt(ln(M + 1)); exactly 0.0 when alpha = 0 or M = 0."""
+    return state.params.alpha * math.sqrt(math.log(state.M + 1))
 
 
 def potential(state: MctsState, i: int, j: int) -> float:
-    """The UCB-style edge potential Z_ij (defined for candidate edges)."""
-    omega = float(state.W[i].sum())
-    if omega <= 0.0:
+    """The UCB-style edge potential Z_ij of a union edge, as chains score it."""
+    om = state.omega[i]
+    if om <= 0.0:
         raise DegenerateRowError(f"weight row {i} sums to zero")
-    explore = math.sqrt(math.log(state.M + 1) / (state.Q[i, j] + 1))
-    return float(state.W[i, j]) / omega + state.params.alpha * explore
+    t = state.slot[i][j]
+    return state.weights[i][t] * (1.0 / om) + _explore_scale(state) * state.qinv[i][t]
 
 
 def sample_initial_tour(state: MctsState) -> Tour:
@@ -275,13 +315,13 @@ def _sample_chain(
     added: list[tuple[int, int]] = []
     removed_sum = float(d[a, b1])
     added_sum = 0.0
-    sl = state.params.alpha * math.sqrt(math.log(state.M + 1))
+    sl = _explore_scale(state)
     best: Optional[tuple[float, list[int], list, list]] = None
     for _ in range(state.params.max_depth):
         head = path[0]
         p1 = path[1]
-        cands = state.cand_list[head]
-        wr = state.wrow[head]
+        cands = state.nbrs[head]
+        wr = state.weights[head]
         qi = state.qinv[head]
         om = state.omega[head]
         if om <= 0.0:
@@ -289,25 +329,15 @@ def _sample_chain(
         inv_om = 1.0 / om
         best_z = -math.inf
         target = -1
-        # Exploration term drops out entirely at M=0 or alpha=0.
-        if sl > 0.0:
-            for t in range(len(cands)):
-                j = cands[t]
-                if j == a or j == p1:
-                    continue
-                z = wr[t] * inv_om + sl * qi[t]
-                if z > best_z or (z == best_z and j < target):
-                    best_z = z
-                    target = j
-        else:
-            for t in range(len(cands)):
-                j = cands[t]
-                if j == a or j == p1:
-                    continue
-                z = wr[t] * inv_om
-                if z > best_z or (z == best_z and j < target):
-                    best_z = z
-                    target = j
+        # The scan below is potential(state, head, j) for each own candidate j.
+        for t in range(len(state.candidates[head])):
+            j = cands[t]
+            if j == a or j == p1:
+                continue
+            z = wr[t] * inv_om + sl * qi[t]
+            if z > best_z or (z == best_z and j < target):
+                best_z = z
+                target = j
         if target < 0:
             break
         idx = path_pos[target]
@@ -360,7 +390,7 @@ def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) 
     if l_old <= 0:
         raise ValueError("weight_update needs a positive previous length")
     increment = state.params.beta * math.expm1((l_old - l_new) / l_old)
-    _set_weight(state, i, j, max(float(state.W[i, j]) + increment, W_FLOOR))
+    _set_weight(state, i, j, max(weight(state, i, j) + increment, W_FLOOR))
 
 
 def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tour:
@@ -390,26 +420,27 @@ def solve(
     ranks: RankTable,
     hm: Heatmap,
     params: MctsParams,
-    seed: int = 0,
-    max_iters: int | None = None,
+    seed: int,
+    budget: Budget,
 ) -> SolveResult:
-    """Run the improve/restart loop under a wall-clock or simulation budget.
+    """Run the improve/restart loop until the budget is spent.
 
-    With ``max_iters`` unset the budget is ``time_limit_factor * n`` seconds
-    of wall time. Otherwise the run stops once ``max_iters`` k-opt chain
-    simulations have been spent, which makes results bit-reproducible for a
-    fixed seed regardless of machine speed.
+    A wall budget allows ``budget.value * n`` seconds. An iters budget stops
+    once ``int(budget.value)`` k-opt chain simulations have been spent, which
+    makes results bit-reproducible for a fixed seed regardless of machine
+    speed.
     """
     start = time.monotonic()
     state = init_state(inst, dm, ranks, hm, params, seed)
     tour = sample_initial_tour(state)
-    if max_iters is None:
-        deadline = start + params.time_limit_factor * inst.n
+    if budget.mode == "wall":
+        deadline = start + budget.value * inst.n
 
         def budget_left() -> bool:
             return time.monotonic() < deadline
 
     else:
+        max_iters = int(budget.value)
 
         def budget_left() -> bool:
             return state.simulations < max_iters

@@ -213,12 +213,3 @@ def _parse_tsplib_tour(text: str) -> np.ndarray:
 def write_tour(order: np.ndarray) -> str:
     order = np.asarray(order, dtype=np.int64)
     return f"{order.shape[0]}\n" + " ".join(str(int(v)) for v in order) + "\n"
-
-
-def read_tour_file(path, dm: DistanceMatrix | None = None) -> np.ndarray | Tour:
-    from pathlib import Path
-
-    order = parse_tour(Path(path).read_text())
-    if dm is None:
-        return order
-    return make_tour(order, dm)

@@ -78,7 +78,6 @@ class TuningReport:
     configs: tuple[MctsParams, ...]
     mean_gaps: tuple[float, ...]
     best_config: MctsParams
-    worst_config: MctsParams
     default_config: Optional[MctsParams]
     default_gap: Optional[float]
     shapley: Optional[dict[str, float]] = None
@@ -141,7 +140,6 @@ def tune(
         compute_shapley = False
     gaps = [evaluator(cfg) for cfg in configs]
     best_idx = min(range(len(configs)), key=gaps.__getitem__)
-    worst_idx = max(range(len(configs)), key=gaps.__getitem__)
     default_key = config_key(DEFAULT_PARAMS)
     default_idx = next((i for i, c in enumerate(configs) if config_key(c) == default_key), None)
     shapley = None
@@ -151,7 +149,6 @@ def tune(
         configs=tuple(configs),
         mean_gaps=tuple(gaps),
         best_config=configs[best_idx],
-        worst_config=configs[worst_idx],
         default_config=None if default_idx is None else configs[default_idx],
         default_gap=None if default_idx is None else gaps[default_idx],
         shapley=shapley,
@@ -235,11 +232,12 @@ def write_shapley_csv(space: SearchSpace, gaps: Sequence[float], path) -> None:
 def write_params_file(params: MctsParams, path) -> None:
     """Solver config file: one ``key=value`` line per parameter."""
     with open(path, "w") as f:
-        for name in PARAM_FIELDS + ("time_limit_factor",):
+        for name in PARAM_FIELDS:
             f.write(f"{name}={getattr(params, name)}\n")
 
 
 def read_params_file(path) -> MctsParams:
+    """Read a ``key=value`` config; the retired ``time_limit_factor`` key is ignored."""
     kwargs = {}
     with open(path) as f:
         for raw in f:
@@ -249,7 +247,9 @@ def read_params_file(path) -> MctsParams:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in PARAM_FIELDS + ("time_limit_factor",):
+            if key == "time_limit_factor":
+                continue
+            if key not in PARAM_FIELDS:
                 raise ValueError(f"unknown solver parameter: {key!r}")
             if key == "use_heatmap":
                 kwargs[key] = value.lower() in ("1", "true", "yes")

@@ -20,7 +20,7 @@ from tspmcts.heatmaps import (
 )
 from tspmcts.instances import Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
 from tspmcts.knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
-from tspmcts.mcts import MctsParams, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight_update
+from tspmcts.mcts import MctsParams, _set_weight, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
 from tspmcts.tours import brute_force_solve, exact_solve, parse_tour, tour_length
 from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, grid_configs, make_benchmark_evaluator, shapley_for_all_configs, tune
 
@@ -106,11 +106,11 @@ def test_c03_solver_quality_desk_scale(oracle_corpus, held_out_set):
     gaps_gt, gaps_zero = [], []
     for idx, (inst, dm, ranks, opt_len) in enumerate(held_out_set):
         hm = prior_to_heatmap(prior, ranks)
-        res = solve(inst, dm, ranks, hm, MctsParams(), seed=idx, max_iters=50_000)
+        res = solve(inst, dm, ranks, hm, MctsParams(), idx, Budget("iters", 50_000))
         gaps_gt.append(optimality_gap(res.best_tour.length, opt_len))
         res = solve(
             inst, dm, ranks, zero_heatmap(inst.n),
-            MctsParams(use_heatmap=False), seed=idx, max_iters=50_000,
+            MctsParams(use_heatmap=False), idx, Budget("iters", 50_000),
         )
         gaps_zero.append(optimality_gap(res.best_tour.length, opt_len))
     mean_gt = float(np.mean(gaps_gt))
@@ -222,18 +222,19 @@ def test_c09_potential_and_weight_update_point_checks():
     dm = distance_matrix(inst)
     ranks = nearest_neighbor_ranks(dm)
     state = init_state(inst, dm, ranks, zero_heatmap(5), MctsParams(alpha=1.0, beta=10.0), seed=0)
-    state.W[:] = 0.0
-    state.W[0, 1] = 50.0
-    state.W[0, 2] = 50.0  # row sum 100
+    for j in state.nbrs[0]:
+        _set_weight(state, 0, j, 0.0)
+    _set_weight(state, 0, 1, 50.0)
+    _set_weight(state, 0, 2, 50.0)  # row sum 100
     state.M = 1
     expected_z = 0.5 + math.sqrt(math.log(2.0))
     assert abs(potential(state, 0, 1) - expected_z) <= 1e-9
 
     state2 = init_state(inst, dm, ranks, zero_heatmap(5), MctsParams(beta=10.0), seed=0)
     i, j = 0, int(state2.candidates[0][0])
-    before = float(state2.W[i, j])
+    before = weight(state2, i, j)
     weight_update(state2, i, j, 100.0, 90.0)
-    increment = float(state2.W[i, j]) - before
+    increment = weight(state2, i, j) - before
     assert abs(increment - 10.0 * (math.exp(0.1) - 1.0)) <= 1e-9
     report(9, "potential and weight-update point values match to 1e-9")
 
@@ -243,8 +244,8 @@ def test_c10_determinism_and_scheduling_independence():
     dm = distance_matrix(inst)
     ranks = nearest_neighbor_ranks(dm)
     hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
-    a = solve(inst, dm, ranks, hm, MctsParams(), seed=7, max_iters=2_000)
-    b = solve(inst, dm, ranks, hm, MctsParams(), seed=7, max_iters=2_000)
+    a = solve(inst, dm, ranks, hm, MctsParams(), 7, Budget("iters", 2_000))
+    b = solve(inst, dm, ranks, hm, MctsParams(), 7, Budget("iters", 2_000))
     assert np.array_equal(a.best_tour.order, b.best_tour.order)
     assert a.best_tour.length == b.best_tour.length
 

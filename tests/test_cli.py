@@ -113,6 +113,22 @@ class TestSolve:
                    "--max-iters", 10, "--out", tmp_path / "x.csv")
         assert code == 4
 
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_non_finite_coordinate_config_error(self, tmp_path, capsys, n):
+        inst_dir, ref_dir = tmp_path / "insts", tmp_path / "refs"
+        inst_dir.mkdir()
+        ref_dir.mkdir()
+        points = generate_uniform(n, 0).points
+        lines = [f"n {n}", "nan 0.5"] + [f"{x:.17g} {y:.17g}" for x, y in points[1:]]
+        (inst_dir / "bad.txt").write_text("\n".join(lines) + "\n")
+        (ref_dir / "bad.tour").write_text(write_tour(np.arange(n)))
+        code = run("solve", "--instances", inst_dir, "--refs", ref_dir, "--heatmap", "zero",
+                   "--max-iters", 50, "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "error" in err and "non-finite" in err
+        assert "Traceback" not in err
+
     def test_idempotent_outputs(self, instance_dir, tmp_path):
         args = ("solve", "--instances", instance_dir, "--heatmap", "zero",
                 "--use-heatmap", "false", "--max-iters", 300, "--seed", 7)

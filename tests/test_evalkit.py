@@ -139,3 +139,7 @@ def test_budget_validation():
         Budget("steps", 5)
     with pytest.raises(ValueError):
         Budget("iters", 0)
+    with pytest.raises(ValueError):
+        Budget("iters", math.nan)
+    with pytest.raises(ValueError):
+        Budget("wall", math.inf)

@@ -33,6 +33,12 @@ def oracle_corpus(count, n, seed0):
     return rank_tables, tours
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prior_rejects_non_finite_masses(bad):
+    with pytest.raises(ValueError, match="masses"):
+        PriorVector(masses=np.array([0.5, bad, 0.1]))
+
+
 class TestBuiltinPriors:
     def test_vector_lengths(self):
         assert BUILTIN_PRIORS["tsp500"].truncation == 24
@@ -161,6 +167,8 @@ class TestSoftDist:
         dm, _ = dm_and_ranks(inst)
         with pytest.raises(ValueError):
             softdist_heatmap(dm, tau=0.0, k_keep=3)
+        with pytest.raises(ValueError, match="tau"):
+            softdist_heatmap(dm, tau=np.nan, k_keep=3)
 
 
 class TestHeatmapIO:

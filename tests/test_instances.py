@@ -46,6 +46,14 @@ class TestGenerateUniform:
             generate_uniform(2, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instance_rejects_non_finite_points(bad):
+    pts = generate_uniform(5, 0).points.copy()
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Instance(id="bad", points=pts)
+
+
 class TestGenerateStructured:
     def test_cluster_points_near_centers(self):
         params = StructuredParams(n_clusters=5, spread=0.05)

@@ -1,20 +1,29 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspmcts.heatmaps import BUILTIN_PRIORS, make_heatmap, prior_to_heatmap, zero_heatmap
-from tspmcts.instances import generate_uniform
+from tspmcts.instances import Instance, Metric, generate_uniform
 from tspmcts.mcts import (
+    Budget,
     MctsParams,
     MctsState,
     W_FLOOR,
+    _bump_access,
+    _sample_chain,
+    _set_weight,
     accept_or_restart,
     generate_kopt_move,
     init_state,
     potential,
     sample_initial_tour,
     solve,
+    visits,
+    weight,
     weight_update,
 )
 from tspmcts.tours import exact_solve, make_tour, tour_length
@@ -29,6 +38,20 @@ def build_state(inst, params=None, hm=None, seed=0):
     return dm, ranks, init_state(inst, dm, ranks, hm, params, seed)
 
 
+def union_edges(state):
+    """Every candidate-union edge once, as (i, j) with i < j."""
+    return [(i, j) for i in range(state.n) for j in state.nbrs[i] if i < j]
+
+
+def randomize_weights_and_visits(state, rng, weight_values=None, max_visits=50):
+    """Symmetric random W and Q on every union edge, through the mutators."""
+    for i, j in union_edges(state):
+        w = rng.random() if weight_values is None else float(rng.choice(weight_values))
+        _set_weight(state, i, j, w)
+        for _ in range(int(rng.integers(0, max_visits))):
+            _bump_access(state, i, j)
+
+
 class TestInitState:
     def test_distance_fallback_candidates(self):
         inst = generate_uniform(20, 0)
@@ -41,8 +64,8 @@ class TestInitState:
         inst = generate_uniform(6, 1)
         hm = make_heatmap(6, [[(1, 0.8)], [], [], [], [], []])
         _, _, state = build_state(inst, hm=hm)
-        assert state.W[0, 1] == pytest.approx(80.0)
-        assert state.W[1, 0] == pytest.approx(80.0)
+        assert weight(state, 0, 1) == pytest.approx(80.0)
+        assert weight(state, 1, 0) == pytest.approx(80.0)
 
     def test_heatmap_neighbors_lead_candidates(self):
         inst = generate_uniform(60, 7)
@@ -60,7 +83,7 @@ class TestInitState:
         _, _, state = build_state(inst, MctsParams(use_heatmap=False, max_candidate_num=4))
         for i in range(10):
             for j in state.candidates[i]:
-                assert state.W[i, j] == 1.0
+                assert weight(state, i, j) == 1.0
             assert state.omega[i] > 0
 
     def test_dimension_mismatch(self):
@@ -100,14 +123,16 @@ class TestPotential:
         _, _, state = build_state(inst)
         i = 0
         j = int(state.candidates[i][0])
-        assert potential(state, i, j) == pytest.approx(state.W[i, j] / state.W[i].sum(), rel=1e-12)
+        row_sum = sum(weight(state, i, k) for k in range(10))
+        assert potential(state, i, j) == pytest.approx(weight(state, i, j) / row_sum, rel=1e-12)
 
     def test_point_value(self):
         inst = generate_uniform(5, 0)
         _, _, state = build_state(inst, MctsParams(alpha=1.0))
-        state.W[:] = 0.0
-        state.W[0, 1] = 50.0
-        state.W[0, 2] = 50.0  # row sum 100
+        for i, j in union_edges(state):
+            _set_weight(state, i, j, 0.0)
+        _set_weight(state, 0, 1, 50.0)
+        _set_weight(state, 0, 2, 50.0)  # row sum 100
         state.M = 1
         expected = 0.5 + math.sqrt(math.log(2.0))
         assert potential(state, 0, 1) == pytest.approx(expected, abs=1e-9)
@@ -115,16 +140,12 @@ class TestPotential:
     def test_alpha_zero_matches_weight_ranking(self):
         inst = generate_uniform(12, 9)
         _, _, state = build_state(inst, MctsParams(alpha=0.0))
-        rng = np.random.default_rng(0)
-        sym = rng.random((12, 12))
-        state.W[:] = sym + sym.T
-        np.fill_diagonal(state.W, 0.0)
-        state.Q[:] = rng.integers(0, 50, size=(12, 12))
+        randomize_weights_and_visits(state, np.random.default_rng(0))
         state.M = 17
         for i in range(12):
             cands = [int(j) for j in state.candidates[i]]
             by_z = max(cands, key=lambda j: potential(state, i, j))
-            by_w = max(cands, key=lambda j: state.W[i, j])
+            by_w = max(cands, key=lambda j: weight(state, i, j))
             assert by_z == by_w
 
 
@@ -201,26 +222,26 @@ class TestWeightUpdate:
         inst = generate_uniform(6, 2)
         _, _, state = build_state(inst)
         i, j = 0, int(state.candidates[0][0])
-        before = float(state.W[i, j])
+        before = weight(state, i, j)
         weight_update(state, i, j, 100.0, 100.0)
-        assert state.W[i, j] == pytest.approx(before, abs=1e-15)
+        assert weight(state, i, j) == pytest.approx(before, abs=1e-15)
 
     def test_point_increment(self):
         inst = generate_uniform(6, 2)
         _, _, state = build_state(inst, MctsParams(beta=10.0))
         i, j = 0, int(state.candidates[0][0])
-        before = float(state.W[i, j])
+        before = weight(state, i, j)
         weight_update(state, i, j, 100.0, 90.0)
         expected = 10.0 * (math.exp(0.1) - 1.0)
-        assert state.W[i, j] - before == pytest.approx(expected, abs=1e-9)
-        assert state.W[j, i] == state.W[i, j]
+        assert weight(state, i, j) - before == pytest.approx(expected, abs=1e-9)
+        assert weight(state, j, i) == weight(state, i, j)
 
     def test_worsening_floors_at_epsilon(self):
         inst = generate_uniform(6, 2)
         _, _, state = build_state(inst, MctsParams(beta=150.0))
         i, j = 0, int(state.candidates[0][0])
         weight_update(state, i, j, 100.0, 1000.0)
-        assert state.W[i, j] == W_FLOOR
+        assert weight(state, i, j) == W_FLOOR
 
 
 class TestSolve:
@@ -228,15 +249,15 @@ class TestSolve:
         inst = generate_uniform(10, 5)
         dm, ranks = dm_and_ranks(inst)
         hm = zero_heatmap(10)
-        result = solve(inst, dm, ranks, hm, MctsParams(), seed=0, max_iters=1)
+        result = solve(inst, dm, ranks, hm, MctsParams(), 0, Budget("iters", 1))
         assert sorted(result.best_tour.order) == list(range(10))
 
     def test_deterministic_trajectory(self):
         inst = generate_uniform(25, 14)
         dm, ranks = dm_and_ranks(inst)
         hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
-        a = solve(inst, dm, ranks, hm, MctsParams(), seed=9, max_iters=3000)
-        b = solve(inst, dm, ranks, hm, MctsParams(), seed=9, max_iters=3000)
+        a = solve(inst, dm, ranks, hm, MctsParams(), 9, Budget("iters", 3000))
+        b = solve(inst, dm, ranks, hm, MctsParams(), 9, Budget("iters", 3000))
         assert np.array_equal(a.best_tour.order, b.best_tour.order)
         assert a.best_tour.length == b.best_tour.length
         assert a.moves_accepted == b.moves_accepted
@@ -255,17 +276,144 @@ class TestSolve:
             if move is not None and move.delta < 0:
                 accepted += 1
             tour = accept_or_restart(state, tour, move)
-        assert np.array_equal(state.W, state.W.T)
-        assert np.array_equal(state.Q, state.Q.T)
-        assert (state.W >= 0).all() and (state.Q >= 0).all()
+        for i in range(18):
+            for j in range(18):
+                assert weight(state, i, j) == weight(state, j, i)
+                assert visits(state, i, j) == visits(state, j, i)
+                assert weight(state, i, j) >= 0 and visits(state, i, j) >= 0
         assert state.M == accepted
-        kept = state.W[state.W > 0]
-        assert (kept >= W_FLOOR - 1e-18).all()
+        kept = [w for row in state.weights for w in row if w > 0]
+        assert min(kept) >= W_FLOOR - 1e-18
+        for i in range(18):
+            assert state.omega[i] == pytest.approx(sum(state.weights[i]), rel=1e-12)
 
     def test_zero_heatmap_reaches_finite_gap(self):
         inst = generate_uniform(12, 33)
         dm, ranks = dm_and_ranks(inst)
         params = MctsParams(use_heatmap=False)
-        result = solve(inst, dm, ranks, zero_heatmap(12), params, seed=0, max_iters=5000)
+        result = solve(inst, dm, ranks, zero_heatmap(12), params, 0, Budget("iters", 5000))
         gap = (result.best_tour.length / exact_solve(dm).length - 1) * 100
         assert gap < 5.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("alpha", math.inf), ("beta", math.nan), ("beta", math.inf),
+])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        MctsParams(**{field: value})
+
+
+def golden_solve(n, seed, iters, metric=Metric.EUC2D_REAL, scale=1.0, prior=None, **params):
+    inst = generate_uniform(n, seed)
+    if scale != 1.0:
+        inst = Instance(id=inst.id, points=inst.points * scale)
+    dm, ranks = dm_and_ranks(inst, metric)
+    hm = prior_to_heatmap(BUILTIN_PRIORS[prior], ranks) if prior else zero_heatmap(n)
+    result = solve(inst, dm, ranks, hm, MctsParams(**params), seed, Budget("iters", iters))
+    order = np.asarray(result.best_tour.order, dtype=np.int32)
+    digest = hashlib.sha256(order.tobytes()).hexdigest()[:16]
+    return float.hex(result.best_tour.length), result.moves_accepted, result.restarts, digest
+
+
+#: Iters-mode trajectories pinned bit for bit: float.hex of the best length,
+#: moves accepted, restarts and a digest of the best order. Pure refactors and
+#: speed-ups keep them; a change that alters trajectories on purpose
+#: re-records them and says so.
+GOLDEN = [
+    (dict(n=12, seed=1, iters=2000, alpha=0.0, max_candidate_num=5),
+     ("0x1.6cb6f15c8e86dp+1", 194, 6, "0aa4f01dcb9c554b")),
+    (dict(n=12, seed=1, iters=2000, alpha=0.0, max_candidate_num=1000),
+     ("0x1.80d0776329a3bp+1", 192, 8, "ecdde4cd101a2c0f")),
+    (dict(n=12, seed=1, iters=2000, alpha=1.0, max_candidate_num=5),
+     ("0x1.6cb6f15c8e89bp+1", 170, 30, "a4af9d11299a2a45")),
+    (dict(n=12, seed=1, iters=2000, alpha=1.0, max_candidate_num=1000),
+     ("0x1.aef1f78f70303p+1", 170, 30, "5de08aa9428572f5")),
+    (dict(n=60, seed=2, iters=6000, metric=Metric.EUC2D_INT, scale=1000.0, prior="tsp500",
+          max_candidate_num=30),
+     ("0x1.d820000000000p+12", 541, 59, "641e072590537c88")),
+    # Zero heatmap with use_heatmap on: every potential in a row ties.
+    (dict(n=100, seed=3, iters=4000, use_heatmap=True),
+     ("0x1.070c3cc9eab5ep+5", 383, 17, "297b5d90ddec1258")),
+    (dict(n=200, seed=4, iters=8000, prior="tsp500", max_candidate_num=20),
+     ("0x1.9f58450017290p+3", 753, 47, "d2de23c87485628f")),
+]
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN, ids=[f"golden{k}" for k in range(len(GOLDEN))])
+def test_golden_trajectory(case, expected):
+    assert golden_solve(**case) == expected
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["alpha0", "m0", "random", "tied"]))
+def test_chain_picks_potential_argmax(seed, kind):
+    """A depth-1 chain reconnects to the argmax of potential() over the head's
+    own candidates, skipping ``a`` and the path successor; ties go to the
+    smaller city index."""
+    rng = np.random.default_rng(seed)
+    for trial in range(25):
+        n = int(rng.integers(5, 40))
+        inst = generate_uniform(n, 900 + trial)
+        _, ranks = dm_and_ranks(inst)
+        hm = zero_heatmap(n) if kind == "tied" else prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
+        params = MctsParams(alpha=0.0 if kind == "alpha0" else 1.0, max_depth=1,
+                            max_candidate_num=int(rng.choice([2, 5, 1000])))
+        _, _, state = build_state(inst, params, hm=hm, seed=trial)
+        if kind == "alpha0":
+            randomize_weights_and_visits(state, rng)
+        elif kind == "random":
+            randomize_weights_and_visits(state, rng, weight_values=[0.5, 1.0, 2.0], max_visits=3)
+        elif kind == "m0":
+            randomize_weights_and_visits(state, rng, weight_values=[0.5, 1.0, 2.0])
+        state.M = 0 if kind == "m0" else int(rng.integers(1, 100))
+        order = [int(v) for v in rng.permutation(n)]
+        for _ in range(10):
+            ia = int(rng.integers(n))
+            a = order[ia]
+            break_succ = bool(rng.integers(2))
+            step = 1 if break_succ else -1
+            head, p1 = order[(ia + step) % n], order[(ia + 2 * step) % n]
+            eligible = [int(j) for j in state.candidates[head] if j not in (a, p1)]
+            chain = _sample_chain(state, order, ia, a, break_succ)
+            if not eligible:
+                assert chain is None
+                continue
+            expected = max(eligible, key=lambda j: (potential(state, head, j), -j))
+            assert chain[2][0] == (head, expected)
+
+
+@st.composite
+def degenerate_points(draw):
+    """3..12 points on a tiny integer grid (duplicates, collinear triples) or on one line."""
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        return np.array([[x, 0.5 * x] for x in xs], dtype=float)
+    cells = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n))
+    return np.array(cells, dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=degenerate_points(),
+    mcn=st.integers(1, 12),
+    depth=st.integers(1, 12),
+    use_heatmap=st.booleans(),
+    prior=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_moves_exact_on_degenerate_geometry(points, mcn, depth, use_heatmap, prior, seed):
+    inst = Instance(id="degenerate", points=points)
+    dm, ranks = dm_and_ranks(inst)
+    hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks) if prior else zero_heatmap(inst.n)
+    params = MctsParams(max_depth=depth, max_candidate_num=mcn, param_h=3, use_heatmap=use_heatmap)
+    state = init_state(inst, dm, ranks, hm, params, seed)
+    tour = sample_initial_tour(state)
+    for _ in range(12):
+        move = generate_kopt_move(state, tour)
+        if move is not None:
+            assert sorted(move.new_order.tolist()) == list(range(inst.n))
+            length = tour_length(tour.order, dm)
+            change = tour_length(move.new_order, dm) - length
+            assert abs(change - move.delta) <= 1e-9 * length
+        tour = accept_or_restart(state, tour, move)

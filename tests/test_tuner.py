@@ -183,10 +183,16 @@ class TestShapley:
 
 def test_params_file_round_trip(tmp_path):
     params = MctsParams(alpha=2.0, beta=150.0, max_depth=50, max_candidate_num=20,
-                        param_h=5, use_heatmap=False, time_limit_factor=0.05)
+                        param_h=5, use_heatmap=False)
     path = tmp_path / "config.txt"
     write_params_file(params, path)
     assert read_params_file(path) == params
+
+
+def test_params_file_ignores_retired_time_limit_factor(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("alpha=2.0\ntime_limit_factor=0.05\n")
+    assert read_params_file(path) == MctsParams(alpha=2.0)
 
 
 def test_params_file_rejects_unknown_keys(tmp_path):
