@@ -25,7 +25,7 @@ from .heatmaps import (
 )
 from .knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
 from .mcts import Budget, MctsParams, MctsState, init_state, sample_initial_tour, solve
-from .evalkit import GapReport, ResultTable, improvement, optimality_gap, run_benchmark
+from .evalkit import GapReport, Prepared, ResultTable, improvement, optimality_gap, prepare, run_benchmark
 from .tuner import SearchSpace, TuningReport, grid_configs, shapley_importance, tune
 
 __version__ = "0.1.0"
@@ -41,6 +41,7 @@ __all__ = [
     "MctsParams",
     "MctsState",
     "Metric",
+    "Prepared",
     "PriorVector",
     "RankTable",
     "ResultTable",
@@ -63,6 +64,7 @@ __all__ = [
     "optimality_gap",
     "parse_tsplib",
     "per_instance_distribution",
+    "prepare",
     "prior_to_heatmap",
     "run_benchmark",
     "sample_initial_tour",

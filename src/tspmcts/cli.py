@@ -13,13 +13,24 @@ from pathlib import Path
 import numpy as np
 
 from . import heatmaps, instances, knn_stats, tours, tuner
-from .evalkit import Budget, run_benchmark
+from .evalkit import Budget, prepare, run_benchmark
 from .mcts import MctsParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
+
+
+#: tune's grid flags: (SearchSpace field, flag, value parser).
+GRID_FLAGS = (
+    ("alpha", "--alpha-values", float),
+    ("beta", "--beta-values", float),
+    ("max_depth", "--max-depth-values", int),
+    ("max_candidate_num", "--mcn-values", int),
+    ("param_h", "--param-h-values", int),
+    ("use_heatmap", "--use-heatmap-values", lambda s: s.lower() in ("1", "true", "yes")),
+)
 
 
 class UsageError(Exception):
@@ -34,7 +45,7 @@ def parse_heatmap_spec(spec: str) -> tuple[heatmaps.ZeroSource | heatmaps.PriorS
     if kind == "softdist":
         if not arg:
             raise UsageError("softdist needs a temperature, e.g. softdist:1.0")
-        return heatmaps.SoftDistSource(tau=float(arg)), f"softdist:{arg}"
+        return heatmaps.SoftDistSource(tau=_number("--heatmap softdist", arg, float)), f"softdist:{arg}"
     if kind == "gtprior":
         if not arg:
             raise UsageError("gtprior needs a builtin name or prior file")
@@ -48,17 +59,29 @@ def parse_heatmap_spec(spec: str) -> tuple[heatmaps.ZeroSource | heatmaps.PriorS
     raise UsageError(f"unknown heatmap spec: {spec!r}")
 
 
-def load_instance_dir(path: str) -> list[instances.Instance]:
+def _number(flag: str, text: str, cast):
+    """``cast(text)``, with a malformed number reported as a usage error."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise UsageError(f"{flag}: {text!r} is not a valid {cast.__name__}") from None
+
+
+def _instance_files(path: str) -> list[Path]:
+    """Instance files (.txt/.tsp) in ``path``, sorted by name."""
     files = sorted(p for p in Path(path).iterdir() if p.suffix in (".txt", ".tsp"))
     if not files:
         raise FileNotFoundError(f"no instance files (.txt/.tsp) in {path}")
-    return [instances.load_instance(p) for p in files]
+    return files
+
+
+def load_instance_dir(path: str) -> list[instances.Instance]:
+    return [instances.load_instance(p) for p in _instance_files(path)]
 
 
 def load_reference_tours(ref_dir: str, inst_dir: str) -> list[np.ndarray]:
-    files = sorted(p for p in Path(inst_dir).iterdir() if p.suffix in (".txt", ".tsp"))
     refs = []
-    for p in files:
+    for p in _instance_files(inst_dir):
         tour_path = Path(ref_dir) / (p.stem + ".tour")
         if not tour_path.exists():
             raise FileNotFoundError(f"missing reference tour: {tour_path}")
@@ -139,12 +162,12 @@ def cmd_solve(args) -> int:
     source, heatmap_id = parse_heatmap_spec(args.heatmap)
     params = _params_from_args(args)
     insts = load_instance_dir(args.instances)
-    refs = load_reference_tours(args.refs, args.instances) if args.refs else None
+    refs = load_reference_tours(args.refs, args.instances) if args.refs else [None] * len(insts)
     metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
+    prepared = (prepare(inst, ref, source, metric) for inst, ref in zip(insts, refs, strict=True))
     table = run_benchmark(
-        insts, refs, source, params, budget,
-        seed=args.seed, jobs=args.jobs, config_id=tuner.config_id(params),
-        heatmap_id=heatmap_id, metric=metric,
+        prepared, params, budget, seed=args.seed, jobs=args.jobs,
+        config_id=tuner.config_id(params), heatmap_id=heatmap_id,
     )
     table.write_csv(args.out)
     print(f"{len(table.rows)} instances: mean gap {table.mean_gap:.4f}% "
@@ -153,24 +176,11 @@ def cmd_solve(args) -> int:
 
 
 def _space_from_args(args) -> tuner.SearchSpace:
-    def parse_values(text, cast):
-        return tuple(cast(tok) for tok in text.split(",") if tok.strip())
-
     overrides = {}
-    if args.alpha_values:
-        overrides["alpha"] = parse_values(args.alpha_values, float)
-    if args.beta_values:
-        overrides["beta"] = parse_values(args.beta_values, float)
-    if args.max_depth_values:
-        overrides["max_depth"] = parse_values(args.max_depth_values, int)
-    if args.mcn_values:
-        overrides["max_candidate_num"] = parse_values(args.mcn_values, int)
-    if args.param_h_values:
-        overrides["param_h"] = parse_values(args.param_h_values, int)
-    if args.use_heatmap_values:
-        overrides["use_heatmap"] = parse_values(
-            args.use_heatmap_values, lambda s: s.lower() in ("1", "true", "yes")
-        )
+    for name, flag, cast in GRID_FLAGS:
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text:
+            overrides[name] = tuple(_number(flag, tok.strip(), cast) for tok in text.split(",") if tok.strip())
     return tuner.SearchSpace(**overrides)
 
 
@@ -196,9 +206,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_analyze_knn(args) -> int:
-    insts = load_instance_dir(args.instances)
     dists = []
-    for idx, inst in enumerate(insts):
+    for path in _instance_files(args.instances):
+        inst = instances.load_instance(path)
         dm = instances.distance_matrix(inst)
         ranks = instances.nearest_neighbor_ranks(dm)
         if args.oracle:
@@ -206,8 +216,7 @@ def cmd_analyze_knn(args) -> int:
         else:
             if not args.tours:
                 raise UsageError("provide --tours DIR or --oracle")
-            files = sorted(p for p in Path(args.instances).iterdir() if p.suffix in (".txt", ".tsp"))
-            tour_path = Path(args.tours) / (files[idx].stem + ".tour")
+            tour_path = Path(args.tours) / (path.stem + ".tour")
             if not tour_path.exists():
                 raise FileNotFoundError(f"missing tour file: {tour_path}")
             tour = tours.make_tour(tours.parse_tour(tour_path.read_text()), dm)
@@ -277,12 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--subset", type=int, help="evaluate a random config sample (skips shapley)")
-    p.add_argument("--alpha-values", dest="alpha_values")
-    p.add_argument("--beta-values", dest="beta_values")
-    p.add_argument("--max-depth-values", dest="max_depth_values")
-    p.add_argument("--mcn-values", dest="mcn_values")
-    p.add_argument("--param-h-values", dest="param_h_values")
-    p.add_argument("--use-heatmap-values", dest="use_heatmap_values")
+    for _, flag, _ in GRID_FLAGS:
+        p.add_argument(flag, help="comma-separated grid values")
     _add_common_args(p)
     p.set_defaults(func=cmd_tune)
 

@@ -5,14 +5,15 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import count, repeat
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .heatmaps import Heatmap
 from .instances import DistanceMatrix, Instance, Metric, RankTable, distance_matrix, nearest_neighbor_ranks
 from .mcts import Budget, MctsParams, solve
-from .tours import EXACT_SOLVE_MAX_N, Tour, exact_solve, tour_length
+from .tours import EXACT_SOLVE_MAX_N, exact_solve, tour_length
 
 RESULT_CSV_HEADER = ["instance", "config", "heatmap", "length", "ref_length", "gap_pct", "time_s", "seed"]
 
@@ -95,19 +96,33 @@ def reference_length_for(
     )
 
 
-def _evaluate_one(args) -> GapReport:
-    inst, reference_tour, heatmap_source, params, budget, seed, config_id, heatmap_id, metric = args
+@dataclass(frozen=True)
+class Prepared:
+    """One instance's solver inputs, built once and reused by every config."""
+
+    inst: Instance
+    dm: DistanceMatrix
+    ranks: RankTable
+    reference_length: float
+    heatmap: Heatmap
+
+
+def prepare(inst: Instance, reference_tour: Optional[np.ndarray], heatmap_source: HeatmapSource,
+            metric: Metric = Metric.EUC2D_REAL) -> Prepared:
+    """Distances, ranks, reference length (None: the exact oracle's) and heatmap of one instance."""
     dm = distance_matrix(inst, metric)
     ranks = nearest_neighbor_ranks(dm)
     ref_len = reference_length_for(inst, dm, reference_tour)
-    hm = heatmap_source(inst, dm, ranks)
-    result = solve(inst, dm, ranks, hm, params, seed, budget)
-    gap = optimality_gap(result.best_tour.length, ref_len)
+    return Prepared(inst, dm, ranks, ref_len, heatmap_source(inst, dm, ranks))
+
+
+def _evaluate_one(prep, params, budget, seed, config_id, heatmap_id) -> GapReport:
+    result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, params, seed, budget)
     return GapReport(
-        instance_id=inst.id,
+        instance_id=prep.inst.id,
         solver_length=result.best_tour.length,
-        reference_length=ref_len,
-        gap_percent=gap,
+        reference_length=prep.reference_length,
+        gap_percent=optimality_gap(result.best_tour.length, prep.reference_length),
         wall_time=result.wall_time,
         config_id=config_id,
         heatmap_id=heatmap_id,
@@ -115,35 +130,19 @@ def _evaluate_one(args) -> GapReport:
     )
 
 
-def run_benchmark(
-    instances: Sequence[Instance],
-    reference_tours: Sequence[Optional[np.ndarray]] | None,
-    heatmap_source: HeatmapSource,
-    params: MctsParams,
-    budget: Budget,
-    seed: int = 0,
-    jobs: int = 1,
-    config_id: str = "default",
-    heatmap_id: str = "",
-    metric: Metric = Metric.EUC2D_REAL,
-) -> ResultTable:
-    """Solve every instance and report gaps, in input order.
+def run_benchmark(prepared: Iterable[Prepared], params: MctsParams, budget: Budget, seed: int = 0,
+                  jobs: int = 1, config_id: str = "default", heatmap_id: str = "") -> ResultTable:
+    """Solve every prepared instance and report gaps, in input order.
 
-    ``reference_tours`` aligns with ``instances``; None entries fall back to
-    the exact oracle (n <= 18 only). Each instance is solved with seed
+    ``prepared`` may be a generator: with ``jobs=1`` each instance is then
+    prepared, solved and released in turn. Each instance is solved with seed
     ``seed + index`` so results do not depend on scheduling.
     """
-    if reference_tours is None:
-        reference_tours = [None] * len(instances)
-    if len(reference_tours) != len(instances):
-        raise ValueError(f"{len(instances)} instances vs {len(reference_tours)} reference tours")
-    tasks = [
-        (inst, ref, heatmap_source, params, budget, seed + idx, config_id, heatmap_id, metric)
-        for idx, (inst, ref) in enumerate(zip(instances, reference_tours))
-    ]
-    if jobs > 1 and len(tasks) > 1:
+    # map() keeps no reference to a solved instance, so each preparation is freed before the next.
+    args = (prepared, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_one, tasks))
+            rows = tuple(pool.map(_evaluate_one, *args))
     else:
-        rows = [_evaluate_one(t) for t in tasks]
-    return ResultTable(rows=tuple(rows))
+        rows = tuple(map(_evaluate_one, *args))
+    return ResultTable(rows=rows)

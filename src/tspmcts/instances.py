@@ -7,9 +7,7 @@ square. All construction is deterministic given the arguments.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 

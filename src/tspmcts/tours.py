@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import DistanceMatrix, Metric
+from .instances import DistanceMatrix
 
 #: Largest instance the Held-Karp oracle accepts (2^(n-1) * (n-1) table).
 EXACT_SOLVE_MAX_N = 18

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .evalkit import Budget, HeatmapSource, run_benchmark
+from .evalkit import Budget, HeatmapSource, prepare, run_benchmark
 from .instances import Instance, Metric
 from .mcts import MctsParams
 
@@ -58,10 +58,7 @@ class SearchSpace:
 def grid_configs(space: SearchSpace) -> list[MctsParams]:
     """Full Cartesian product, lexicographic in canonical field order."""
     value_lists = [getattr(space, name) for name in PARAM_FIELDS]
-    configs = []
-    for combo in itertools.product(*value_lists):
-        configs.append(MctsParams(**dict(zip(PARAM_FIELDS, combo))))
-    return configs
+    return [MctsParams(**dict(zip(PARAM_FIELDS, combo))) for combo in itertools.product(*value_lists)]
 
 
 def config_key(params: MctsParams) -> tuple:
@@ -107,11 +104,11 @@ def make_benchmark_evaluator(
     jobs: int = 1,
     metric: Metric = Metric.EUC2D_REAL,
 ) -> ConfigEvaluator:
+    """Prepare each instance once; the evaluator then only solves, per config."""
+    prepared = [prepare(inst, None, heatmap_source, metric) for inst in instances]
+
     def evaluate(params: MctsParams) -> float:
-        table = run_benchmark(
-            instances, None, heatmap_source, params, budget,
-            seed=seed, jobs=jobs, config_id=config_id(params), metric=metric,
-        )
+        table = run_benchmark(prepared, params, budget, seed=seed, jobs=jobs, config_id=config_id(params))
         return table.mean_gap
 
     return evaluate
@@ -155,9 +152,7 @@ def tune(
     )
 
 
-def _coalition_value_table(
-    space: SearchSpace, gaps: Sequence[float]
-) -> tuple[np.ndarray, list[dict[tuple, float]]]:
+def _coalition_value_table(space: SearchSpace, gaps: Sequence[float]) -> list[dict[tuple, float]]:
     """Per-coalition lookup: projection of a config onto S -> mean gap."""
     configs = grid_configs(space)
     if len(gaps) != len(configs):
@@ -174,7 +169,7 @@ def _coalition_value_table(
             proj = tuple(key[f] for f in members)
             groups.setdefault(proj, []).append(row)
         tables.append({proj: float(gaps_arr[rows].mean()) for proj, rows in groups.items()})
-    return gaps_arr, tables
+    return tables
 
 
 def _shapley_from_tables(tables: list[dict[tuple, float]], key: tuple) -> dict[str, float]:
@@ -206,13 +201,13 @@ def shapley_importance(space: SearchSpace, gaps: Sequence[float], config: MctsPa
     Requires gaps for the full grid in grid_configs order. Efficiency holds:
     the attributions sum to config's gap minus the grand mean.
     """
-    _, tables = _coalition_value_table(space, gaps)
+    tables = _coalition_value_table(space, gaps)
     return _shapley_from_tables(tables, config_key(config))
 
 
 def shapley_for_all_configs(space: SearchSpace, gaps: Sequence[float]) -> list[dict[str, float]]:
     """Attributions for every grid config, sharing the coalition tables."""
-    _, tables = _coalition_value_table(space, gaps)
+    tables = _coalition_value_table(space, gaps)
     return [_shapley_from_tables(tables, config_key(c)) for c in grid_configs(space)]
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tspmcts.evalkit import Budget, optimality_gap, run_benchmark
+from tspmcts.evalkit import Budget, optimality_gap, prepare, run_benchmark
 from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
     PriorSource,
@@ -250,12 +250,10 @@ def test_c10_determinism_and_scheduling_independence():
     assert a.best_tour.length == b.best_tour.length
 
     batch = [generate_uniform(14, 50_000 + i) for i in range(8)]
-    kwargs = dict(
-        heatmap_source=PriorSource(BUILTIN_PRIORS["tsp500"]),
-        params=MctsParams(), budget=Budget("iters", 600), seed=3,
-    )
-    serial = run_benchmark(batch, None, **kwargs, jobs=1)
-    parallel = run_benchmark(batch, None, **kwargs, jobs=8)
+    prepared = [prepare(inst, None, PriorSource(BUILTIN_PRIORS["tsp500"])) for inst in batch]
+    kwargs = dict(params=MctsParams(), budget=Budget("iters", 600), seed=3)
+    serial = run_benchmark(prepared, **kwargs, jobs=1)
+    parallel = run_benchmark(prepared, **kwargs, jobs=8)
     for r1, r8 in zip(serial.rows, parallel.rows):
         assert r1.instance_id == r8.instance_id
         assert r1.solver_length == r8.solver_length  # bitwise float equality

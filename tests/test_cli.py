@@ -129,6 +129,17 @@ class TestSolve:
         assert "error" in err and "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 4)])
+    def test_softdist_temperature(self, instance_dir, tmp_path, capsys, spec, code):
+        assert run("solve", "--instances", instance_dir, "--heatmap", spec,
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error:") and "--heatmap" in err
+        else:
+            assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_idempotent_outputs(self, instance_dir, tmp_path):
         args = ("solve", "--instances", instance_dir, "--heatmap", "zero",
                 "--use-heatmap", "false", "--max-iters", 300, "--seed", 7)
@@ -166,6 +177,25 @@ class TestTune:
         grand = sum(gaps.values()) / len(gaps)
         for cid, total in by_config.items():
             assert total == pytest.approx(gaps[cid] - grand, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--alpha-values", "1,x"), ("--beta-values", "10,1O0"), ("--max-depth-values", "10,1.5"),
+        ("--mcn-values", "5,many"), ("--param-h-values", "2,h"),
+    ])
+    def test_malformed_grid_value_usage_error(self, tmp_path, instance_dir, capsys, flag, values):
+        code = run("tune", "--instances", instance_dir, "--heatmap", "zero",
+                   "--max-iters", 10, "--out-dir", tmp_path / "tune", flag, values)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "tune").exists()
+
+    @pytest.mark.parametrize("flag, values", [("--alpha-values", "-1"), ("--beta-values", "10,10")])
+    def test_invalid_grid_value_config_error(self, tmp_path, instance_dir, capsys, flag, values):
+        code = run("tune", "--instances", instance_dir, "--heatmap", "zero",
+                   "--max-iters", 10, "--out-dir", tmp_path / "tune", flag, values)
+        assert code == 4
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_best_config_feeds_solve(self, tmp_path, instance_dir):
         out = tmp_path / "tune"

@@ -9,6 +9,7 @@ from tspmcts.evalkit import (
     ResultTable,
     improvement,
     optimality_gap,
+    prepare,
     reference_length_for,
     run_benchmark,
 )
@@ -75,10 +76,16 @@ def small_set():
     return [generate_uniform(10, 900 + i) for i in range(4)]
 
 
+def prepared_zero(instances, reference_tours=None):
+    if reference_tours is None:
+        reference_tours = [None] * len(instances)
+    return (prepare(inst, ref, ZeroSource()) for inst, ref in zip(instances, reference_tours, strict=True))
+
+
 class TestRunBenchmark:
     def test_rows_in_instance_order(self, small_set):
         table = run_benchmark(
-            small_set, None, ZeroSource(), MctsParams(use_heatmap=False),
+            prepared_zero(small_set), MctsParams(use_heatmap=False),
             Budget("iters", 300), seed=1,
         )
         assert [r.instance_id for r in table.rows] == [i.id for i in small_set]
@@ -92,19 +99,16 @@ class TestRunBenchmark:
                 for r in table.rows
             ]
 
-        kwargs = dict(
-            heatmap_source=ZeroSource(), params=MctsParams(use_heatmap=False),
-            budget=Budget("iters", 300), seed=5,
-        )
-        serial = run_benchmark(small_set, None, **kwargs, jobs=1)
-        again = run_benchmark(small_set, None, **kwargs, jobs=1)
-        parallel = run_benchmark(small_set, None, **kwargs, jobs=3)
+        kwargs = dict(params=MctsParams(use_heatmap=False), budget=Budget("iters", 300), seed=5)
+        serial = run_benchmark(prepared_zero(small_set), **kwargs, jobs=1)
+        again = run_benchmark(prepared_zero(small_set), **kwargs, jobs=1)
+        parallel = run_benchmark(prepared_zero(small_set), **kwargs, jobs=3)
         assert fingerprint(serial) == fingerprint(again)
         assert fingerprint(serial) == fingerprint(parallel)
 
     def test_mean_matches_rows(self, small_set):
         table = run_benchmark(
-            small_set, None, ZeroSource(), MctsParams(use_heatmap=False),
+            prepared_zero(small_set), MctsParams(use_heatmap=False),
             Budget("iters", 200), seed=2,
         )
         assert table.mean_gap == pytest.approx(
@@ -114,17 +118,17 @@ class TestRunBenchmark:
         assert table.max_gap == max(r.gap_percent for r in table.rows)
 
     def test_empty_table(self):
-        table = run_benchmark([], None, ZeroSource(), MctsParams(), Budget("iters", 10))
+        table = run_benchmark(prepared_zero([]), MctsParams(), Budget("iters", 10))
         assert table.rows == ()
         assert math.isnan(table.mean_gap)
 
     def test_reference_alignment_checked(self, small_set):
         with pytest.raises(ValueError):
-            run_benchmark(small_set, [None], ZeroSource(), MctsParams(), Budget("iters", 10))
+            run_benchmark(prepared_zero(small_set, [None]), MctsParams(), Budget("iters", 10))
 
     def test_csv_schema(self, small_set, tmp_path):
         table = run_benchmark(
-            small_set[:2], None, ZeroSource(), MctsParams(use_heatmap=False),
+            prepared_zero(small_set[:2]), MctsParams(use_heatmap=False),
             Budget("iters", 100), heatmap_id="zero",
         )
         path = tmp_path / "out.csv"

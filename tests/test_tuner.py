@@ -1,9 +1,14 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from tspmcts import evalkit, heatmaps
+from tspmcts.evalkit import Budget
+from tspmcts.heatmaps import FileSource, ZeroSource, save_heatmap, softdist_heatmap
+from tspmcts.instances import distance_matrix, generate_uniform
 from tspmcts.mcts import MctsParams
 from tspmcts.tuner import (
     CoverageError,
@@ -12,6 +17,7 @@ from tspmcts.tuner import (
     SearchSpace,
     config_key,
     grid_configs,
+    make_benchmark_evaluator,
     read_params_file,
     shapley_for_all_configs,
     shapley_importance,
@@ -179,6 +185,58 @@ class TestShapley:
         for cfg, phi in zip(configs, all_phi):
             single = shapley_importance(space, gaps, cfg)
             assert phi == pytest.approx(single)
+
+
+#: 8 configs; with use_heatmap off the gaps depend on the search alone.
+SMALL_GRID = SearchSpace(
+    alpha=(0.0, 1.0), beta=(10.0, 100.0), max_depth=(10,),
+    max_candidate_num=(5, 1000), param_h=(2,), use_heatmap=(False,),
+)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestBenchmarkEvaluator:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return [generate_uniform(12, 700 + i) for i in range(2)]
+
+    def test_each_instance_prepared_once(self, pair, monkeypatch):
+        distances = counting(monkeypatch, evalkit, "distance_matrix")
+        oracle = counting(monkeypatch, evalkit, "exact_solve")
+        evaluator = make_benchmark_evaluator(pair, ZeroSource(), Budget("iters", 50), seed=3)
+        rpt = tune(SMALL_GRID, evaluator, compute_shapley=False)
+        assert len(rpt.mean_gaps) == 8
+        assert len(distances) == 2
+        assert len(oracle) == 2
+
+    def test_file_heatmap_loaded_once_per_instance(self, pair, tmp_path, monkeypatch):
+        path = tmp_path / "hm.txt"
+        save_heatmap(softdist_heatmap(distance_matrix(pair[0]), 0.1, 5), path)
+        loads = counting(monkeypatch, heatmaps, "load_heatmap")
+        evaluator = make_benchmark_evaluator(pair, FileSource(str(path)), Budget("iters", 50), seed=3)
+        tune(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)), evaluator, compute_shapley=False)
+        assert len(loads) == 2
+
+    def test_golden_mean_gaps(self, pair):
+        """Pinned bit for bit; preparing once must not change any result."""
+        evaluator = make_benchmark_evaluator(pair, ZeroSource(), Budget("iters", 200), seed=3)
+        rpt = tune(SMALL_GRID, evaluator, compute_shapley=False)
+        assert [float.hex(g) for g in rpt.mean_gaps] == [
+            "0x1.0bb28a6250cc0p+1", "0x1.a1cfefbaf583fp+3", "0x1.0bb28a6250cc0p+1", "0x1.a1cfefbaf583fp+3",
+            "0x1.21253fe7e827ep+1", "0x1.45b5be34a3724p+5", "0x1.a892e290a8d04p+0", "0x1.c468fc781132ap+3",
+        ]
 
 
 def test_params_file_round_trip(tmp_path):
