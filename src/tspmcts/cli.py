@@ -22,15 +22,9 @@ EXIT_IO = 3
 EXIT_CONFIG = 4
 
 
-#: tune's grid flags: (SearchSpace field, flag, value parser).
-GRID_FLAGS = (
-    ("alpha", "--alpha-values", float),
-    ("beta", "--beta-values", float),
-    ("max_depth", "--max-depth-values", int),
-    ("max_candidate_num", "--mcn-values", int),
-    ("param_h", "--param-h-values", int),
-    ("use_heatmap", "--use-heatmap-values", lambda s: s.lower() in ("1", "true", "yes")),
-)
+#: tune's grid flags by SearchSpace field; values parse with tuner.FIELD_PARSERS.
+GRID_FLAGS = {"alpha": "--alpha-values", "beta": "--beta-values", "max_depth": "--max-depth-values",
+              "max_candidate_num": "--mcn-values", "param_h": "--param-h-values", "use_heatmap": "--use-heatmap-values"}
 
 
 class UsageError(Exception):
@@ -45,7 +39,7 @@ def parse_heatmap_spec(spec: str) -> tuple[heatmaps.ZeroSource | heatmaps.PriorS
     if kind == "softdist":
         if not arg:
             raise UsageError("softdist needs a temperature, e.g. softdist:1.0")
-        return heatmaps.SoftDistSource(tau=_number("--heatmap softdist", arg, float)), f"softdist:{arg}"
+        return heatmaps.SoftDistSource(tau=_flag_value("--heatmap softdist", arg, float)), f"softdist:{arg}"
     if kind == "gtprior":
         if not arg:
             raise UsageError("gtprior needs a builtin name or prior file")
@@ -59,8 +53,8 @@ def parse_heatmap_spec(spec: str) -> tuple[heatmaps.ZeroSource | heatmaps.PriorS
     raise UsageError(f"unknown heatmap spec: {spec!r}")
 
 
-def _number(flag: str, text: str, cast):
-    """``cast(text)``, with a malformed number reported as a usage error."""
+def _flag_value(flag: str, text: str, cast):
+    """``cast(text)``, with a malformed value reported as a usage error."""
     try:
         return cast(text)
     except ValueError:
@@ -100,12 +94,10 @@ def _budget_from_args(args) -> Budget:
 def _params_from_args(args) -> MctsParams:
     params = tuner.read_params_file(args.params) if args.params else MctsParams()
     overrides = {}
-    for name in ("alpha", "beta", "max_depth", "max_candidate_num", "param_h"):
+    for name in tuner.PARAM_FIELDS:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.use_heatmap is not None:
-        overrides["use_heatmap"] = args.use_heatmap.lower() in ("1", "true", "yes")
     if overrides:
         params = replace(params, **overrides)
     return params
@@ -127,7 +119,7 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--max-candidate-num", dest="max_candidate_num", type=int)
     p.add_argument("--param-h", dest="param_h", type=int)
-    p.add_argument("--use-heatmap", dest="use_heatmap", help="true/false")
+    p.add_argument("--use-heatmap", dest="use_heatmap", type=tuner.boolean, help="true/false")
 
 
 def cmd_gen(args) -> int:
@@ -177,10 +169,11 @@ def cmd_solve(args) -> int:
 
 def _space_from_args(args) -> tuner.SearchSpace:
     overrides = {}
-    for name, flag, cast in GRID_FLAGS:
+    for name, flag in GRID_FLAGS.items():
         text = getattr(args, flag[2:].replace("-", "_"))
         if text:
-            overrides[name] = tuple(_number(flag, tok.strip(), cast) for tok in text.split(",") if tok.strip())
+            cast = tuner.FIELD_PARSERS[name]
+            overrides[name] = tuple(_flag_value(flag, tok.strip(), cast) for tok in text.split(",") if tok.strip())
     return tuner.SearchSpace(**overrides)
 
 
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--subset", type=int, help="evaluate a random config sample (skips shapley)")
-    for _, flag, _ in GRID_FLAGS:
+    for flag in GRID_FLAGS.values():
         p.add_argument(flag, help="comma-separated grid values")
     _add_common_args(p)
     p.set_defaults(func=cmd_tune)

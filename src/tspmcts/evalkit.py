@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
@@ -134,15 +135,22 @@ def run_benchmark(prepared: Iterable[Prepared], params: MctsParams, budget: Budg
                   jobs: int = 1, config_id: str = "default", heatmap_id: str = "") -> ResultTable:
     """Solve every prepared instance and report gaps, in input order.
 
-    ``prepared`` may be a generator: with ``jobs=1`` each instance is then
-    prepared, solved and released in turn. Each instance is solved with seed
-    ``seed + index`` so results do not depend on scheduling.
+    ``prepared`` may be a generator: each instance is then prepared only
+    when a solve slot is free, so with ``jobs=1`` one preparation is alive
+    at a time and with ``jobs > 1`` at most ``jobs + 1``. Each instance is
+    solved with seed ``seed + index`` so results do not depend on scheduling.
     """
     # map() keeps no reference to a solved instance, so each preparation is freed before the next.
     args = (prepared, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(_evaluate_one, *args))
-    else:
-        rows = tuple(map(_evaluate_one, *args))
-    return ResultTable(rows=rows)
+    if jobs <= 1:
+        return ResultTable(rows=tuple(map(_evaluate_one, *args)))
+    # Executor.map would submit, and so prepare, every instance up front; a
+    # window of `jobs` in-flight solves bounds the live preparations instead.
+    rows, in_flight = [], deque()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for a in zip(*args):
+            if len(in_flight) == jobs:
+                rows.append(in_flight.popleft().result())
+            in_flight.append(pool.submit(_evaluate_one, *a))
+        rows.extend(f.result() for f in in_flight)
+    return ResultTable(rows=tuple(rows))

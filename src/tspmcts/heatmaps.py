@@ -180,10 +180,9 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     if k_keep < 1:
         raise ValueError(f"k_keep must be >= 1, got {k_keep}")
     n = dm.n
-    d = dm.entries.astype(np.float64)
     rows = []
     for i in range(n):
-        logits = -d[i] / tau
+        logits = -dm.entries[i].astype(np.float64) / tau
         logits[i] = -np.inf
         logits -= logits.max()  # stabilize; cancels in the normalization
         weights = np.exp(logits)

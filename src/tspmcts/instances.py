@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+#: Rows per block when building the n×n set-up tables, so that their
+#: temporaries stay O(BLOCK_ROWS·n) instead of O(n²).
+BLOCK_ROWS = 256
 
 
 class ParseError(ValueError):
@@ -75,7 +80,15 @@ class RankTable:
     """
 
     rows: np.ndarray = field(repr=False)  # shape (n, n-1), int32
-    inverse: np.ndarray = field(repr=False)  # shape (n, n), int32; diagonal unused
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """``inverse[i, j]`` = ``rank_of(i, j)``; shape (n, n), int32, diagonal 0. Built on first use."""
+        n = self.n
+        inverse = np.zeros((n, n), dtype=np.int32)
+        np.put_along_axis(inverse, self.rows, np.arange(1, n, dtype=np.int32), axis=1)
+        inverse.setflags(write=False)
+        return inverse
 
     @property
     def n(self) -> int:
@@ -252,14 +265,27 @@ def write_native(inst: Instance) -> str:
 
 
 def distance_matrix(inst: Instance, metric: Metric = Metric.EUC2D_REAL) -> DistanceMatrix:
-    """All pairwise Euclidean distances, rounded to nearest int for EUC2D_INT."""
-    diff = inst.points[:, None, :] - inst.points[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
-    if metric is Metric.EUC2D_INT:
-        # TSPLIB nint(): round half away from zero; distances are non-negative.
-        entries = np.floor(d + 0.5).astype(np.int64)
-    else:
-        entries = d
+    """All pairwise Euclidean distances, rounded to nearest int for EUC2D_INT.
+
+    Built in blocks of rows; ``sqrt(dx*dx + dy*dy)`` is evaluated in that
+    order, so every entry is bit-identical to a whole-matrix computation.
+    """
+    x, y = inst.points[:, 0], inst.points[:, 1]
+    n = inst.n
+    entries = np.empty((n, n), dtype=np.int64 if metric is Metric.EUC2D_INT else np.float64)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        dx = x[lo:hi, None] - x
+        dy = y[lo:hi, None] - y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        if metric is Metric.EUC2D_INT:
+            # TSPLIB nint(): round half away from zero; distances are non-negative.
+            dx += 0.5
+            np.floor(dx, out=dx)
+        entries[lo:hi] = dx
     entries.setflags(write=False)
     return DistanceMatrix(metric=metric, entries=entries)
 
@@ -267,17 +293,15 @@ def distance_matrix(inst: Instance, metric: Metric = Metric.EUC2D_REAL) -> Dista
 def nearest_neighbor_ranks(dm: DistanceMatrix) -> RankTable:
     """Sort each city's neighbors by distance, breaking ties by city index."""
     n = dm.n
-    order = np.argsort(dm.entries, axis=1, kind="stable").astype(np.int32)
     rows = np.empty((n, n - 1), dtype=np.int32)
-    for i in range(n):
-        rows[i] = order[i][order[i] != i]
-    inverse = np.zeros((n, n), dtype=np.int32)
-    ranks = np.arange(1, n, dtype=np.int32)
-    for i in range(n):
-        inverse[i, rows[i]] = ranks
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        order = np.argsort(dm.entries[lo:hi], axis=1, kind="stable")
+        # Each row holds its own city exactly once; dropping it leaves n-1.
+        own = order == np.arange(lo, hi)[:, None]
+        rows[lo:hi] = order[~own].reshape(hi - lo, n - 1)
     rows.setflags(write=False)
-    inverse.setflags(write=False)
-    return RankTable(rows=rows, inverse=inverse)
+    return RankTable(rows=rows)
 
 
 def load_instance(path) -> Instance:

@@ -21,7 +21,19 @@ from .evalkit import Budget, HeatmapSource, prepare, run_benchmark
 from .instances import Instance, Metric
 from .mcts import MctsParams
 
-PARAM_FIELDS = ("alpha", "beta", "max_depth", "max_candidate_num", "param_h", "use_heatmap")
+
+def boolean(text: str) -> bool:
+    """Strict, case-insensitive boolean: 1/true/yes or 0/false/no; anything else is a ValueError."""
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "0", "false", "no"):
+        return word in ("1", "true", "yes")
+    raise ValueError(f"{text!r} is not a boolean (1/true/yes or 0/false/no)")
+
+
+#: Value parser of each solver parameter, in grid order, for params files and tune's grid flags.
+FIELD_PARSERS = {"alpha": float, "beta": float, "max_depth": int, "max_candidate_num": int, "param_h": int,
+                 "use_heatmap": boolean}
+PARAM_FIELDS = tuple(FIELD_PARSERS)
 
 #: Default configuration the grid values are compared against.
 DEFAULT_PARAMS = MctsParams()
@@ -244,12 +256,10 @@ def read_params_file(path) -> MctsParams:
             value = value.strip()
             if key == "time_limit_factor":
                 continue
-            if key not in PARAM_FIELDS:
+            if key not in FIELD_PARSERS:
                 raise ValueError(f"unknown solver parameter: {key!r}")
-            if key == "use_heatmap":
-                kwargs[key] = value.lower() in ("1", "true", "yes")
-            elif key in ("max_depth", "max_candidate_num", "param_h"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            try:
+                kwargs[key] = FIELD_PARSERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
     return MctsParams(**kwargs)

@@ -140,6 +140,23 @@ class TestSolve:
             assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    def test_malformed_use_heatmap_usage_error(self, instance_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--use-heatmap", "ture",
+                "--max-iters", 10, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "--use-heatmap" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_malformed_params_file_boolean_config_error(self, instance_dir, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("alpha=1\nuse_heatmap=Ture\n")
+        code = run("solve", "--instances", instance_dir, "--heatmap", "zero", "--params", params,
+                   "--max-iters", 10, "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("config error:") and "use_heatmap: 'Ture'" in err
+
     def test_idempotent_outputs(self, instance_dir, tmp_path):
         args = ("solve", "--instances", instance_dir, "--heatmap", "zero",
                 "--use-heatmap", "false", "--max-iters", 300, "--seed", 7)
@@ -188,6 +205,14 @@ class TestTune:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "tune").exists()
+
+    def test_malformed_use_heatmap_values_usage_error(self, tmp_path, instance_dir, capsys):
+        code = run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
+                   "--out-dir", tmp_path / "tune", "--use-heatmap-values", "false, tru")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "--use-heatmap-values" in err
         assert not (tmp_path / "tune").exists()
 
     @pytest.mark.parametrize("flag, values", [("--alpha-values", "-1"), ("--beta-values", "10,10")])

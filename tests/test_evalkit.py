@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -105,6 +106,24 @@ class TestRunBenchmark:
         parallel = run_benchmark(prepared_zero(small_set), **kwargs, jobs=3)
         assert fingerprint(serial) == fingerprint(again)
         assert fingerprint(serial) == fingerprint(parallel)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_live_preparations_bounded_by_jobs(self, jobs):
+        refs = []
+        peak = 0
+
+        def tracked():
+            nonlocal peak
+            for i in range(8):
+                prep = prepare(generate_uniform(30, 700 + i), np.arange(30), ZeroSource())
+                refs.append(weakref.ref(prep))
+                peak = max(peak, sum(r() is not None for r in refs))
+                yield prep
+                del prep
+
+        table = run_benchmark(tracked(), MctsParams(use_heatmap=False), Budget("iters", 100), jobs=jobs)
+        assert len(table.rows) == 8
+        assert peak <= jobs + 1
 
     def test_mean_matches_rows(self, small_set):
         table = run_benchmark(

@@ -16,7 +16,7 @@ from tspmcts.heatmaps import (
     sparsify_topk,
     zero_heatmap,
 )
-from tspmcts.instances import generate_uniform
+from tspmcts.instances import Instance, Metric, generate_uniform
 from tspmcts.tours import exact_solve, make_tour
 
 from conftest import circle_instance, dm_and_ranks
@@ -161,6 +161,24 @@ class TestSoftDist:
         hm = softdist_heatmap(dm, tau=0.3, k_keep=11)
         for i in range(12):
             assert sum(p for _, p in hm.row(i)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_rows_identical_to_whole_matrix_formula(self, metric):
+        inst = Instance(id="t", points=generate_uniform(40, 6).points * 100)
+        dm, _ = dm_and_ranks(inst, metric)
+        tau, k = 7.5, 6
+        hm = softdist_heatmap(dm, tau=tau, k_keep=k)
+        # The formula as written over a float64 copy of the whole matrix.
+        d = dm.entries.astype(np.float64)
+        for i in range(inst.n):
+            logits = -d[i] / tau
+            logits[i] = -np.inf
+            logits -= logits.max()
+            weights = np.exp(logits)
+            probs = weights / weights.sum()
+            keep = np.argsort(-probs, kind="stable")[:k]
+            expected = [(int(j), float(probs[j]).hex()) for j in keep if j != i]
+            assert sorted(expected) == sorted((j, p.hex()) for j, p in hm.row(i))
 
     def test_bad_tau(self):
         inst = generate_uniform(5, 0)

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tspmcts.evalkit import prepare
+from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource
 from tspmcts.instances import (
+    BLOCK_ROWS,
     Instance,
     Metric,
     ParseError,
@@ -20,6 +24,7 @@ from tspmcts.instances import (
     write_native,
     write_tsplib,
 )
+from tspmcts.mcts import Budget, MctsParams, solve
 from tspmcts.tours import tour_length
 
 from conftest import dm_and_ranks
@@ -209,6 +214,71 @@ class TestNearestNeighborRanks:
             assert sorted(row) == [j for j in range(inst.n) if j != i]
             dists = [dm[i, j] for j in row]
             assert dists == sorted(dists)
+
+
+def dense_distances(points: np.ndarray, metric: Metric) -> np.ndarray:
+    """Whole-matrix reference for distance_matrix."""
+    diff = points[:, None, :] - points[None, :, :]
+    d = np.sqrt((diff ** 2).sum(axis=2))
+    return np.floor(d + 0.5).astype(np.int64) if metric is Metric.EUC2D_INT else d
+
+
+def dense_ranks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row reference for nearest_neighbor_ranks: (rows, inverse)."""
+    n = entries.shape[0]
+    order = np.argsort(entries, axis=1, kind="stable").astype(np.int32)
+    rows = np.empty((n, n - 1), dtype=np.int32)
+    for i in range(n):
+        rows[i] = order[i][order[i] != i]
+    inverse = np.zeros((n, n), dtype=np.int32)
+    for i in range(n):
+        inverse[i, rows[i]] = np.arange(1, n, dtype=np.int32)
+    return rows, inverse
+
+
+class TestBlockedBuild:
+    """The row-blocked tables are byte-identical to whole-matrix references."""
+
+    @pytest.mark.parametrize("n", [3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("points", ["random", "duplicates"])
+    def test_matches_dense_reference(self, n, metric, points):
+        rng = np.random.default_rng(n)
+        if points == "random":
+            pts = rng.random((n, 2)) * 1000
+        else:
+            # A coarse integer grid: repeated cities and many tied distances.
+            pts = np.floor(rng.random((n, 2)) * 6)
+        inst = Instance(id="t", points=pts)
+        dm = distance_matrix(inst, metric)
+        expected = dense_distances(inst.points, metric)
+        assert dm.entries.dtype == expected.dtype
+        assert dm.entries.tobytes() == expected.tobytes()
+        ranks = nearest_neighbor_ranks(dm)
+        rows, inverse = dense_ranks(expected)
+        assert ranks.rows.dtype == np.int32
+        assert ranks.rows.tobytes() == rows.tobytes()
+        assert ranks.inverse.tobytes() == inverse.tobytes()
+
+    def test_inverse_built_only_on_demand(self):
+        prep = prepare(generate_uniform(40, 5), np.arange(40), PriorSource(BUILTIN_PRIORS["tsp500"]))
+        solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, MctsParams(), 0, Budget("iters", 200))
+        assert "inverse" not in prep.ranks.__dict__
+        for i in range(prep.inst.n):
+            for k, j in enumerate(prep.ranks.row(i), start=1):
+                assert prep.ranks.rank_of(i, int(j)) == k
+        assert "inverse" in prep.ranks.__dict__
+
+    def test_build_memory_stays_near_output_size(self):
+        inst = generate_uniform(1500, 0)
+        tracemalloc.start()
+        try:
+            dm = distance_matrix(inst)
+            ranks = nearest_neighbor_ranks(dm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (dm.entries.nbytes + ranks.rows.nbytes)
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,6 +15,7 @@ from tspmcts.tuner import (
     DEFAULT_PARAMS,
     PARAM_FIELDS,
     SearchSpace,
+    boolean,
     config_key,
     grid_configs,
     make_benchmark_evaluator,
@@ -258,3 +259,17 @@ def test_params_file_rejects_unknown_keys(tmp_path):
     path.write_text("gamma=3\n")
     with pytest.raises(ValueError):
         read_params_file(path)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("Yes", True), (" TRUE ", True),
+    ("0", False), ("false", False), ("No", False), ("FALSE", False),
+])
+def test_boolean_vocabulary(text, value):
+    assert boolean(text) is value
+
+
+@pytest.mark.parametrize("text", ["", "ture", "tru", "2", "on", "off", "y", "n"])
+def test_boolean_rejects_other_text(text):
+    with pytest.raises(ValueError, match="not a boolean"):
+        boolean(text)
