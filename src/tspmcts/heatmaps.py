@@ -1,18 +1,19 @@
 """Edge-probability heatmaps and the neighbor-rank prior that feeds them.
 
-A heatmap stores, per city, a sparse list of (neighbor, probability) entries;
-absent entries are implicit zeros. The GT-Prior assigns each edge (i, j) the
-empirical probability that optimal tours connect a city to its k-th nearest
-neighbor, where k is j's distance rank from i.
+A heatmap stores, per city, a sparse row of (neighbor, probability) entries
+in compressed-row arrays; absent entries are implicit zeros. The GT-Prior
+assigns each edge (i, j) the empirical probability that optimal tours
+connect a city to its k-th nearest neighbor, where k is j's distance rank
+from i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .instances import DistanceMatrix, RankTable
+from .instances import BLOCK_ELEMS, DistanceMatrix, RankTable
 from .knn_stats import aggregate, per_instance_distribution
 from .tours import Tour
 
@@ -27,32 +28,67 @@ class HeatmapFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Heatmap:
-    """Sparse per-city edge probabilities, rows sorted by descending p."""
+    """Sparse per-city edge probabilities in compressed-row (CSR) form.
+
+    Row i's entries are ``cols[indptr[i]:indptr[i + 1]]`` with ``probs``
+    aligned, sorted by descending probability, ties by ascending neighbor.
+    """
 
     n: int
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    indptr: np.ndarray = field(repr=False)  # shape (n + 1,), int64
+    cols: np.ndarray = field(repr=False)  # int32
+    probs: np.ndarray = field(repr=False)  # float64
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int32)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if indptr.shape != (self.n + 1,) or indptr[0] != 0 or not cols.shape == probs.shape == (indptr[-1],):
+            raise ValueError(
+                f"row pointers do not fit n={self.n}, {cols.size} neighbors, {probs.size} probabilities"
+            )
+        for name, arr in (("indptr", indptr), ("cols", cols), ("probs", probs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Heatmap):
+            return NotImplemented
+        fields = ("indptr", "cols", "probs")
+        return self.n == other.n and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     def prob(self, i: int, j: int) -> float:
-        for neighbor, p in self.rows[i]:
-            if neighbor == j:
-                return p
-        return 0.0
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        hit = np.flatnonzero(self.cols[lo:hi] == j)
+        return float(self.probs[lo + hit[0]]) if hit.size else 0.0
 
     def row(self, i: int) -> tuple[tuple[int, float], ...]:
-        return self.rows[i]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return tuple(zip(self.cols[lo:hi].tolist(), self.probs[lo:hi].tolist()))
 
     def entry_count(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return int(self.indptr[-1])
 
 
-def _sort_row(entries: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    return tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
+def row_pointers(lengths: np.ndarray) -> np.ndarray:
+    """CSR row pointers (int64, one longer than ``lengths``) for rows of these lengths."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row index of every entry of a CSR layout."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _from_entries(n: int, row_of: np.ndarray, cols: np.ndarray, probs: np.ndarray) -> Heatmap:
+    """CSR heatmap from unordered (row, neighbor, probability) entries."""
+    order = np.lexsort((cols, -probs, row_of))
+    return Heatmap(n=n, indptr=row_pointers(np.bincount(row_of, minlength=n)), cols=cols[order],
+                   probs=probs[order])
 
 
 def _validate_entries(n: int, i: int, entries: Sequence[tuple[int, float]]) -> None:
@@ -70,12 +106,15 @@ def _validate_entries(n: int, i: int, entries: Sequence[tuple[int, float]]) -> N
 
 
 def make_heatmap(n: int, rows: Sequence[Sequence[tuple[int, float]]]) -> Heatmap:
-    """Validate and canonically sort row entries."""
-    sorted_rows = []
+    """Validate per-row (neighbor, probability) entries and sort them canonically."""
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
     for i, entries in enumerate(rows):
         _validate_entries(n, i, entries)
-        sorted_rows.append(_sort_row(entries))
-    return Heatmap(n=n, rows=tuple(sorted_rows))
+    row_of = np.repeat(np.arange(n), [len(entries) for entries in rows])
+    cols = np.array([j for entries in rows for j, _ in entries], dtype=np.int32)
+    probs = np.array([p for entries in rows for _, p in entries], dtype=np.float64)
+    return _from_entries(n, row_of, cols, probs)
 
 
 @dataclass(frozen=True)
@@ -155,16 +194,17 @@ def prior_to_heatmap(prior: PriorVector, ranks: RankTable) -> Heatmap:
     """
     n = ranks.n
     k = min(prior.truncation, n - 1)
-    rows = []
-    for i in range(n):
-        neighbors = ranks.row(i)[:k]
-        rows.append([(int(j), float(prior.masses[r])) for r, j in enumerate(neighbors)])
-    return make_heatmap(n, rows)
+    cols = ranks.rows[:, :k]
+    masses = prior.masses[:k]
+    order = np.lexsort((cols, np.broadcast_to(-masses, (n, k))))  # per row, by (-p, j)
+    return Heatmap(n=n, indptr=np.arange(0, n * k + 1, k, dtype=np.int64),
+                   cols=np.take_along_axis(cols, order, axis=1).ravel(), probs=masses[order].ravel())
 
 
 def zero_heatmap(n: int) -> Heatmap:
     """The non-informative heatmap: every edge probability is zero."""
-    return Heatmap(n=n, rows=tuple(() for _ in range(n)))
+    return Heatmap(n=n, indptr=np.zeros(n + 1, dtype=np.int64), cols=np.empty(0, dtype=np.int32),
+                   probs=np.empty(0))
 
 
 def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
@@ -174,38 +214,48 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     probable entries without renormalizing. The exponential form with a
     temperature flag is this artifact's own definition of a distance-based
     heatmap; tau has no canonical default and is exposed as a CLI flag.
+    Rows are computed in blocks of about ``BLOCK_ELEMS`` entries.
     """
     if not tau > 0:  # also rejects NaN
         raise ValueError(f"tau must be positive, got {tau}")
     if k_keep < 1:
         raise ValueError(f"k_keep must be >= 1, got {k_keep}")
     n = dm.n
-    rows = []
-    for i in range(n):
-        logits = -dm.entries[i].astype(np.float64) / tau
-        logits[i] = -np.inf
-        logits -= logits.max()  # stabilize; cancels in the normalization
+    step = max(1, BLOCK_ELEMS // n)
+    cols, probs, counts = [], [], []
+    for lo in range(0, n, step):
+        own = np.arange(lo, min(lo + step, n))
+        logits = -dm.entries[lo : lo + own.size].astype(np.float64) / tau
+        logits[own - lo, own] = -np.inf
+        logits -= logits.max(axis=1, keepdims=True)  # stabilize; cancels in the normalization
         weights = np.exp(logits)
-        probs = weights / weights.sum()
-        keep = np.argsort(-probs, kind="stable")[:k_keep]
-        rows.append([(int(j), float(probs[j])) for j in keep if j != i])
-    return make_heatmap(n, rows)
+        weights /= weights.sum(axis=1, keepdims=True)
+        # A stable sort of -p leaves each row in canonical (-p, j) order.
+        keep = np.argsort(-weights, axis=1, kind="stable")[:, :k_keep]
+        other = keep != own[:, None]
+        cols.append(keep[other])
+        probs.append(np.take_along_axis(weights, keep, axis=1)[other])
+        counts.append(other.sum(axis=1))
+    return Heatmap(n=n, indptr=row_pointers(np.concatenate(counts)), cols=np.concatenate(cols),
+                   probs=np.concatenate(probs))
 
 
 def sparsify_topk(hm: Heatmap, k: int) -> Heatmap:
     """Keep each row's k largest entries (ties to the smaller neighbor index)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return Heatmap(n=hm.n, rows=tuple(_sort_row(row)[:k] for row in hm.rows))
+    # Rows are already in canonical order, so the first k entries of each are kept.
+    keep = np.arange(hm.entry_count()) - hm.indptr[entry_rows(hm.indptr)] < k
+    return Heatmap(n=hm.n, indptr=row_pointers(np.minimum(np.diff(hm.indptr), k)),
+                   cols=hm.cols[keep], probs=hm.probs[keep])
 
 
 def save_heatmap(hm: Heatmap, path) -> None:
     """Write the text format: header ``n m`` then m lines ``i j p``."""
     with open(path, "w") as f:
         f.write(f"{hm.n} {hm.entry_count()}\n")
-        for i, row in enumerate(hm.rows):
-            for j, p in row:
-                f.write(f"{i} {j} {p:.17g}\n")
+        for i, j, p in zip(entry_rows(hm.indptr).tolist(), hm.cols.tolist(), hm.probs.tolist()):
+            f.write(f"{i} {j} {p:.17g}\n")
 
 
 def load_heatmap(path) -> Heatmap:
@@ -214,30 +264,34 @@ def load_heatmap(path) -> Heatmap:
         lines = f.read().splitlines()
     if not lines:
         raise HeatmapFormatError("empty heatmap file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise HeatmapFormatError(f"expected 'n m' header, got {lines[0]!r}", line_no=1)
-    n, m = int(header[0]), int(header[1])
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    entries = 0
+    try:
+        n, m = (int(tok) for tok in lines[0].split())
+        if n < 0 or m < 0:
+            raise ValueError
+    except ValueError:
+        raise HeatmapFormatError(f"expected 'n m' header, got {lines[0]!r}", line_no=1) from None
+    entries: dict[tuple[int, int], float] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise HeatmapFormatError(f"expected 'i j p', got {line!r}", line_no=line_no)
-        i, j, p = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            i, j, p = line.split()
+            i, j, p = int(i), int(j), float(p)
+        except ValueError:
+            raise HeatmapFormatError(f"expected 'i j p', got {line!r}", line_no=line_no) from None
         if not 0 <= i < n or not 0 <= j < n:
             raise HeatmapFormatError(f"index out of range for n={n}: {line!r}", line_no=line_no)
         if i == j:
             raise HeatmapFormatError(f"self-edge: {line!r}", line_no=line_no)
         if not 0.0 <= p <= 1.0:
             raise HeatmapFormatError(f"probability outside [0, 1]: {line!r}", line_no=line_no)
-        rows[i].append((j, p))
-        entries += 1
-    if entries != m:
-        raise HeatmapFormatError(f"header declared {m} entries, found {entries}")
-    return make_heatmap(n, rows)
+        if (i, j) in entries:
+            raise HeatmapFormatError(f"duplicate entry ({i}, {j}): {line!r}", line_no=line_no)
+        entries[i, j] = p
+    if len(entries) != m:
+        raise HeatmapFormatError(f"header declared {m} entries, found {len(entries)}")
+    ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    return _from_entries(n, ij[:, 0], ij[:, 1].astype(np.int32), np.array(list(entries.values())))
 
 
 @dataclass(frozen=True)

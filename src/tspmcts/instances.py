@@ -15,6 +15,10 @@ import numpy as np
 #: Rows per block when building the n×n set-up tables, so that their
 #: temporaries stay O(BLOCK_ROWS·n) instead of O(n²).
 BLOCK_ROWS = 256
+#: Elements per block for per-row set-up work over all n columns (softdist
+#: rows, the search state's dense scratch rows): max(1, BLOCK_ELEMS // n)
+#: rows at a time keep each temporary near 512 KB of float64 whatever n is.
+BLOCK_ELEMS = 1 << 16
 
 
 class ParseError(ValueError):

@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .heatmaps import Heatmap
-from .instances import DistanceMatrix, Instance, RankTable
+from .heatmaps import Heatmap, entry_rows, row_pointers
+from .instances import BLOCK_ELEMS, DistanceMatrix, Instance, RankTable
 from .tours import SolveResult, Tour
 
 #: Lower bound kept on every candidate-edge weight so row sums stay positive.
@@ -124,6 +124,33 @@ class MctsState:
     simulations: int = 0
 
 
+def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, vals) -> None:
+    """Write the CSR entries of rows lo..hi-1 into ``block``, row lo at index 0."""
+    a, b = indptr[lo], indptr[hi]
+    block[row_of[a:b] - lo, cols[a:b]] = vals[a:b]
+
+
+def _reverse_entries(chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union entries each row gains from other rows' candidate lists.
+
+    An edge (i, j) with j in ``chosen[i]`` but i not in ``chosen[j]`` puts i
+    into row j. Returns those edges as indices into ``chosen.ravel()``,
+    ordered by (j, i), and their row pointers over rows j.
+    """
+    n = chosen.shape[0]
+    # Stable sorts throughout: the default introsort maps extra SIMD code into
+    # the process, which showed as peak RSS on small instances.
+    cities = np.arange(n, dtype=np.int64)[:, None]
+    own = (cities * n + np.sort(chosen, axis=1, kind="stable")).ravel()  # sorted keys i * n + j
+    back = (chosen.astype(np.int64) * n + cities).ravel()  # key j * n + i of edge (i, j)
+    by_back = np.argsort(back, kind="stable")
+    back = back[by_back]
+    hit = np.searchsorted(own, back)
+    hit[hit == own.size] = 0
+    missing = by_back[own[hit] != back]
+    return missing, row_pointers(np.bincount(chosen.ravel()[missing], minlength=n))
+
+
 def init_state(
     inst: Instance,
     dm: DistanceMatrix,
@@ -140,48 +167,72 @@ def init_state(
     neighbors. An edge gets the larger heatmap value of its two directions;
     edges whose value is zero get weight 1.0 so that every weight row keeps
     positive mass.
+
+    Rows are processed in blocks over one dense scratch block of about
+    ``BLOCK_ELEMS`` entries, so the temporaries beyond the
+    O(n * max_candidate_num) state stay O(BLOCK_ELEMS).
     """
     n = inst.n
     if hm.n != n or dm.n != n or ranks.n != n:
         raise ValueError(f"dimension mismatch: instance n={n}, heatmap n={hm.n}, dm n={dm.n}")
     mcn = min(params.max_candidate_num, n - 1)
-    prob_rows = [dict(hm.row(i)) for i in range(n)]
-    dense = np.zeros(n)  # scratch row over all cities, zero between uses
-    candidates: list[np.ndarray] = []
-    cand_exp: list[np.ndarray] = []
-    nbrs: list[list[int]] = []
-    weights: list[list[float]] = []
-    for i in range(n):
-        cols = list(prob_rows[i])
-        dense[cols] = list(prob_rows[i].values())
-        by_distance = ranks.row(i)
+    step = max(1, BLOCK_ELEMS // n)
+    scratch = np.zeros((min(step, n), n))  # dense rows over all cities, zero between uses
+    hm_rows = entry_rows(hm.indptr)
+    by_col = np.argsort(hm.cols, kind="stable")
+    forward = (hm.indptr, hm_rows, hm.cols, hm.probs)  # P[i, j] in row i
+    transposed = (row_pointers(np.bincount(hm.cols, minlength=n)), hm.cols[by_col], hm_rows[by_col],
+                  hm.probs[by_col])  # P[j, i] in row i
+    row_starts = np.arange(0, scratch.size, n)[:, None]
+    chosen = np.empty((n, mcn), dtype=np.int32)
+    cand_exp = np.empty((n, mcn))
+    own_w = np.empty((n, mcn))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = scratch[: hi - lo]
+        _scatter_rows(block, lo, hi, *forward)
+        by_distance = ranks.rows[lo:hi]
         if params.use_heatmap:
-            chosen = by_distance[np.argsort(-dense[by_distance], kind="stable")[:mcn]]
+            # block[r, by_distance[r]] as one flat take, about twice as fast as take_along_axis.
+            p_ranked = np.take(block.ravel(), by_distance + row_starts[: hi - lo])
+            pick = np.argsort(-p_ranked, axis=1, kind="stable")
+            chosen[lo:hi] = np.take_along_axis(by_distance, pick[:, :mcn], axis=1)
         else:
-            chosen = by_distance[:mcn]
-        p_own = dense[chosen]
-        dense[cols] = 0.0
-        candidates.append(chosen)
-        cand_exp.append(np.exp(p_own))
-        own = chosen.tolist()
-        p_edge = [max(p, prob_rows[j].get(i, 0.0)) for j, p in zip(own, p_own.tolist())]
-        nbrs.append(own)
-        weights.append([100.0 * p if p > 0.0 else 1.0 for p in p_edge])
-    slot = [{j: t for t, j in enumerate(row)} for row in nbrs]
-    for i in range(n):
-        own = len(candidates[i])
-        for j, w in zip(nbrs[i][:own], weights[i][:own]):
-            if i not in slot[j]:
-                slot[j][i] = len(nbrs[j])
-                nbrs[j].append(i)
-                weights[j].append(w)
-    omega = []
-    for row, w in zip(nbrs, weights):
-        # Summed over a full-length row: numpy's pairwise summation then
+            chosen[lo:hi] = by_distance[:, :mcn]
+        p_own = np.take_along_axis(block, chosen[lo:hi], axis=1)
+        np.exp(p_own, out=cand_exp[lo:hi])
+        block.fill(0.0)
+        _scatter_rows(block, lo, hi, *transposed)
+        p_edge = np.maximum(p_own, np.take_along_axis(block, chosen[lo:hi], axis=1))
+        block.fill(0.0)
+        own_w[lo:hi] = np.where(p_edge > 0.0, 100.0 * p_edge, 1.0)
+    rev, rev_indptr = _reverse_entries(chosen)
+    rev_city = rev // mcn
+    reverse = (rev_indptr, entry_rows(rev_indptr), rev_city, own_w.ravel()[rev])
+    # Python rows share one int object per city and, until the loop below
+    # writes the weighted entries, one 1.0 for every entry.
+    city_objs = np.array(range(n), dtype=object)
+    cities = city_objs.tolist()
+    nbrs: list[list[int]] = city_objs[chosen].tolist()
+    rev_objs = city_objs[rev_city].tolist()
+    bounds = rev_indptr.tolist()
+    for row, a, b in zip(nbrs, bounds, bounds[1:]):
+        row += rev_objs[a:b]
+    slot = [dict(zip(row, cities)) for row in nbrs]
+    weights = [[1.0] * len(row) for row in nbrs]
+    omega: list[float] = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = scratch[: hi - lo]
+        np.put_along_axis(block, chosen[lo:hi], own_w[lo:hi], axis=1)
+        _scatter_rows(block, lo, hi, *reverse)
+        # Summed over full-length rows: numpy's pairwise summation then
         # rounds exactly as for a dense n x n weight matrix.
-        dense[row] = w
-        omega.append(float(dense.sum()))
-        dense[row] = 0.0
+        omega.extend(block.sum(axis=1).tolist())
+        r, c = np.nonzero((block != 0.0) & (block != 1.0))
+        for i, j, w in zip((r + lo).tolist(), c.tolist(), block[r, c].tolist()):
+            weights[i][slot[i][j]] = w
+        block.fill(0.0)
     return MctsState(
         n=n,
         d=dm.entries,
@@ -189,8 +240,8 @@ def init_state(
         params=params,
         rng=np.random.default_rng(seed),
         M=0,
-        candidates=candidates,
-        cand_exp=cand_exp,
+        candidates=list(chosen),
+        cand_exp=list(cand_exp),
         nbrs=nbrs,
         slot=slot,
         weights=weights,

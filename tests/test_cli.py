@@ -129,6 +129,21 @@ class TestSolve:
         assert "error" in err and "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("10 1\n0 x 0.5\n", 2),
+        ("a b\n0 1 0.5\n", 1),
+        ("10 2\n0 1 0.5\n0 1 0.25\n", 3),
+    ], ids=["bad-neighbor", "bad-header", "repeated-entry"])
+    def test_malformed_heatmap_file_names_line(self, instance_dir, tmp_path, capsys, text, line):
+        hm_path = tmp_path / "hm.txt"
+        hm_path.write_text(text)
+        code = run("solve", "--instances", instance_dir, "--heatmap", f"file:{hm_path}",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"config error: line {line}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 4)])
     def test_softdist_temperature(self, instance_dir, tmp_path, capsys, spec, code):
         assert run("solve", "--instances", instance_dir, "--heatmap", spec,

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
+    Heatmap,
     HeatmapFormatError,
     PriorVector,
     build_gt_prior,
@@ -116,12 +119,47 @@ class TestPriorToHeatmap:
             probs = [p for _, p in hm.row(i)]
             assert probs == sorted(probs, reverse=True)
 
+    def test_rows_in_canonical_order(self):
+        # tsp500 repeats some masses, so the neighbor index breaks those ties.
+        _, ranks = dm_and_ranks(generate_uniform(60, 3))
+        prior = BUILTIN_PRIORS["tsp500"]
+        hm = prior_to_heatmap(prior, ranks)
+        for i in range(60):
+            entries = [(int(j), float(p)) for j, p in zip(ranks.row(i)[:24], prior.masses)]
+            assert hm.row(i) == tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
+
+    def test_build_memory_stays_near_output_size(self):
+        _, ranks = dm_and_ranks(generate_uniform(1500, 0))
+        tracemalloc.start()
+        try:
+            hm = prior_to_heatmap(BUILTIN_PRIORS["tsp10000"], ranks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hm.entry_count() == 1500 * 30
+        assert peak <= 2.5 * (hm.indptr.nbytes + hm.cols.nbytes + hm.probs.nbytes)
+
+
+class TestHeatmapArrays:
+    def test_rows_are_csr_slices(self):
+        hm = make_heatmap(4, [[(2, 0.25), (1, 0.5)], [], [(0, 1.0)], []])
+        assert hm.indptr.tolist() == [0, 2, 2, 3, 3]
+        assert hm.cols.dtype == np.int32 and hm.cols.tolist() == [1, 2, 0]
+        assert hm.probs.dtype == np.float64 and hm.probs.tolist() == [0.5, 0.25, 1.0]
+        assert not hm.probs.flags.writeable
+
+    def test_rejects_pointers_that_do_not_fit(self):
+        with pytest.raises(ValueError, match="row pointers"):
+            Heatmap(n=3, indptr=np.array([0, 1, 1]), cols=np.array([1]), probs=np.array([0.5]))
+        with pytest.raises(ValueError, match="row pointers"):
+            Heatmap(n=2, indptr=np.array([0, 1, 2]), cols=np.array([1]), probs=np.array([0.5]))
+
 
 class TestZeroHeatmap:
     def test_empty_rows(self):
         hm = zero_heatmap(5)
         assert hm.n == 5
-        assert all(row == () for row in hm.rows)
+        assert all(hm.row(i) == () for i in range(hm.n))
         assert hm.entry_count() == 0
         assert hm.prob(0, 1) == 0.0
 
@@ -226,11 +264,11 @@ class TestHeatmapIO:
 class TestSparsifyTopk:
     def test_short_rows_unchanged(self):
         hm = make_heatmap(4, [[(1, 0.5), (2, 0.3), (3, 0.2)], [], [], []])
-        assert sparsify_topk(hm, 5).rows[0] == hm.rows[0]
+        assert sparsify_topk(hm, 5).row(0) == hm.row(0)
 
     def test_keeps_largest(self):
         hm = make_heatmap(4, [[(1, 0.5), (2, 0.3), (3, 0.2)], [], [], []])
-        assert sparsify_topk(hm, 2).rows[0] == ((1, 0.5), (2, 0.3))
+        assert sparsify_topk(hm, 2).row(0) == ((1, 0.5), (2, 0.3))
 
     def test_matches_per_row_sort_oracle(self):
         rng = np.random.default_rng(12)
@@ -248,4 +286,4 @@ class TestSparsifyTopk:
 
     def test_tie_break_by_index(self):
         hm = make_heatmap(4, [[(3, 0.5), (1, 0.5), (2, 0.5)], [], [], []])
-        assert sparsify_topk(hm, 2).rows[0] == ((1, 0.5), (2, 0.5))
+        assert sparsify_topk(hm, 2).row(0) == ((1, 0.5), (2, 0.5))

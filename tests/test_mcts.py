@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspmcts.heatmaps import BUILTIN_PRIORS, make_heatmap, prior_to_heatmap, zero_heatmap
-from tspmcts.instances import Instance, Metric, generate_uniform
+from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, generate_uniform
 from tspmcts.mcts import (
     Budget,
     MctsParams,
@@ -85,6 +86,23 @@ class TestInitState:
             for j in state.candidates[i]:
                 assert weight(state, i, j) == 1.0
             assert state.omega[i] > 0
+
+    @pytest.mark.parametrize("n, mcn", [(1500, 20), (500, 1000)])
+    def test_build_temporaries_stay_block_sized(self, n, mcn):
+        inst = generate_uniform(n, 0)
+        dm, ranks = dm_and_ranks(inst)
+        hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
+        tracemalloc.start()
+        try:
+            state = init_state(inst, dm, ranks, hm, MctsParams(max_candidate_num=mcn), 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.nbrs) == n
+        # Beyond the state itself: a few scratch blocks and a few compact
+        # (n, mcn) arrays. One dense n x n temporary (18 MB of float64 at
+        # n=1500) would exceed this.
+        assert peak - kept <= 8 * BLOCK_ELEMS * 8 + 4 * n * min(mcn, n - 1) * 8
 
     def test_dimension_mismatch(self):
         inst = generate_uniform(8, 0)
