@@ -1,5 +1,7 @@
 """Heatmap-guided MCTS toolkit for the travelling salesman problem."""
 
+from types import ModuleType as _ModuleType
+
 from .instances import (
     DistanceMatrix,
     Instance,
@@ -30,50 +32,6 @@ from .tuner import SearchSpace, TuningReport, grid_configs, shapley_importance, 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_PRIORS",
-    "Budget",
-    "DistanceMatrix",
-    "EmpiricalDistribution",
-    "GapReport",
-    "Heatmap",
-    "Instance",
-    "MctsParams",
-    "MctsState",
-    "Metric",
-    "Prepared",
-    "PriorVector",
-    "RankTable",
-    "ResultTable",
-    "SearchSpace",
-    "SolveResult",
-    "StructuredParams",
-    "Tour",
-    "TuningReport",
-    "aggregate",
-    "build_gt_prior",
-    "cumulative_mass",
-    "distance_matrix",
-    "exact_solve",
-    "generate_structured",
-    "generate_uniform",
-    "grid_configs",
-    "improvement",
-    "init_state",
-    "nearest_neighbor_ranks",
-    "optimality_gap",
-    "parse_tsplib",
-    "per_instance_distribution",
-    "prepare",
-    "prior_to_heatmap",
-    "run_benchmark",
-    "sample_initial_tour",
-    "shapley_importance",
-    "softdist_heatmap",
-    "solve",
-    "sparsify_topk",
-    "tour_length",
-    "tune",
-    "two_opt",
-    "zero_heatmap",
-]
+#: The public names are exactly the ones imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

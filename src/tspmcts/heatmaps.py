@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix, RankTable
+from .instances import BLOCK_ELEMS, DistanceMatrix, RankTable, nearest_neighbor_ranks
 from .knn_stats import aggregate, per_instance_distribution
 from .tours import Tour
 
@@ -194,6 +194,8 @@ def prior_to_heatmap(prior: PriorVector, ranks: RankTable) -> Heatmap:
     """
     n = ranks.n
     k = min(prior.truncation, n - 1)
+    if ranks.width < k:
+        raise ValueError(f"prior of truncation {prior.truncation} needs a rank table of width {k}, got {ranks.width}")
     cols = ranks.rows[:, :k]
     masses = prior.masses[:k]
     order = np.lexsort((cols, np.broadcast_to(-masses, (n, k))))  # per row, by (-p, j)
@@ -225,7 +227,7 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     cols, probs, counts = [], [], []
     for lo in range(0, n, step):
         own = np.arange(lo, min(lo + step, n))
-        logits = -dm.entries[lo : lo + own.size].astype(np.float64) / tau
+        logits = -dm.rows(lo, lo + own.size).astype(np.float64, copy=False) / tau
         logits[own - lo, own] = -np.inf
         logits -= logits.max(axis=1, keepdims=True)  # stabilize; cancels in the normalization
         weights = np.exp(logits)
@@ -309,6 +311,8 @@ class PriorSource:
     prior: PriorVector
 
     def __call__(self, inst, dm, ranks) -> Heatmap:
+        if ranks.width < min(self.prior.truncation, inst.n - 1):
+            ranks = nearest_neighbor_ranks(dm, self.prior.truncation)
         return prior_to_heatmap(self.prior, ranks)
 
 

@@ -7,6 +7,7 @@ square. All construction is deterministic given the arguments.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,35 +63,81 @@ class Instance:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise distances with a zero diagonal."""
+    """Pairwise distances of a point set, computed from its coordinates on demand.
+
+    Every reader evaluates ``sqrt(dx*dx + dy*dy)`` (then nint for EUC2D_INT,
+    as int64), so a distance is bit-identical however it is read. Only the
+    dense ``entries`` holds all n², built on first use.
+    """
 
     metric: Metric
-    entries: np.ndarray  # shape (n, n); float64 or int64 depending on metric
+    points: np.ndarray = field(repr=False)  # shape (n, 2), float64
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.points.shape[0]
 
-    def __getitem__(self, ij: tuple[int, int]):
-        return self.entries[ij]
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Distances from cities lo..hi-1 to every city, as a new (hi - lo, n) array."""
+        return self.edges(np.arange(lo, hi)[:, None], np.arange(self.n))
+
+    def edges(self, i, j) -> np.ndarray:
+        """Distances between cities i and j, elementwise over broadcast index arrays."""
+        x, y = self.points[:, 0], self.points[:, 1]
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        if self.metric is Metric.EUC2D_INT:
+            # TSPLIB nint(): round half away from zero; distances are non-negative.
+            dx += 0.5
+            return np.floor(dx, out=dx).astype(np.int64)
+        return dx
+
+    @cached_property
+    def _coords(self) -> tuple[list[float], list[float], bool]:
+        return self.points[:, 0].tolist(), self.points[:, 1].tolist(), self.metric is Metric.EUC2D_INT
+
+    def pair(self, i: int, j: int) -> float:
+        """The distance between cities i and j as a Python float, for scalar loops."""
+        xs, ys, nint = self._coords
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        d = math.sqrt(dx * dx + dy * dy)
+        return float(math.floor(d + 0.5)) if nint else d
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense (n, n) matrix, built from ``rows`` in blocks on first use."""
+        n = self.n
+        entries = np.empty((n, n), dtype=np.int64 if self.metric is Metric.EUC2D_INT else np.float64)
+        for lo in range(0, n, BLOCK_ROWS):
+            entries[lo : lo + BLOCK_ROWS] = self.rows(lo, min(lo + BLOCK_ROWS, n))
+        entries.setflags(write=False)
+        return entries
+
+    def __getitem__(self, ij: tuple[int, int]) -> float:
+        return self.pair(*ij)
 
 
 @dataclass(frozen=True)
 class RankTable:
-    """Per-city neighbor orderings by ascending distance (ties by index).
+    """Each city's nearest neighbors by ascending distance (ties by index).
 
-    ``rows[i]`` lists the other n-1 cities nearest-first. ``rank_of(i, j)``
-    returns j's 1-based rank among i's neighbors.
+    ``rows[i]`` lists the ``width`` cities nearest to i, nearest first: all
+    n-1 others for a full table, a prefix of that order for a truncated one.
+    ``rank_of(i, j)`` returns j's 1-based rank among i's neighbors.
     """
 
-    rows: np.ndarray = field(repr=False)  # shape (n, n-1), int32
+    rows: np.ndarray = field(repr=False)  # shape (n, width), int32
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """``inverse[i, j]`` = ``rank_of(i, j)``; shape (n, n), int32, diagonal 0. Built on first use."""
-        n = self.n
-        inverse = np.zeros((n, n), dtype=np.int32)
-        np.put_along_axis(inverse, self.rows, np.arange(1, n, dtype=np.int32), axis=1)
+        """``inverse[i, j]`` = ``rank_of(i, j)``, 0 off the table; shape (n, n), int32. Built on first use."""
+        inverse = np.zeros((self.n, self.n), dtype=np.int32)
+        np.put_along_axis(inverse, self.rows, np.arange(1, self.width + 1, dtype=np.int32), axis=1)
         inverse.setflags(write=False)
         return inverse
 
@@ -98,13 +145,20 @@ class RankTable:
     def n(self) -> int:
         return self.rows.shape[0]
 
+    @property
+    def width(self) -> int:
+        return self.rows.shape[1]
+
     def row(self, i: int) -> np.ndarray:
         return self.rows[i]
 
     def rank_of(self, i: int, j: int) -> int:
         if i == j:
             raise ValueError("rank_of is undefined for i == j")
-        return int(self.inverse[i, j])
+        rank = int(self.inverse[i, j])
+        if rank == 0:
+            raise ValueError(f"city {j} is not among the {self.width} nearest neighbors of city {i}")
+        return rank
 
 
 @dataclass(frozen=True)
@@ -240,7 +294,7 @@ def write_tsplib(inst: Instance) -> str:
         "NODE_COORD_SECTION",
     ]
     for i, (x, y) in enumerate(inst.points, start=1):
-        lines.append(f"{i} {x:.12g} {y:.12g}")
+        lines.append(f"{i} {x:.17g} {y:.17g}")
     lines.append("EOF")
     return "\n".join(lines) + "\n"
 
@@ -269,41 +323,37 @@ def write_native(inst: Instance) -> str:
 
 
 def distance_matrix(inst: Instance, metric: Metric = Metric.EUC2D_REAL) -> DistanceMatrix:
-    """All pairwise Euclidean distances, rounded to nearest int for EUC2D_INT.
+    """Euclidean distances of the instance, rounded to nearest int for EUC2D_INT."""
+    return DistanceMatrix(metric=metric, points=inst.points)
 
-    Built in blocks of rows; ``sqrt(dx*dx + dy*dy)`` is evaluated in that
-    order, so every entry is bit-identical to a whole-matrix computation.
+
+def nearest_in_rows(dist: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest other cities per row of ``dist``, by (distance, index).
+
+    Row r holds the distances from city ``own[r]`` and is overwritten. Below
+    k = n-1 only entries up to each row's (k+1)-th smallest value are sorted,
+    so ties at the k-th place go to the smaller index, as in a full sort.
     """
-    x, y = inst.points[:, 0], inst.points[:, 1]
-    n = inst.n
-    entries = np.empty((n, n), dtype=np.int64 if metric is Metric.EUC2D_INT else np.float64)
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        dx = x[lo:hi, None] - x
-        dy = y[lo:hi, None] - y
-        dx *= dx
-        dy *= dy
-        dx += dy
-        np.sqrt(dx, out=dx)
-        if metric is Metric.EUC2D_INT:
-            # TSPLIB nint(): round half away from zero; distances are non-negative.
-            dx += 0.5
-            np.floor(dx, out=dx)
-        entries[lo:hi] = dx
-    entries.setflags(write=False)
-    return DistanceMatrix(metric=metric, entries=entries)
+    m, n = dist.shape
+    dist[np.arange(m), own] = -1  # the own city sorts before every other
+    if k + 1 >= n:
+        return np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
+    kth = np.partition(dist, k, axis=1)[:, k, None]
+    r, c = np.nonzero(dist <= kth)  # row-major, so r is sorted
+    order = np.lexsort((dist[r, c], r))  # stable: ties keep ascending c
+    return c[order[np.searchsorted(r, np.arange(m))[:, None] + np.arange(1, k + 1)]]
 
 
-def nearest_neighbor_ranks(dm: DistanceMatrix) -> RankTable:
-    """Sort each city's neighbors by distance, breaking ties by city index."""
+def nearest_neighbor_ranks(dm: DistanceMatrix, k: int | None = None) -> RankTable:
+    """Each city's k nearest neighbors (default all n-1), ties by index: the full table's first k columns."""
     n = dm.n
-    rows = np.empty((n, n - 1), dtype=np.int32)
+    k = n - 1 if k is None else min(k, n - 1)
+    if k < 1:
+        raise ValueError(f"rank table width must be >= 1, got {k}")
+    rows = np.empty((n, k), dtype=np.int32)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        order = np.argsort(dm.entries[lo:hi], axis=1, kind="stable")
-        # Each row holds its own city exactly once; dropping it leaves n-1.
-        own = order == np.arange(lo, hi)[:, None]
-        rows[lo:hi] = order[~own].reshape(hi - lo, n - 1)
+        rows[lo:hi] = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), k)
     rows.setflags(write=False)
     return RankTable(rows=rows)
 

@@ -42,19 +42,16 @@ class EmpiricalDistribution:
 
 
 def rank_counts(ranks: RankTable, order: np.ndarray) -> np.ndarray:
-    """Count successor ranks over both traversal directions of a tour."""
+    """Count successor ranks over both traversal directions of a tour (ValueError beyond a truncated table)."""
     n = ranks.n
     order = np.asarray(order)
     if order.shape != (n,):
         raise InvalidTourError(f"tour size {order.shape} does not match n={n}")
     succ = np.roll(order, -1)
-    counts = np.zeros(n - 1, dtype=np.int64)
-    inv = ranks.inverse
-    forward = inv[order, succ]
-    backward = inv[succ, order]
-    np.add.at(counts, forward - 1, 1)
-    np.add.at(counts, backward - 1, 1)
-    return counts
+    found = np.concatenate((ranks.inverse[order, succ], ranks.inverse[succ, order]))
+    if not found.all():
+        raise ValueError(f"a tour edge lies beyond the {ranks.width} neighbors of the rank table")
+    return np.bincount(found - 1, minlength=n - 1).astype(np.int64)
 
 
 def per_instance_distribution(ranks: RankTable, tour: Tour) -> EmpiricalDistribution:

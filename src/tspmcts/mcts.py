@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .heatmaps import Heatmap, entry_rows, row_pointers
-from .instances import BLOCK_ELEMS, DistanceMatrix, Instance, RankTable
+from .instances import BLOCK_ELEMS, DistanceMatrix, Instance, RankTable, nearest_in_rows
 from .tours import SolveResult, Tour
 
 #: Lower bound kept on every candidate-edge weight so row sums stay positive.
@@ -105,13 +105,12 @@ class MctsState:
     """
 
     n: int
-    d: np.ndarray  # distance entries, shared with the DistanceMatrix
-    ranks: RankTable
+    dm: DistanceMatrix
     params: MctsParams
     rng: np.random.Generator
     M: int
-    candidates: list[np.ndarray]
-    cand_exp: list[np.ndarray]  # exp(P_ij) aligned with candidates[i]
+    candidates: np.ndarray  # (n, mcn) int32, each row in candidate order
+    cand_exp: np.ndarray  # (n, mcn), exp(P_ij) aligned with candidates
     nbrs: list[list[int]]
     slot: list[dict[int, int]]
     weights: list[list[float]]
@@ -168,6 +167,10 @@ def init_state(
     edges whose value is zero get weight 1.0 so that every weight row keeps
     positive mass.
 
+    The choice is read off the rank table. A block of rows a truncated table
+    cannot decide (``max_candidate_num`` exceeds it, or heatmap mass lies
+    beyond it) is ranked in full from ``dm.rows``, and the ranking dropped.
+
     Rows are processed in blocks over one dense scratch block of about
     ``BLOCK_ELEMS`` entries, so the temporaries beyond the
     O(n * max_candidate_num) state stay O(BLOCK_ELEMS).
@@ -184,6 +187,7 @@ def init_state(
     transposed = (row_pointers(np.bincount(hm.cols, minlength=n)), hm.cols[by_col], hm_rows[by_col],
                   hm.probs[by_col])  # P[j, i] in row i
     row_starts = np.arange(0, scratch.size, n)[:, None]
+    positives = np.bincount(hm_rows[hm.probs > 0.0], minlength=n)
     chosen = np.empty((n, mcn), dtype=np.int32)
     cand_exp = np.empty((n, mcn))
     own_w = np.empty((n, mcn))
@@ -192,6 +196,11 @@ def init_state(
         block = scratch[: hi - lo]
         _scatter_rows(block, lo, hi, *forward)
         by_distance = ranks.rows[lo:hi]
+        if ranks.width < n - 1:
+            # Positive heatmap entries per row that the truncated table holds.
+            held = (np.take(block.ravel(), by_distance + row_starts[: hi - lo]) > 0.0).sum(axis=1)
+            if mcn > ranks.width or params.use_heatmap and (held < positives[lo:hi]).any():
+                by_distance = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), n - 1)
         if params.use_heatmap:
             # block[r, by_distance[r]] as one flat take, about twice as fast as take_along_axis.
             p_ranked = np.take(block.ravel(), by_distance + row_starts[: hi - lo])
@@ -235,13 +244,12 @@ def init_state(
         block.fill(0.0)
     return MctsState(
         n=n,
-        d=dm.entries,
-        ranks=ranks,
+        dm=dm,
         params=params,
         rng=np.random.default_rng(seed),
         M=0,
-        candidates=list(chosen),
-        cand_exp=list(cand_exp),
+        candidates=chosen,
+        cand_exp=cand_exp,
         nbrs=nbrs,
         slot=slot,
         weights=weights,
@@ -325,12 +333,13 @@ def sample_initial_tour(state: MctsState) -> Tour:
             cum = np.cumsum(state.cand_exp[current][open_mask])
             nxt = int(choices[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
         else:
-            by_distance = state.ranks.row(current)
-            nxt = int(by_distance[~visited[by_distance]][0])
+            # The nearest unvisited city; argmin takes the first, smallest-index, of ties.
+            open_cities = np.flatnonzero(~visited)
+            nxt = int(open_cities[np.argmin(state.dm.edges(current, open_cities))])
         order[t] = nxt
         visited[nxt] = True
         current = nxt
-    length = float(state.d[order, np.roll(order, -1)].sum())
+    length = float(state.dm.edges(order, np.roll(order, -1)).sum())
     tour = Tour(order=order, length=length)
     if length < state.best_length:
         state.best_order = np.array(order)
@@ -350,7 +359,7 @@ def _sample_chain(
     (delta, order, added, removed), or None if no valid reconnection exists.
     """
     n = state.n
-    d = state.d
+    dist = state.dm.pair
     # Path from the freed neighbor back to a, walking away from the cut.
     if break_succ:
         path = order_list[ia + 1 :] + order_list[: ia + 1]
@@ -364,9 +373,10 @@ def _sample_chain(
         path_pos[city] = t
     removed: list[tuple[int, int]] = [(a, b1)]
     added: list[tuple[int, int]] = []
-    removed_sum = float(d[a, b1])
+    removed_sum = dist(a, b1)
     added_sum = 0.0
     sl = _explore_scale(state)
+    own = range(state.candidates.shape[1])
     best: Optional[tuple[float, list[int], list, list]] = None
     for _ in range(state.params.max_depth):
         head = path[0]
@@ -381,7 +391,7 @@ def _sample_chain(
         best_z = -math.inf
         target = -1
         # The scan below is potential(state, head, j) for each own candidate j.
-        for t in range(len(state.candidates[head])):
+        for t in own:
             j = cands[t]
             if j == a or j == p1:
                 continue
@@ -395,12 +405,12 @@ def _sample_chain(
         b_next = path[idx - 1]
         added.append((head, target))
         removed.append((target, b_next))
-        added_sum += float(d[head, target])
-        removed_sum += float(d[target, b_next])
+        added_sum += dist(head, target)
+        removed_sum += dist(target, b_next)
         path[:idx] = path[idx - 1 :: -1]
         for t in range(idx):
             path_pos[path[t]] = t
-        close_delta = added_sum + float(d[path[0], a]) - removed_sum
+        close_delta = added_sum + dist(path[0], a) - removed_sum
         if best is None or close_delta < best[0]:
             best = (close_delta, path.copy(), added + [(path[0], a)], removed.copy())
     return best

@@ -1,7 +1,6 @@
 """Tours: length evaluation, exact small-N solving, 2-opt, and tour files."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,7 +64,7 @@ def _check_permutation(order: np.ndarray, n: int) -> np.ndarray:
 def tour_length(order: Sequence[int] | np.ndarray, dm: DistanceMatrix) -> float:
     """Sum of consecutive edges plus the closing edge."""
     order = _check_permutation(np.asarray(order), dm.n)
-    return float(dm.entries[order, np.roll(order, -1)].sum())
+    return float(dm.edges(order, np.roll(order, -1)).sum())
 
 
 def make_tour(order: Sequence[int] | np.ndarray, dm: DistanceMatrix) -> Tour:
@@ -121,32 +120,6 @@ def exact_solve(dm: DistanceMatrix) -> Tour:
     order.extend(reversed(path))
     order = canonical_order(np.array(order, dtype=np.int32))
     return make_tour(order, dm)
-
-
-def brute_force_solve(dm: DistanceMatrix) -> Tour:
-    """Exhaustive enumeration, for cross-checking exact_solve on tiny n."""
-    from itertools import permutations
-
-    n = dm.n
-    if n > 10:
-        raise SizeLimitError(f"brute force is capped at n <= 10, got {n}")
-    d = dm.entries.tolist()
-    d0 = d[0]
-    best_order = None
-    best_len = math.inf
-    for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue  # each undirected cycle enumerated once
-        prev = perm[0]
-        length = d0[prev]
-        for city in perm[1:]:
-            length += d[prev][city]
-            prev = city
-        length += d0[prev]
-        if length < best_len:
-            best_len = length
-            best_order = (0,) + perm
-    return make_tour(np.array(best_order, dtype=np.int32), dm)
 
 
 def two_opt(start: Tour, dm: DistanceMatrix, max_passes: int = 50) -> Tour:

@@ -1,10 +1,12 @@
 import math
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tspmcts.instances import Instance, Metric, distance_matrix, nearest_neighbor_ranks
+from tspmcts.instances import DistanceMatrix, Instance, Metric, distance_matrix, nearest_neighbor_ranks
+from tspmcts.tours import SizeLimitError, Tour, make_tour
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -34,3 +36,27 @@ def circle_instance(n: int) -> Instance:
 def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
     dm = distance_matrix(inst, metric)
     return dm, nearest_neighbor_ranks(dm)
+
+
+def brute_force_solve(dm: DistanceMatrix) -> Tour:
+    """Exhaustive enumeration, for cross-checking exact_solve on tiny n."""
+    n = dm.n
+    if n > 10:
+        raise SizeLimitError(f"brute force is capped at n <= 10, got {n}")
+    d = dm.entries.tolist()
+    d0 = d[0]
+    best_order = None
+    best_len = math.inf
+    for perm in permutations(range(1, n)):
+        if perm[0] > perm[-1]:
+            continue  # each undirected cycle enumerated once
+        prev = perm[0]
+        length = d0[prev]
+        for city in perm[1:]:
+            length += d[prev][city]
+            prev = city
+        length += d0[prev]
+        if length < best_len:
+            best_len = length
+            best_order = (0,) + perm
+    return make_tour(np.array(best_order, dtype=np.int32), dm)

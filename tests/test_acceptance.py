@@ -21,8 +21,10 @@ from tspmcts.heatmaps import (
 from tspmcts.instances import Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
 from tspmcts.knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
 from tspmcts.mcts import MctsParams, _set_weight, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
-from tspmcts.tours import brute_force_solve, exact_solve, parse_tour, tour_length
+from tspmcts.tours import exact_solve, parse_tour, tour_length
 from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, grid_configs, make_benchmark_evaluator, shapley_for_all_configs, tune
+
+from conftest import brute_force_solve
 
 CORPUS_SIZE = 200
 CORPUS_N = 12

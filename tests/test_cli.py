@@ -1,4 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +333,24 @@ class TestReport:
         text = out.read_text()
         assert "| Heatmap | Config |" in text
         assert "zero" in text
+
+
+def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
+    """One uniform n=10000 instance through ``tspmcts solve`` in a child process."""
+    n = 10_000
+    (tmp_path / "insts").mkdir()
+    (tmp_path / "refs").mkdir()
+    (tmp_path / "insts" / "u.txt").write_text(write_native(generate_uniform(n, 0)))
+    (tmp_path / "refs" / "u.tour").write_text(write_tour(np.arange(n)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", tmp_path / "insts", "--refs",
+            tmp_path / "refs", "--heatmap", "gtprior:tsp10000", "--max-candidate-num", "20",
+            "--max-iters", "1", "--out", tmp_path / "out.csv"]
+    start = time.monotonic()
+    proc = subprocess.Popen([str(a) for a in argv], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(f"n={n} solve: {time.monotonic() - start:.1f} s wall, {usage.ru_maxrss / 1024:.0f} MB max RSS")
+    assert proc.returncode == 0
+    assert usage.ru_maxrss <= 1024 * 1024  # KiB on Linux: 1 GB

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from tspmcts.evalkit import (
+    RANK_TABLE_WIDTH,
     Budget,
     MissingReferenceError,
     ResultTable,
@@ -14,9 +16,9 @@ from tspmcts.evalkit import (
     reference_length_for,
     run_benchmark,
 )
-from tspmcts.heatmaps import ZeroSource
+from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource, ZeroSource
 from tspmcts.instances import generate_uniform
-from tspmcts.mcts import MctsParams
+from tspmcts.mcts import MctsParams, solve
 from tspmcts.tours import exact_solve
 
 from conftest import dm_and_ranks
@@ -166,3 +168,21 @@ def test_budget_validation():
         Budget("iters", math.nan)
     with pytest.raises(ValueError):
         Budget("wall", math.inf)
+
+
+def test_prepare_and_solve_take_o_nk_memory():
+    n = 2000
+    inst = generate_uniform(n, 0)
+    tracemalloc.start()
+    try:
+        prep = prepare(inst, np.arange(n), PriorSource(BUILTIN_PRIORS["tsp1000"]))
+        solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, MctsParams(max_candidate_num=20), 0, Budget("iters", 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "entries" not in prep.dm.__dict__
+    assert "inverse" not in prep.ranks.__dict__
+    assert prep.ranks.width == RANK_TABLE_WIDTH
+    # 12 MB at n=2000 (about 9.4 MB measured): one full int32 rank table
+    # (16 MB) or the dense float64 distances (32 MB) would exceed it.
+    assert peak <= 200 * n * RANK_TABLE_WIDTH

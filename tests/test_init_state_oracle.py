@@ -19,7 +19,7 @@ from tspmcts.heatmaps import (
     softdist_heatmap,
     zero_heatmap,
 )
-from tspmcts.instances import BLOCK_ELEMS, DistanceMatrix, Instance, Metric, RankTable
+from tspmcts.instances import BLOCK_ELEMS, DistanceMatrix, Instance, Metric, RankTable, nearest_neighbor_ranks
 from tspmcts.mcts import MctsParams, MctsState, init_state
 
 from conftest import dm_and_ranks
@@ -76,13 +76,12 @@ def reference_init_state(
         dense[row] = 0.0
     return MctsState(
         n=n,
-        d=dm.entries,
-        ranks=ranks,
+        dm=dm,
         params=params,
         rng=np.random.default_rng(seed),
         M=0,
-        candidates=candidates,
-        cand_exp=cand_exp,
+        candidates=np.array(candidates),
+        cand_exp=np.array(cand_exp),
         nbrs=nbrs,
         slot=slot,
         weights=weights,
@@ -95,10 +94,8 @@ def reference_init_state(
 def assert_same_state(got: MctsState, want: MctsState) -> None:
     assert got.n == want.n
     assert len(got.candidates) == len(want.candidates) == got.n
-    for a, b in zip(got.candidates, want.candidates):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for a, b in zip(got.cand_exp, want.cand_exp):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b in ((got.candidates, want.candidates), (got.cand_exp, want.cand_exp)):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert got.nbrs == want.nbrs
     assert got.slot == want.slot
     assert [[w.hex() for w in row] for row in got.weights] == [[w.hex() for w in row] for row in want.weights]
@@ -148,17 +145,38 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, metric, kind", CASES, ids=[f"n{n}-{m.name}-{k}" for n, m, k in CASES])
-def test_matches_reference(n, metric, kind, tmp_path):
+CASE_IDS = [f"n{n}-{m.name}-{k}" for n, m, k in CASES]
+
+
+def case_inputs(n, metric, kind, tmp_path):
     rng = np.random.default_rng(n)
     # A coarse grid at small n gives tied distances, hence tied ranks.
     pts = np.floor(rng.random((n, 2)) * 8) if n <= 12 else rng.random((n, 2)) * 1000
     inst = Instance(id="t", points=pts)
     dm, ranks = dm_and_ranks(inst, metric)
-    hm = build_heatmap(kind, inst, dm, ranks, tmp_path)
+    return inst, dm, ranks, build_heatmap(kind, inst, dm, ranks, tmp_path)
+
+
+@pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
+def test_matches_reference(n, metric, kind, tmp_path):
+    inst, dm, ranks, hm = case_inputs(n, metric, kind, tmp_path)
     for mcn in (1, 5, 20, 1000):
         for use_heatmap in (True, False):
             params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
             got = init_state(inst, dm, ranks, hm, params, seed=n)
             want = reference_init_state(inst, dm, ranks, hm, params, seed=n)
             assert_same_state(got, want)
+
+
+@pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
+def test_truncated_table_builds_the_same_state(n, metric, kind, tmp_path):
+    """mcn below, at and above the table width; prior, softdist and file heatmaps reach beyond it."""
+    inst, dm, ranks, hm = case_inputs(n, metric, kind, tmp_path)
+    for width in (5, 20):
+        narrow = nearest_neighbor_ranks(dm, width)
+        for mcn in (1, 5, 20, 1000):
+            for use_heatmap in (True, False):
+                params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
+                got = init_state(inst, dm, narrow, hm, params, seed=n)
+                want = init_state(inst, dm, ranks, hm, params, seed=n)
+                assert_same_state(got, want)

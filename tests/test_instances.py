@@ -236,20 +236,25 @@ def dense_ranks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, inverse
 
 
+def block_test_points(n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        return rng.random((n, 2)) * 1000
+    # A coarse integer grid: repeated cities and many tied distances.
+    return np.floor(rng.random((n, 2)) * 6)
+
+
+BLOCK_SIZES = [3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
 class TestBlockedBuild:
     """The row-blocked tables are byte-identical to whole-matrix references."""
 
-    @pytest.mark.parametrize("n", [3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("metric", list(Metric))
     @pytest.mark.parametrize("points", ["random", "duplicates"])
     def test_matches_dense_reference(self, n, metric, points):
-        rng = np.random.default_rng(n)
-        if points == "random":
-            pts = rng.random((n, 2)) * 1000
-        else:
-            # A coarse integer grid: repeated cities and many tied distances.
-            pts = np.floor(rng.random((n, 2)) * 6)
-        inst = Instance(id="t", points=pts)
+        inst = Instance(id="t", points=block_test_points(n, points))
         dm = distance_matrix(inst, metric)
         expected = dense_distances(inst.points, metric)
         assert dm.entries.dtype == expected.dtype
@@ -259,6 +264,40 @@ class TestBlockedBuild:
         assert ranks.rows.dtype == np.int32
         assert ranks.rows.tobytes() == rows.tobytes()
         assert ranks.inverse.tobytes() == inverse.tobytes()
+        # A truncated table is the full table's prefix, ties at the k-th place included.
+        for k in (1, 2, 7, 30, n - 2):
+            narrow = nearest_neighbor_ranks(dm, k)
+            width = min(k, n - 1)
+            assert narrow.rows.dtype == np.int32 and narrow.width == width
+            assert narrow.rows.tobytes() == np.ascontiguousarray(rows[:, :width]).tobytes()
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_readers_match_dense_reference_without_building_it(self, metric):
+        n = BLOCK_ROWS + 7
+        inst = Instance(id="t", points=block_test_points(n, "random") / 7)
+        dm = distance_matrix(inst, metric)
+        expected = dense_distances(inst.points, metric)
+        for lo, hi in ((0, 1), (3, BLOCK_ROWS + 2), (n - 1, n)):
+            block = dm.rows(lo, hi)
+            assert block.dtype == expected.dtype and block.tobytes() == expected[lo:hi].tobytes()
+        i, j = np.random.default_rng(0).integers(n, size=(2, 500))
+        edges = dm.edges(i, j)
+        assert edges.dtype == expected.dtype and edges.tobytes() == expected[i, j].tobytes()
+        pairs = [dm.pair(a, b) for a, b in zip(i.tolist(), j.tolist())]
+        assert [p.hex() for p in pairs] == [float(v).hex() for v in expected[i, j]]
+        assert "entries" not in dm.__dict__
+        assert dm.entries.tobytes() == expected.tobytes()
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="width"):
+            nearest_neighbor_ranks(distance_matrix(generate_uniform(5, 0)), 0)
+
+    def test_rank_of_off_a_truncated_table_raises(self):
+        dm = distance_matrix(generate_uniform(10, 0))
+        ranks = nearest_neighbor_ranks(dm, 3)
+        far = int(nearest_neighbor_ranks(dm).row(0)[-1])
+        with pytest.raises(ValueError, match="nearest neighbors"):
+            ranks.rank_of(0, far)
 
     def test_inverse_built_only_on_demand(self):
         prep = prepare(generate_uniform(40, 5), np.arange(40), PriorSource(BUILTIN_PRIORS["tsp500"]))

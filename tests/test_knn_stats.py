@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tspmcts.heatmaps import BUILTIN_PRIORS
-from tspmcts.instances import generate_uniform
+from tspmcts.instances import distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.knn_stats import (
     EmpiricalDistribution,
     aggregate,
@@ -48,6 +48,25 @@ class TestPerInstanceDistribution:
         assert sum(counts.values()) == 20
         for k, c in counts.items():
             assert dist.masses[k - 1] == pytest.approx(c / 20, abs=1e-12)
+
+    def test_truncated_table_counts_exactly_or_raises(self):
+        from tspmcts.knn_stats import rank_counts
+
+        inst = generate_uniform(40, 5)
+        dm = distance_matrix(inst)
+        order = np.random.default_rng(0).permutation(40)
+        expected = rank_counts(nearest_neighbor_ranks(dm), order)
+        raised = 0
+        for width in range(1, 40):
+            try:
+                counts = rank_counts(nearest_neighbor_ranks(dm, width), order)
+            except ValueError as exc:
+                assert "beyond" in str(exc)
+                raised += 1
+            else:
+                assert np.array_equal(counts, expected)
+        # The longest rank on the tour decides: narrower tables raise, wider ones count.
+        assert raised == int(np.flatnonzero(expected)[-1])
 
     def test_invalid_tour(self):
         inst = generate_uniform(8, 1)

@@ -87,12 +87,11 @@ def test_native_round_trip_is_exact(inst):
 
 @settings(max_examples=100, deadline=None)
 @given(instances())
-def test_tsplib_round_trip_keeps_twelve_digits(inst):
+def test_tsplib_round_trip_is_exact(inst):
     text = write_tsplib(inst)
     again = parse_tsplib(text)
     assert again.id == inst.id
-    expected = np.array([[float(f"{v:.12g}") for v in p] for p in inst.points.tolist()])
-    assert np.array_equal(again.points, expected)
+    assert again.points.tobytes() == inst.points.tobytes()
     assert write_tsplib(again) == text
 
 

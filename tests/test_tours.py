@@ -10,7 +10,6 @@ from tspmcts.tours import (
     EXACT_SOLVE_MAX_N,
     InvalidTourError,
     SizeLimitError,
-    brute_force_solve,
     canonical_order,
     exact_solve,
     make_tour,
@@ -20,7 +19,7 @@ from tspmcts.tours import (
     write_tour,
 )
 
-from conftest import circle_instance, dm_and_ranks
+from conftest import brute_force_solve, circle_instance, dm_and_ranks
 
 
 class TestTourLength:
