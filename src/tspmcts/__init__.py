@@ -27,7 +27,7 @@ from .heatmaps import (
 )
 from .knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
 from .mcts import Budget, MctsParams, MctsState, init_state, sample_initial_tour, solve
-from .evalkit import GapReport, Prepared, ResultTable, improvement, optimality_gap, prepare, run_benchmark
+from .evalkit import GapReport, Prepared, ResultTable, optimality_gap, prepare, run_benchmark
 from .tuner import SearchSpace, TuningReport, grid_configs, shapley_importance, tune
 
 __version__ = "0.1.0"

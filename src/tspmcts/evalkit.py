@@ -80,11 +80,6 @@ def optimality_gap(length: float, reference: float) -> float:
     return (length / reference - 1.0) * 100.0
 
 
-def improvement(default_gap: float, tuned_gap: float) -> float:
-    """Gap reduction in percentage points."""
-    return default_gap - tuned_gap
-
-
 def reference_length_for(
     inst: Instance,
     dm: DistanceMatrix,

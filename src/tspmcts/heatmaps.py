@@ -59,11 +59,6 @@ class Heatmap:
         fields = ("indptr", "cols", "probs")
         return self.n == other.n and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
-    def prob(self, i: int, j: int) -> float:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        hit = np.flatnonzero(self.cols[lo:hi] == j)
-        return float(self.probs[lo + hit[0]]) if hit.size else 0.0
-
     def row(self, i: int) -> tuple[tuple[int, float], ...]:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return tuple(zip(self.cols[lo:hi].tolist(), self.probs[lo:hi].tolist()))

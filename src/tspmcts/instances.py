@@ -13,12 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-#: Rows per block when building the n×n set-up tables, so that their
-#: temporaries stay O(BLOCK_ROWS·n) instead of O(n²).
-BLOCK_ROWS = 256
-#: Elements per block for per-row set-up work over all n columns (softdist
-#: rows, the search state's dense scratch rows): max(1, BLOCK_ELEMS // n)
-#: rows at a time keep each temporary near 512 KB of float64 whatever n is.
+#: Elements per block for per-row set-up work over all n columns (distance
+#: and rank rows, softdist rows, the search state's dense scratch rows):
+#: max(1, BLOCK_ELEMS // n) rows at a time keep each temporary near 512 KB
+#: of float64 whatever n is.
 BLOCK_ELEMS = 1 << 16
 
 
@@ -112,9 +110,10 @@ class DistanceMatrix:
     def entries(self) -> np.ndarray:
         """The dense (n, n) matrix, built from ``rows`` in blocks on first use."""
         n = self.n
+        step = max(1, BLOCK_ELEMS // n)
         entries = np.empty((n, n), dtype=np.int64 if self.metric is Metric.EUC2D_INT else np.float64)
-        for lo in range(0, n, BLOCK_ROWS):
-            entries[lo : lo + BLOCK_ROWS] = self.rows(lo, min(lo + BLOCK_ROWS, n))
+        for lo in range(0, n, step):
+            entries[lo : lo + step] = self.rows(lo, min(lo + step, n))
         entries.setflags(write=False)
         return entries
 
@@ -351,8 +350,9 @@ def nearest_neighbor_ranks(dm: DistanceMatrix, k: int | None = None) -> RankTabl
     if k < 1:
         raise ValueError(f"rank table width must be >= 1, got {k}")
     rows = np.empty((n, k), dtype=np.int32)
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
+    step = max(1, BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         rows[lo:hi] = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), k)
     rows.setflags(write=False)
     return RankTable(rows=rows)

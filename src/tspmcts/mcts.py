@@ -17,9 +17,9 @@ reversal, so intermediate states are always Hamiltonian paths and no
 reconnection can disconnect the tour.
 
 The state is sparse: W and Q exist only on the symmetric union of candidate
-edges, which takes O(n * max_candidate_num) memory. Row i lists i's own
-candidates first, then the cities that hold i as their candidate; chains
-scan only the own prefix, while Omega_i sums the whole row. The bookkeeping
+edges, in flat arrays of O(n * max_candidate_num) entries. Row i holds i's
+own candidates first, then the cities that hold i as their candidate; chains
+scan only the own part, while Omega_i sums the whole row. The bookkeeping
 after an accepted move skips the occasional closing edge outside the union.
 """
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,6 +38,10 @@ from .tours import SolveResult, Tour
 
 #: Lower bound kept on every candidate-edge weight so row sums stay positive.
 W_FLOOR = 1e-6
+#: Rows with more own candidates than this are scanned with numpy, shorter ones as
+#: Python lists. On a 2-CPU host a numpy scan took ~9-14 us at any width, a list
+#: scan ~1.5 us + ~0.15-0.2 us per entry: they cross at 60-80 entries.
+WIDE_ROW = 64
 
 
 class DegenerateRowError(ValueError):
@@ -96,13 +101,12 @@ class Move:
 class MctsState:
     """Mutable search state owned by a single solver run.
 
-    Row i of ``nbrs`` holds ``candidates[i]`` in the same order, then the
-    cities that hold i as a candidate, so every edge of the candidate union
-    sits once in each of its two end rows. ``weights`` (W), ``counts`` (Q)
-    and ``qinv`` (1/sqrt(Q+1)) are aligned with ``nbrs``, ``slot[i]`` maps a
-    city to its index in row i, and ``omega[i]`` is row i's weight sum. The
-    mutators below keep both ends of an edge and omega in sync.
-    """
+    W, Q and 1/sqrt(Q+1) are flat arrays over the candidate union: entry
+    i * mcn + t for ``candidates[i, t]``, then row i's reverse entries from
+    n * mcn + ``rev_ptr[i]``, one per city in ``rev_cities`` that holds i as a
+    candidate while i does not hold it. Every union edge thus sits once in each
+    of its end rows; ``omega[i]`` is row i's weight sum. The mutators keep both
+    ends and omega in sync."""
 
     n: int
     dm: DistanceMatrix
@@ -111,16 +115,23 @@ class MctsState:
     M: int
     candidates: np.ndarray  # (n, mcn) int32, each row in candidate order
     cand_exp: np.ndarray  # (n, mcn), exp(P_ij) aligned with candidates
-    nbrs: list[list[int]]
-    slot: list[dict[int, int]]
-    weights: list[list[float]]
-    counts: list[list[int]]
-    qinv: list[list[float]]
-    omega: list[float]
+    rev_ptr: np.ndarray  # (n + 1,) int64 row pointers into rev_cities
+    rev_cities: np.ndarray  # int32
+    weights: np.ndarray  # float64, n * mcn own entries then the reverse ones
+    counts: np.ndarray  # int32, aligned with weights
+    qinv: np.ndarray  # float64, aligned with weights
+    omega: np.ndarray  # (n,) float64
     best_order: Optional[np.ndarray] = None
     best_length: float = math.inf
     restarts: int = 0
     simulations: int = 0
+
+    @cached_property
+    def views(self) -> tuple[memoryview, ...]:
+        """Flat views of candidates, rev_ptr, rev_cities, weights, qinv, omega and counts
+        for scalar loops, whose items are Python numbers: faster than numpy scalars."""
+        arrays = (self.candidates, self.rev_ptr, self.rev_cities, self.weights, self.qinv, self.omega, self.counts)
+        return tuple(memoryview(a.reshape(-1)) for a in arrays)
 
 
 def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, vals) -> None:
@@ -129,25 +140,33 @@ def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, val
     block[row_of[a:b] - lo, cols[a:b]] = vals[a:b]
 
 
-def _reverse_entries(chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The union entries each row gains from other rows' candidate lists.
-
-    An edge (i, j) with j in ``chosen[i]`` but i not in ``chosen[j]`` puts i
-    into row j. Returns those edges as indices into ``chosen.ravel()``,
-    ordered by (j, i), and their row pointers over rows j.
-    """
-    n = chosen.shape[0]
-    # Stable sorts throughout: the default introsort maps extra SIMD code into
-    # the process, which showed as peak RSS on small instances.
-    cities = np.arange(n, dtype=np.int64)[:, None]
-    own = (cities * n + np.sort(chosen, axis=1, kind="stable")).ravel()  # sorted keys i * n + j
-    back = (chosen.astype(np.int64) * n + cities).ravel()  # key j * n + i of edge (i, j)
-    by_back = np.argsort(back, kind="stable")
-    back = back[by_back]
-    hit = np.searchsorted(own, back)
-    hit[hit == own.size] = 0
-    missing = by_back[own[hit] != back]
-    return missing, row_pointers(np.bincount(chosen.ravel()[missing], minlength=n))
+def _union_rows(chosen: np.ndarray, own_w: np.ndarray, scratch: np.ndarray):
+    """Row pointers and cities (ascending per row) of the entries row j gains from edges
+    (i, j) with j in ``chosen[i]`` but i not in ``chosen[j]``; all union weights, own
+    block first; and each row's weight sum, omega."""
+    n, mcn = chosen.shape
+    flat = chosen.ravel()
+    # The one n * mcn temporary: every entry, grouped by its city j. A stable sort: the default
+    # introsort maps extra SIMD code into the process, which showed as peak RSS on small instances.
+    by_city = np.argsort(flat, kind="stable")
+    city_ptr = row_pointers(np.bincount(flat, minlength=n))
+    lengths, cities, weights, omega = np.empty(n, dtype=np.int64), [], [own_w.ravel()], np.empty(n)
+    for lo in range(0, n, scratch.shape[0]):
+        hi = min(lo + scratch.shape[0], n)
+        block = scratch[: hi - lo]
+        into = by_city[city_ptr[lo] : city_ptr[hi]]
+        block[flat[into] - lo, into // mcn] = own_w.ravel()[into]
+        np.put_along_axis(block, chosen[lo:hi], 0.0, axis=1)  # leaves the reverse entries
+        lengths[lo:hi] = np.count_nonzero(block, axis=1)
+        r, c = np.nonzero(block)
+        cities.append(c.astype(np.int32))
+        weights.append(block[r, c])
+        np.put_along_axis(block, chosen[lo:hi], own_w[lo:hi], axis=1)
+        # Summed over full-length rows: numpy's pairwise summation then
+        # rounds exactly as for a dense n x n weight matrix.
+        block.sum(axis=1, out=omega[lo:hi])
+        block.fill(0.0)
+    return row_pointers(lengths), np.concatenate(cities), np.concatenate(weights), omega
 
 
 def init_state(
@@ -172,8 +191,8 @@ def init_state(
     beyond it) is ranked in full from ``dm.rows``, and the ranking dropped.
 
     Rows are processed in blocks over one dense scratch block of about
-    ``BLOCK_ELEMS`` entries, so the temporaries beyond the
-    O(n * max_candidate_num) state stay O(BLOCK_ELEMS).
+    ``BLOCK_ELEMS`` entries, so the temporaries beyond the O(n * mcn) state
+    are O(BLOCK_ELEMS) plus two (n, mcn) arrays: own weights and an index.
     """
     n = inst.n
     if hm.n != n or dm.n != n or ranks.n != n:
@@ -215,33 +234,7 @@ def init_state(
         p_edge = np.maximum(p_own, np.take_along_axis(block, chosen[lo:hi], axis=1))
         block.fill(0.0)
         own_w[lo:hi] = np.where(p_edge > 0.0, 100.0 * p_edge, 1.0)
-    rev, rev_indptr = _reverse_entries(chosen)
-    rev_city = rev // mcn
-    reverse = (rev_indptr, entry_rows(rev_indptr), rev_city, own_w.ravel()[rev])
-    # Python rows share one int object per city and, until the loop below
-    # writes the weighted entries, one 1.0 for every entry.
-    city_objs = np.array(range(n), dtype=object)
-    cities = city_objs.tolist()
-    nbrs: list[list[int]] = city_objs[chosen].tolist()
-    rev_objs = city_objs[rev_city].tolist()
-    bounds = rev_indptr.tolist()
-    for row, a, b in zip(nbrs, bounds, bounds[1:]):
-        row += rev_objs[a:b]
-    slot = [dict(zip(row, cities)) for row in nbrs]
-    weights = [[1.0] * len(row) for row in nbrs]
-    omega: list[float] = []
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = scratch[: hi - lo]
-        np.put_along_axis(block, chosen[lo:hi], own_w[lo:hi], axis=1)
-        _scatter_rows(block, lo, hi, *reverse)
-        # Summed over full-length rows: numpy's pairwise summation then
-        # rounds exactly as for a dense n x n weight matrix.
-        omega.extend(block.sum(axis=1).tolist())
-        r, c = np.nonzero((block != 0.0) & (block != 1.0))
-        for i, j, w in zip((r + lo).tolist(), c.tolist(), block[r, c].tolist()):
-            weights[i][slot[i][j]] = w
-        block.fill(0.0)
+    rev_ptr, rev_cities, weights, omega = _union_rows(chosen, own_w, scratch)
     return MctsState(
         n=n,
         dm=dm,
@@ -250,52 +243,58 @@ def init_state(
         M=0,
         candidates=chosen,
         cand_exp=cand_exp,
-        nbrs=nbrs,
-        slot=slot,
+        rev_ptr=rev_ptr,
+        rev_cities=rev_cities,
         weights=weights,
-        counts=[[0] * len(row) for row in nbrs],
-        qinv=[[1.0] * len(row) for row in nbrs],  # 1/sqrt(Q+1) with Q = 0
+        counts=np.zeros(weights.size, dtype=np.int32),
+        qinv=np.ones(weights.size),  # 1/sqrt(Q+1) with Q = 0
         omega=omega,
     )
 
 
-def is_candidate_edge(state: MctsState, i: int, j: int) -> bool:
-    """Whether (i, j) is in the candidate union, i.e. carries W and Q."""
-    return j in state.slot[i]
+def _find(state: MctsState, i: int, j: int) -> int:
+    """The flat index of edge (i, j) in row i, or -1 off the candidate union."""
+    views = state.views
+    n, mcn = state.candidates.shape
+    if mcn > WIDE_ROW:
+        t = int(np.argmax(state.candidates[i] == j))  # the first hit, or 0 for none
+        if state.candidates[i, t] == j:
+            return i * mcn + t
+    elif j in (own := views[0][i * mcn : i * mcn + mcn].tolist()):
+        return i * mcn + own.index(j)
+    lo, hi = views[1][i], views[1][i + 1]
+    reverse = views[2][lo:hi].tolist()
+    return n * mcn + lo + reverse.index(j) if j in reverse else -1
 
 
 def weight(state: MctsState, i: int, j: int) -> float:
     """W_ij; zero off the candidate union."""
-    t = state.slot[i].get(j)
-    return 0.0 if t is None else state.weights[i][t]
+    return 0.0 if (t := _find(state, i, j)) < 0 else state.views[3][t]
 
 
 def visits(state: MctsState, i: int, j: int) -> int:
     """Q_ij; zero off the candidate union."""
-    t = state.slot[i].get(j)
-    return 0 if t is None else state.counts[i][t]
+    return 0 if (t := _find(state, i, j)) < 0 else state.views[6][t]
 
 
 def _set_weight(state: MctsState, i: int, j: int, w: float) -> None:
-    """Symmetric weight write on a union edge that keeps omega in sync."""
-    ti = state.slot[i][j]
-    tj = state.slot[j][i]
-    old = state.weights[i][ti]
-    state.weights[i][ti] = w
-    state.weights[j][tj] = w
-    state.omega[i] += w - old
-    state.omega[j] += w - old
+    """Symmetric weight write that keeps omega in sync; no-op off the candidate union."""
+    ti = _find(state, i, j)
+    if ti >= 0:
+        weights, omega = state.views[3], state.views[5]
+        change = w - weights[ti]
+        weights[ti] = weights[_find(state, j, i)] = w
+        omega[i] += change
+        omega[j] += change
 
 
 def _bump_access(state: MctsState, i: int, j: int) -> None:
-    ti = state.slot[i][j]
-    tj = state.slot[j][i]
-    q = state.counts[i][ti] + 1
-    state.counts[i][ti] = q
-    state.counts[j][tj] = q
-    inv = 1.0 / math.sqrt(q + 1.0)
-    state.qinv[i][ti] = inv
-    state.qinv[j][tj] = inv
+    """Count one more access of edge (i, j); no-op off the candidate union."""
+    ti = _find(state, i, j)
+    if ti >= 0:
+        tj, views = _find(state, j, i), state.views
+        views[6][ti] = views[6][tj] = q = views[6][ti] + 1
+        views[4][ti] = views[4][tj] = 1.0 / math.sqrt(q + 1.0)
 
 
 def _explore_scale(state: MctsState) -> float:
@@ -303,13 +302,45 @@ def _explore_scale(state: MctsState) -> float:
     return state.params.alpha * math.sqrt(math.log(state.M + 1))
 
 
+def _z(w, omega: float, sl: float, qinv):
+    """Z = W / Omega + sl / sqrt(Q + 1) of entries of one row, as floats or arrays alike."""
+    if omega <= 0.0:
+        raise DegenerateRowError("a weight row sums to zero")
+    return w * (1.0 / omega) + sl * qinv
+
+
 def potential(state: MctsState, i: int, j: int) -> float:
     """The UCB-style edge potential Z_ij of a union edge, as chains score it."""
-    om = state.omega[i]
-    if om <= 0.0:
-        raise DegenerateRowError(f"weight row {i} sums to zero")
-    t = state.slot[i][j]
-    return state.weights[i][t] * (1.0 / om) + _explore_scale(state) * state.qinv[i][t]
+    if (t := _find(state, i, j)) < 0:
+        raise KeyError(f"({i}, {j}) is not a candidate-union edge")
+    return _z(state.views[3][t], state.views[5][i], _explore_scale(state), state.views[4][t])
+
+
+def _target_picker(state: MctsState) -> Callable[[int, int, int], int]:
+    """``pick(head, a, p1)``: head's own candidate of highest potential other than ``a`` and ``p1``
+    (the smallest city among ties; -1 if none), for the chains of one decision, with W, Q, M fixed."""
+    mcn = state.candidates.shape[1]
+    sl = _explore_scale(state)
+    cands, omega = state.views[0], state.views[5]
+    scored: dict[int, list[tuple[int, float]]] = {}
+
+    def pick(head: int, a: int, p1: int) -> int:
+        lo, hi = head * mcn, head * mcn + mcn
+        if (row := scored.get(head)) is None:
+            z = _z(state.weights[lo:hi], omega[head], sl, state.qinv[lo:hi])
+            if mcn > WIDE_ROW:
+                own = state.candidates[head]
+                z[(own == a) | (own == p1)] = -math.inf
+                return int(own[z == z.max()].min())
+            # Numpy's per-call cost dominates short rows: keep their scores as Python floats.
+            row = scored[head] = list(zip(cands[lo:hi].tolist(), z.tolist()))
+        best_z, target = -math.inf, -1
+        for j, z in row:
+            if j != a and j != p1 and (z > best_z or z == best_z and j < target):
+                best_z, target = z, j
+        return target
+
+    return pick
 
 
 def sample_initial_tour(state: MctsState) -> Tour:
@@ -348,9 +379,9 @@ def sample_initial_tour(state: MctsState) -> Tour:
 
 
 def _sample_chain(
-    state: MctsState, order_list: list[int], ia: int, a: int, break_succ: bool
+    state: MctsState, pick: Callable[[int, int, int], int], order_list: list[int], ia: int, a: int, break_succ: bool
 ) -> Optional[tuple[float, list[int], list[tuple[int, int]], list[tuple[int, int]]]]:
-    """Run one greedy break/reconnect chain from city ``a``.
+    """Run one greedy break/reconnect chain from city ``a``; ``pick`` chooses each reconnection.
 
     Opens the tour at one of a's edges, repeatedly reconnects the path head
     to its best-potential candidate (the break at the chosen city is forced,
@@ -375,30 +406,10 @@ def _sample_chain(
     added: list[tuple[int, int]] = []
     removed_sum = dist(a, b1)
     added_sum = 0.0
-    sl = _explore_scale(state)
-    own = range(state.candidates.shape[1])
     best: Optional[tuple[float, list[int], list, list]] = None
     for _ in range(state.params.max_depth):
         head = path[0]
-        p1 = path[1]
-        cands = state.nbrs[head]
-        wr = state.weights[head]
-        qi = state.qinv[head]
-        om = state.omega[head]
-        if om <= 0.0:
-            raise DegenerateRowError(f"weight row {head} sums to zero")
-        inv_om = 1.0 / om
-        best_z = -math.inf
-        target = -1
-        # The scan below is potential(state, head, j) for each own candidate j.
-        for t in own:
-            j = cands[t]
-            if j == a or j == p1:
-                continue
-            z = wr[t] * inv_om + sl * qi[t]
-            if z > best_z or (z == best_z and j < target):
-                best_z = z
-                target = j
+        target = pick(head, a, path[1])
         if target < 0:
             break
         idx = path_pos[target]
@@ -427,12 +438,13 @@ def generate_kopt_move(state: MctsState, tour: Tour) -> Optional[Move]:
     pos = [0] * n
     for t, city in enumerate(order_list):
         pos[city] = t
+    pick = _target_picker(state)
     best: Optional[tuple[float, list[int], list, list]] = None
     for _ in range(state.params.param_h):
         state.simulations += 1
         draw = int(state.rng.integers(2 * n))
         a = draw >> 1
-        chain = _sample_chain(state, order_list, pos[a], a, bool(draw & 1))
+        chain = _sample_chain(state, pick, order_list, pos[a], a, bool(draw & 1))
         if chain is not None and (best is None or chain[0] < best[0]):
             best = chain
     if best is None:
@@ -447,7 +459,7 @@ def generate_kopt_move(state: MctsState, tour: Tour) -> Optional[Move]:
 
 
 def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) -> None:
-    """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored."""
+    """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored; no-op off the union."""
     if l_old <= 0:
         raise ValueError("weight_update needs a positive previous length")
     increment = state.params.beta * math.expm1((l_old - l_new) / l_old)
@@ -461,11 +473,9 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
         new_length = tour.length + move.delta
         state.M += 1
         for i, j in move.removed + move.added:
-            if is_candidate_edge(state, i, j):
-                _bump_access(state, i, j)
+            _bump_access(state, i, j)
         for i, j in move.added:
-            if is_candidate_edge(state, i, j):
-                weight_update(state, i, j, tour.length, new_length)
+            weight_update(state, i, j, tour.length, new_length)
         new_tour = Tour(order=move.new_order, length=new_length)
         if new_length < state.best_length:
             state.best_order = np.array(move.new_order)

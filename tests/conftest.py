@@ -38,6 +38,12 @@ def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
     return dm, nearest_neighbor_ranks(dm)
 
 
+def union_neighbors(state, i: int) -> np.ndarray:
+    """City i's neighbors in the candidate union, in the order of row i's entries."""
+    lo, hi = state.rev_ptr[i : i + 2]
+    return np.concatenate((state.candidates[i], state.rev_cities[lo:hi]))
+
+
 def brute_force_solve(dm: DistanceMatrix) -> Tour:
     """Exhaustive enumeration, for cross-checking exact_solve on tiny n."""
     n = dm.n

@@ -24,7 +24,7 @@ from tspmcts.mcts import MctsParams, _set_weight, accept_or_restart, generate_ko
 from tspmcts.tours import exact_solve, parse_tour, tour_length
 from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, grid_configs, make_benchmark_evaluator, shapley_for_all_configs, tune
 
-from conftest import brute_force_solve
+from conftest import brute_force_solve, union_neighbors
 
 CORPUS_SIZE = 200
 CORPUS_N = 12
@@ -224,7 +224,7 @@ def test_c09_potential_and_weight_update_point_checks():
     dm = distance_matrix(inst)
     ranks = nearest_neighbor_ranks(dm)
     state = init_state(inst, dm, ranks, zero_heatmap(5), MctsParams(alpha=1.0, beta=10.0), seed=0)
-    for j in state.nbrs[0]:
+    for j in union_neighbors(state, 0).tolist():
         _set_weight(state, 0, j, 0.0)
     _set_weight(state, 0, 1, 50.0)
     _set_weight(state, 0, 2, 50.0)  # row sum 100

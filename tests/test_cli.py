@@ -335,9 +335,8 @@ class TestReport:
         assert "zero" in text
 
 
-def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
-    """One uniform n=10000 instance through ``tspmcts solve`` in a child process."""
-    n = 10_000
+def solve_in_child(tmp_path, n, *args):
+    """``tspmcts solve`` on one uniform instance in a child process: (exit code, max RSS in KiB)."""
     (tmp_path / "insts").mkdir()
     (tmp_path / "refs").mkdir()
     (tmp_path / "insts" / "u.txt").write_text(write_native(generate_uniform(n, 0)))
@@ -345,12 +344,25 @@ def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", tmp_path / "insts", "--refs",
-            tmp_path / "refs", "--heatmap", "gtprior:tsp10000", "--max-candidate-num", "20",
-            "--max-iters", "1", "--out", tmp_path / "out.csv"]
+            tmp_path / "refs", *args, "--max-iters", "1", "--out", tmp_path / "out.csv"]
     start = time.monotonic()
     proc = subprocess.Popen([str(a) for a in argv], env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
     print(f"n={n} solve: {time.monotonic() - start:.1f} s wall, {usage.ru_maxrss / 1024:.0f} MB max RSS")
-    assert proc.returncode == 0
-    assert usage.ru_maxrss <= 1024 * 1024  # KiB on Linux: 1 GB
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss
+
+
+def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
+    """One uniform n=10000 instance through ``tspmcts solve`` in a child process."""
+    code, max_rss = solve_in_child(tmp_path, 10_000, "--heatmap", "gtprior:tsp10000", "--max-candidate-num", "20")
+    assert code == 0
+    assert max_rss <= 1024 * 1024  # KiB on Linux: 1 GB
+
+
+def test_default_candidate_rows_stay_compact(tmp_path):
+    """n=2000 with the default 1000 candidates per city: 2M own entries and
+    their reverse entries in flat arrays. Measured about 122 MB max RSS on a
+    2-CPU host (252 MB with per-row Python lists and slot dicts)."""
+    code, max_rss = solve_in_child(tmp_path, 2000, "--heatmap", "gtprior:tsp1000")
+    assert code == 0
+    assert max_rss <= 150 * 1024  # KiB on Linux

@@ -10,7 +10,6 @@ from tspmcts.evalkit import (
     Budget,
     MissingReferenceError,
     ResultTable,
-    improvement,
     optimality_gap,
     prepare,
     reference_length_for,
@@ -42,15 +41,6 @@ class TestOptimalityGap:
         base = optimality_gap(12.34, 11.9)
         for c in (0.001, 3.7, 1e4):
             assert optimality_gap(c * 12.34, c * 11.9) == pytest.approx(base, rel=1e-9)
-
-
-class TestImprovement:
-    def test_tuning_gains(self):
-        assert improvement(1.12, 0.22) == pytest.approx(0.90)
-        assert improvement(5.49, 1.06) == pytest.approx(4.43)
-
-    def test_no_change(self):
-        assert improvement(0.7, 0.7) == 0.0
 
 
 class TestReferenceLength:

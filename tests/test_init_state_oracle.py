@@ -1,8 +1,11 @@
 """The array-built ``init_state`` against the per-row loop it replaced.
 
-``reference_init_state`` is the previous implementation, kept verbatim as a
-test-only oracle for one release; both must build the same state field for
-field, down to the bits of every weight and row sum.
+``reference_init_state`` is that implementation, kept as a test-only oracle
+for one release. Both are compared through the public accessors, so the
+check does not depend on how ``MctsState`` stores its rows: the candidate
+arrays byte for byte, the union row of every city in order, the bits of
+every union edge's weight and of every row sum, zero visits everywhere, and
+every potential at M = 1, which reads 1/sqrt(Q+1).
 """
 import math
 
@@ -20,9 +23,9 @@ from tspmcts.heatmaps import (
     zero_heatmap,
 )
 from tspmcts.instances import BLOCK_ELEMS, DistanceMatrix, Instance, Metric, RankTable, nearest_neighbor_ranks
-from tspmcts.mcts import MctsParams, MctsState, init_state
+from tspmcts.mcts import MctsParams, MctsState, init_state, potential, visits, weight
 
-from conftest import dm_and_ranks
+from conftest import dm_and_ranks, union_neighbors
 
 
 def reference_init_state(
@@ -31,8 +34,9 @@ def reference_init_state(
     ranks: RankTable,
     hm: Heatmap,
     params: MctsParams,
-    seed: int,
-) -> MctsState:
+):
+    """(candidates, cand_exp, rows, omega): ``rows[i]`` maps each union
+    neighbor of i, in row order, to the edge's weight."""
     n = inst.n
     if hm.n != n or dm.n != n or ranks.n != n:
         raise ValueError(f"dimension mismatch: instance n={n}, heatmap n={hm.n}, dm n={dm.n}")
@@ -41,8 +45,7 @@ def reference_init_state(
     dense = np.zeros(n)  # scratch row over all cities, zero between uses
     candidates: list[np.ndarray] = []
     cand_exp: list[np.ndarray] = []
-    nbrs: list[list[int]] = []
-    weights: list[list[float]] = []
+    rows: list[dict[int, float]] = []
     for i in range(n):
         cols = list(prob_rows[i])
         dense[cols] = list(prob_rows[i].values())
@@ -57,52 +60,49 @@ def reference_init_state(
         cand_exp.append(np.exp(p_own))
         own = chosen.tolist()
         p_edge = [max(p, prob_rows[j].get(i, 0.0)) for j, p in zip(own, p_own.tolist())]
-        nbrs.append(own)
-        weights.append([100.0 * p if p > 0.0 else 1.0 for p in p_edge])
-    slot = [{j: t for t, j in enumerate(row)} for row in nbrs]
+        rows.append({j: 100.0 * p if p > 0.0 else 1.0 for j, p in zip(own, p_edge)})
     for i in range(n):
-        own = len(candidates[i])
-        for j, w in zip(nbrs[i][:own], weights[i][:own]):
-            if i not in slot[j]:
-                slot[j][i] = len(nbrs[j])
-                nbrs[j].append(i)
-                weights[j].append(w)
+        for j, w in list(rows[i].items())[: len(candidates[i])]:
+            rows[j].setdefault(i, w)
     omega = []
-    for row, w in zip(nbrs, weights):
+    for row in rows:
         # Summed over a full-length row: numpy's pairwise summation then
         # rounds exactly as for a dense n x n weight matrix.
-        dense[row] = w
+        dense[list(row)] = list(row.values())
         omega.append(float(dense.sum()))
-        dense[row] = 0.0
-    return MctsState(
-        n=n,
-        dm=dm,
-        params=params,
-        rng=np.random.default_rng(seed),
-        M=0,
-        candidates=np.array(candidates),
-        cand_exp=np.array(cand_exp),
-        nbrs=nbrs,
-        slot=slot,
-        weights=weights,
-        counts=[[0] * len(row) for row in nbrs],
-        qinv=[[1.0] * len(row) for row in nbrs],  # 1/sqrt(Q+1) with Q = 0
-        omega=omega,
-    )
+        dense[list(row)] = 0.0
+    return np.array(candidates), np.array(cand_exp), rows, omega
 
 
-def assert_same_state(got: MctsState, want: MctsState) -> None:
-    assert got.n == want.n
-    assert len(got.candidates) == len(want.candidates) == got.n
-    for a, b in ((got.candidates, want.candidates), (got.cand_exp, want.cand_exp)):
+def observe(state: MctsState):
+    """The same four things read off a state through its accessors."""
+    rows = []
+    for i in range(state.n):
+        rows.append({j: weight(state, i, j) for j in union_neighbors(state, i).tolist()})
+        assert len(rows[i]) == len(union_neighbors(state, i))  # no neighbor twice
+    return state.candidates, state.cand_exp, rows, [float(w) for w in state.omega]
+
+
+def assert_same_state(got, want) -> None:
+    """Two (candidates, cand_exp, rows, omega) tuples agree bit for bit."""
+    assert len(got[0]) == len(want[0]) == len(got[2])
+    for a, b in zip(got[:2], want[:2]):
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert got.nbrs == want.nbrs
-    assert got.slot == want.slot
-    assert [[w.hex() for w in row] for row in got.weights] == [[w.hex() for w in row] for row in want.weights]
-    assert [w.hex() for w in got.omega] == [w.hex() for w in want.omega]
-    assert got.counts == want.counts
-    assert got.qinv == want.qinv
-    assert got.rng.random() == want.rng.random()
+    assert [[(j, w.hex()) for j, w in row.items()] for row in got[2]] == \
+        [[(j, w.hex()) for j, w in row.items()] for row in want[2]]
+    assert [w.hex() for w in got[3]] == [w.hex() for w in want[3]]
+
+
+def assert_unvisited(state: MctsState, rows, omega) -> None:
+    """Q = 0 on every union edge, and with M = 1 every potential's explore
+    term reads 1/sqrt(Q+1) = 1.0 exactly."""
+    state.M = 1
+    scale = state.params.alpha * math.sqrt(math.log(2))
+    for i, row in enumerate(rows):
+        for j, w in row.items():
+            assert visits(state, i, j) == 0
+            assert potential(state, i, j).hex() == (w * (1.0 / omega[i]) + scale * 1.0).hex()
+    state.M = 0
 
 
 #: n at which the number of scratch-block rows, BLOCK_ELEMS // n, crosses n.
@@ -163,20 +163,23 @@ def test_matches_reference(n, metric, kind, tmp_path):
     for mcn in (1, 5, 20, 1000):
         for use_heatmap in (True, False):
             params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
-            got = init_state(inst, dm, ranks, hm, params, seed=n)
-            want = reference_init_state(inst, dm, ranks, hm, params, seed=n)
-            assert_same_state(got, want)
+            state = init_state(inst, dm, ranks, hm, params, seed=n)
+            want = reference_init_state(inst, dm, ranks, hm, params)
+            assert_same_state(observe(state), want)
+            assert_unvisited(state, want[2], want[3])
+            assert state.rng.random() == np.random.default_rng(n).random()
 
 
 @pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
 def test_truncated_table_builds_the_same_state(n, metric, kind, tmp_path):
     """mcn below, at and above the table width; prior, softdist and file heatmaps reach beyond it."""
     inst, dm, ranks, hm = case_inputs(n, metric, kind, tmp_path)
-    for width in (5, 20):
-        narrow = nearest_neighbor_ranks(dm, width)
-        for mcn in (1, 5, 20, 1000):
-            for use_heatmap in (True, False):
-                params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
-                got = init_state(inst, dm, narrow, hm, params, seed=n)
-                want = init_state(inst, dm, ranks, hm, params, seed=n)
-                assert_same_state(got, want)
+    narrow = [nearest_neighbor_ranks(dm, width) for width in (5, 20)]
+    for mcn in (1, 5, 20, 1000):
+        for use_heatmap in (True, False):
+            params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
+            want = observe(init_state(inst, dm, ranks, hm, params, seed=n))
+            for table in narrow:
+                got = init_state(inst, dm, table, hm, params, seed=n)
+                assert_same_state(observe(got), want)
+                assert got.rng.random() == np.random.default_rng(n).random()

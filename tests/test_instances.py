@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tspmcts.evalkit import prepare
 from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource
 from tspmcts.instances import (
-    BLOCK_ROWS,
     Instance,
     Metric,
     ParseError,
@@ -244,7 +243,7 @@ def block_test_points(n: int, kind: str) -> np.ndarray:
     return np.floor(rng.random((n, 2)) * 6)
 
 
-BLOCK_SIZES = [3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+BLOCK_SIZES = [3, 255, 256, 257, 513]
 
 
 class TestBlockedBuild:
@@ -273,11 +272,11 @@ class TestBlockedBuild:
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_readers_match_dense_reference_without_building_it(self, metric):
-        n = BLOCK_ROWS + 7
+        n = 263
         inst = Instance(id="t", points=block_test_points(n, "random") / 7)
         dm = distance_matrix(inst, metric)
         expected = dense_distances(inst.points, metric)
-        for lo, hi in ((0, 1), (3, BLOCK_ROWS + 2), (n - 1, n)):
+        for lo, hi in ((0, 1), (3, 258), (n - 1, n)):
             block = dm.rows(lo, hi)
             assert block.dtype == expected.dtype and block.tobytes() == expected[lo:hi].tobytes()
         i, j = np.random.default_rng(0).integers(n, size=(2, 500))

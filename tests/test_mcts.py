@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from tspmcts.heatmaps import BUILTIN_PRIORS, make_heatmap, prior_to_heatmap, zero_heatmap
 from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, generate_uniform
 from tspmcts.mcts import (
+    WIDE_ROW,
     Budget,
     MctsParams,
     MctsState,
     W_FLOOR,
     _bump_access,
     _sample_chain,
+    _target_picker,
     _set_weight,
     accept_or_restart,
     generate_kopt_move,
@@ -29,7 +31,7 @@ from tspmcts.mcts import (
 )
 from tspmcts.tours import exact_solve, make_tour, tour_length
 
-from conftest import dm_and_ranks
+from conftest import dm_and_ranks, union_neighbors
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -41,7 +43,7 @@ def build_state(inst, params=None, hm=None, seed=0):
 
 def union_edges(state):
     """Every candidate-union edge once, as (i, j) with i < j."""
-    return [(i, j) for i in range(state.n) for j in state.nbrs[i] if i < j]
+    return [(i, j) for i in range(state.n) for j in union_neighbors(state, i).tolist() if i < j]
 
 
 def randomize_weights_and_visits(state, rng, weight_values=None, max_visits=50):
@@ -98,7 +100,7 @@ class TestInitState:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(state.nbrs) == n
+        assert all(len(union_neighbors(state, i)) >= min(mcn, n - 1) for i in range(n))
         # Beyond the state itself: a few scratch blocks and a few compact
         # (n, mcn) arrays. One dense n x n temporary (18 MB of float64 at
         # n=1500) would exceed this.
@@ -300,10 +302,11 @@ class TestSolve:
                 assert visits(state, i, j) == visits(state, j, i)
                 assert weight(state, i, j) >= 0 and visits(state, i, j) >= 0
         assert state.M == accepted
-        kept = [w for row in state.weights for w in row if w > 0]
+        rows = [[weight(state, i, j) for j in union_neighbors(state, i).tolist()] for i in range(18)]
+        kept = [w for row in rows for w in row if w > 0]
         assert min(kept) >= W_FLOOR - 1e-18
         for i in range(18):
-            assert state.omega[i] == pytest.approx(sum(state.weights[i]), rel=1e-12)
+            assert state.omega[i] == pytest.approx(sum(rows[i]), rel=1e-12)
 
     def test_zero_heatmap_reaches_finite_gap(self):
         inst = generate_uniform(12, 33)
@@ -367,22 +370,27 @@ def test_golden_trajectory(case, expected):
 def test_chain_picks_potential_argmax(seed, kind):
     """A depth-1 chain reconnects to the argmax of potential() over the head's
     own candidates, skipping ``a`` and the path successor; ties go to the
-    smaller city index."""
+    smaller city index. The first 25 trials (n < 40) take the list scan; the
+    last three have rows wider than WIDE_ROW, which take the numpy scan."""
     rng = np.random.default_rng(seed)
-    for trial in range(25):
-        n = int(rng.integers(5, 40))
+    for trial in range(28):
+        wide = trial >= 25
+        n = int(rng.integers(WIDE_ROW + 3, WIDE_ROW + 20)) if wide else int(rng.integers(5, 40))
         inst = generate_uniform(n, 900 + trial)
         _, ranks = dm_and_ranks(inst)
         hm = zero_heatmap(n) if kind == "tied" else prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
-        params = MctsParams(alpha=0.0 if kind == "alpha0" else 1.0, max_depth=1,
-                            max_candidate_num=int(rng.choice([2, 5, 1000])))
+        mcn = 1000 if wide else int(rng.choice([2, 5, 1000]))
+        params = MctsParams(alpha=0.0 if kind == "alpha0" else 1.0, max_depth=1, max_candidate_num=mcn)
         _, _, state = build_state(inst, params, hm=hm, seed=trial)
+        assert (state.candidates.shape[1] > WIDE_ROW) == wide
+        # Fewer visits on the wide rows' many edges keep the trials short.
+        max_visits = 5 if wide else 50
         if kind == "alpha0":
-            randomize_weights_and_visits(state, rng)
+            randomize_weights_and_visits(state, rng, max_visits=max_visits)
         elif kind == "random":
             randomize_weights_and_visits(state, rng, weight_values=[0.5, 1.0, 2.0], max_visits=3)
         elif kind == "m0":
-            randomize_weights_and_visits(state, rng, weight_values=[0.5, 1.0, 2.0])
+            randomize_weights_and_visits(state, rng, weight_values=[0.5, 1.0, 2.0], max_visits=max_visits)
         state.M = 0 if kind == "m0" else int(rng.integers(1, 100))
         order = [int(v) for v in rng.permutation(n)]
         for _ in range(10):
@@ -392,7 +400,7 @@ def test_chain_picks_potential_argmax(seed, kind):
             step = 1 if break_succ else -1
             head, p1 = order[(ia + step) % n], order[(ia + 2 * step) % n]
             eligible = [int(j) for j in state.candidates[head] if j not in (a, p1)]
-            chain = _sample_chain(state, order, ia, a, break_succ)
+            chain = _sample_chain(state, _target_picker(state), order, ia, a, break_succ)
             if not eligible:
                 assert chain is None
                 continue
