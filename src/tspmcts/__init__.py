@@ -22,7 +22,6 @@ from .heatmaps import (
     build_gt_prior,
     prior_to_heatmap,
     softdist_heatmap,
-    sparsify_topk,
     zero_heatmap,
 )
 from .knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution

@@ -61,6 +61,13 @@ def _flag_value(flag: str, text: str, cast):
         raise UsageError(f"{flag}: {text!r} is not a valid {cast.__name__}") from None
 
 
+def positive_int(text: str) -> int:
+    """An int of at least 1; anything else is a usage error on its flag."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _instance_files(path: str) -> list[Path]:
     """Instance files (.txt/.tsp) in ``path``, sorted by name."""
     files = sorted(p for p in Path(path).iterdir() if p.suffix in (".txt", ".tsp"))
@@ -93,14 +100,8 @@ def _budget_from_args(args) -> Budget:
 
 def _params_from_args(args) -> MctsParams:
     params = tuner.read_params_file(args.params) if args.params else MctsParams()
-    overrides = {}
-    for name in tuner.PARAM_FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        params = replace(params, **overrides)
-    return params
+    overrides = {name: value for name in tuner.PARAM_FIELDS if (value := getattr(args, name)) is not None}
+    return replace(params, **overrides) if overrides else params
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -108,7 +109,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-factor", dest="time_factor", type=float, help="wall seconds per city")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="k-opt simulation cap (deterministic)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--metric", choices=["real", "int"], default="real")
 
 
@@ -191,7 +192,7 @@ def cmd_tune(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "tuning.csv")
     if report.shapley is not None:
-        tuner.write_shapley_csv(space, report.mean_gaps, out / "shapley.csv")
+        report.write_shapley_csv(out / "shapley.csv")
     tuner.write_params_file(report.best_config, out / "best_config.txt")
     print(f"best config {tuner.config_id(report.best_config)} "
           f"mean gap {report.best_gap:.4f}% ({heatmap_id}) -> {out}")
@@ -227,7 +228,11 @@ def cmd_report(args) -> int:
     groups: dict[tuple[str, str], list[dict]] = {}
     for path in args.inputs:
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
+            reader = csv.DictReader(f)
+            missing = sorted({"heatmap", "config", "length", "gap_pct", "time_s"} - set(reader.fieldnames or ()))
+            if missing:
+                raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+            for row in reader:
                 groups.setdefault((row["heatmap"], row["config"]), []).append(row)
     lines = [
         "| Heatmap | Config | Instances | Mean Length | Mean Gap | Mean Time |",

@@ -237,16 +237,6 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
                    probs=np.concatenate(probs))
 
 
-def sparsify_topk(hm: Heatmap, k: int) -> Heatmap:
-    """Keep each row's k largest entries (ties to the smaller neighbor index)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    # Rows are already in canonical order, so the first k entries of each are kept.
-    keep = np.arange(hm.entry_count()) - hm.indptr[entry_rows(hm.indptr)] < k
-    return Heatmap(n=hm.n, indptr=row_pointers(np.minimum(np.diff(hm.indptr), k)),
-                   cols=hm.cols[keep], probs=hm.probs[keep])
-
-
 def save_heatmap(hm: Heatmap, path) -> None:
     """Write the text format: header ``n m`` then m lines ``i j p``."""
     with open(path, "w") as f:

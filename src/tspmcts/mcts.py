@@ -277,24 +277,37 @@ def visits(state: MctsState, i: int, j: int) -> int:
     return 0 if (t := _find(state, i, j)) < 0 else state.views[6][t]
 
 
+def _slots(state: MctsState, i: int, j: int) -> tuple[int, int]:
+    """The flat indices of edge (i, j) in row i and in row j, or (-1, -1) off the candidate union."""
+    ti = _find(state, i, j)
+    return (ti, _find(state, j, i)) if ti >= 0 else (-1, -1)
+
+
+def _write_weight(views, i: int, j: int, ti: int, tj: int, w: float) -> None:
+    """W = w at both slots of edge (i, j), keeping omega in sync."""
+    weights, omega = views[3], views[5]
+    change = w - weights[ti]
+    weights[ti] = weights[tj] = w
+    omega[i] += change
+    omega[j] += change
+
+
+def _count_access(views, ti: int, tj: int) -> None:
+    """One more access at both slots of an edge: Q and 1/sqrt(Q+1)."""
+    views[6][ti] = views[6][tj] = q = views[6][ti] + 1
+    views[4][ti] = views[4][tj] = 1.0 / math.sqrt(q + 1.0)
+
+
 def _set_weight(state: MctsState, i: int, j: int, w: float) -> None:
     """Symmetric weight write that keeps omega in sync; no-op off the candidate union."""
-    ti = _find(state, i, j)
-    if ti >= 0:
-        weights, omega = state.views[3], state.views[5]
-        change = w - weights[ti]
-        weights[ti] = weights[_find(state, j, i)] = w
-        omega[i] += change
-        omega[j] += change
+    if (slots := _slots(state, i, j))[0] >= 0:
+        _write_weight(state.views, i, j, *slots, w)
 
 
 def _bump_access(state: MctsState, i: int, j: int) -> None:
     """Count one more access of edge (i, j); no-op off the candidate union."""
-    ti = _find(state, i, j)
-    if ti >= 0:
-        tj, views = _find(state, j, i), state.views
-        views[6][ti] = views[6][tj] = q = views[6][ti] + 1
-        views[4][ti] = views[4][tj] = 1.0 / math.sqrt(q + 1.0)
+    if (slots := _slots(state, i, j))[0] >= 0:
+        _count_access(state.views, *slots)
 
 
 def _explore_scale(state: MctsState) -> float:
@@ -458,12 +471,18 @@ def generate_kopt_move(state: MctsState, tour: Tour) -> Optional[Move]:
     )
 
 
-def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) -> None:
-    """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored; no-op off the union."""
+def _increment(state: MctsState, l_old: float, l_new: float) -> float:
+    """beta * (exp((L - L') / L) - 1): what a move from L to L' adds to the weight of each new edge."""
     if l_old <= 0:
         raise ValueError("weight_update needs a positive previous length")
-    increment = state.params.beta * math.expm1((l_old - l_new) / l_old)
-    _set_weight(state, i, j, max(weight(state, i, j) + increment, W_FLOOR))
+    return state.params.beta * math.expm1((l_old - l_new) / l_old)
+
+
+def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) -> None:
+    """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored; no-op off the union."""
+    increment, views = _increment(state, l_old, l_new), state.views
+    if (slots := _slots(state, i, j))[0] >= 0:
+        _write_weight(views, i, j, *slots, max(views[3][slots[0]] + increment, W_FLOOR))
 
 
 def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tour:
@@ -472,10 +491,13 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
         assert len(set(move.new_order.tolist())) == state.n, "move broke the permutation"
         new_length = tour.length + move.delta
         state.M += 1
-        for i, j in move.removed + move.added:
+        increment, views = _increment(state, tour.length, new_length), state.views
+        for i, j in move.removed:
             _bump_access(state, i, j)
-        for i, j in move.added:
-            weight_update(state, i, j, tour.length, new_length)
+        for i, j in move.added:  # one slot lookup serves the count and the weight (separate arrays)
+            if (slots := _slots(state, i, j))[0] >= 0:
+                _count_access(views, *slots)
+                _write_weight(views, i, j, *slots, max(views[3][slots[0]] + increment, W_FLOOR))
         new_tour = Tour(order=move.new_order, length=new_length)
         if new_length < state.best_length:
             state.best_order = np.array(move.new_order)

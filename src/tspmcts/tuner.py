@@ -63,8 +63,13 @@ class SearchSpace:
                 raise ValueError(f"search space for {name} has duplicates")
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Value count per field, in canonical field order."""
+        return tuple(len(getattr(self, name)) for name in PARAM_FIELDS)
+
+    @property
     def size(self) -> int:
-        return math.prod(len(getattr(self, name)) for name in PARAM_FIELDS)
+        return math.prod(self.shape)
 
 
 def grid_configs(space: SearchSpace) -> list[MctsParams]:
@@ -89,7 +94,8 @@ class TuningReport:
     best_config: MctsParams
     default_config: Optional[MctsParams]
     default_gap: Optional[float]
-    shapley: Optional[dict[str, float]] = None
+    #: Every config's attribution (field -> phi), in ``configs`` order; None without a full grid.
+    shapley: Optional[tuple[dict[str, float], ...]] = None
 
     @property
     def best_gap(self) -> float:
@@ -102,6 +108,16 @@ class TuningReport:
             for cfg, gap in zip(self.configs, self.mean_gaps):
                 a, b, d, c, h, u = config_key(cfg)
                 writer.writerow([config_id(cfg), a, b, d, c, h, int(u), f"{gap:.9f}"])
+
+    def write_shapley_csv(self, path) -> None:
+        """Emit ``config_id,param,value,phi`` rows for every grid config."""
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["config_id", "param", "value", "phi"])
+            for cfg, phi in zip(self.configs, self.shapley):
+                cid = config_id(cfg)
+                for name in PARAM_FIELDS:
+                    writer.writerow([cid, name, getattr(cfg, name), f"{phi[name]:.12g}"])
 
 
 #: Evaluates one configuration on the tuning set; returns its mean gap.
@@ -126,14 +142,9 @@ def make_benchmark_evaluator(
     return evaluate
 
 
-def tune(
-    space: SearchSpace,
-    evaluator: ConfigEvaluator,
-    compute_shapley: bool = True,
-    subset: int | None = None,
-    subset_seed: int = 0,
-) -> TuningReport:
-    """Evaluate the grid and pick the best configuration.
+def tune(space: SearchSpace, evaluator: ConfigEvaluator, subset: int | None = None,
+         subset_seed: int = 0) -> TuningReport:
+    """Evaluate the grid, pick the best configuration and attribute every config's gap.
 
     Ties are broken by grid order (lexicographic in the canonical field
     order). ``subset`` evaluates a random sample of configurations for smoke
@@ -146,65 +157,49 @@ def tune(
         rng = np.random.default_rng(subset_seed)
         picks = sorted(rng.choice(len(configs), size=min(subset, len(configs)), replace=False))
         configs = [configs[i] for i in picks]
-        compute_shapley = False
     gaps = [evaluator(cfg) for cfg in configs]
     best_idx = min(range(len(configs)), key=gaps.__getitem__)
     default_key = config_key(DEFAULT_PARAMS)
     default_idx = next((i for i, c in enumerate(configs) if config_key(c) == default_key), None)
-    shapley = None
-    if compute_shapley:
-        shapley = shapley_importance(space, gaps, configs[best_idx])
     return TuningReport(
         configs=tuple(configs),
         mean_gaps=tuple(gaps),
         best_config=configs[best_idx],
         default_config=None if default_idx is None else configs[default_idx],
         default_gap=None if default_idx is None else gaps[default_idx],
-        shapley=shapley,
+        shapley=None if subset is not None else tuple(shapley_for_all_configs(space, gaps)),
     )
 
 
-def _coalition_value_table(space: SearchSpace, gaps: Sequence[float]) -> list[dict[tuple, float]]:
-    """Per-coalition lookup: projection of a config onto S -> mean gap."""
-    configs = grid_configs(space)
-    if len(gaps) != len(configs):
-        raise CoverageError(f"grid has {len(configs)} configs, got {len(gaps)} gaps")
-    gaps_arr = np.asarray(gaps, dtype=np.float64)
-    if not np.isfinite(gaps_arr).all():
+def _attributions(space: SearchSpace, gaps: Sequence[float]) -> np.ndarray:
+    """Exact Shapley values: one row per grid config (grid_configs order), one column per field.
+
+    v(S) of every config is a row mean of the gap grid (one axis per field) copied
+    with S's axes first: a row holds the configs that agree on S, in grid order,
+    and a contiguous row is summed pairwise exactly as a 1-D mean would sum it.
+    """
+    shape = space.shape
+    grid = np.asarray(gaps, dtype=np.float64)
+    if grid.shape != (space.size,):
+        raise CoverageError(f"grid has {space.size} configs, got {len(gaps)} gaps")
+    if not np.isfinite(grid).all():
         raise CoverageError("grid results contain non-finite gaps")
-    keys = [config_key(c) for c in configs]
-    tables: list[dict[tuple, float]] = []
-    for mask in range(64):
-        members = [f for f in range(6) if mask >> f & 1]
-        groups: dict[tuple, list[int]] = {}
-        for row, key in enumerate(keys):
-            proj = tuple(key[f] for f in members)
-            groups.setdefault(proj, []).append(row)
-        tables.append({proj: float(gaps_arr[rows].mean()) for proj, rows in groups.items()})
-    return tables
-
-
-def _shapley_from_tables(tables: list[dict[tuple, float]], key: tuple) -> dict[str, float]:
-    nf = 6
-    fact = [math.factorial(i) for i in range(nf + 1)]
-    phi = dict.fromkeys(PARAM_FIELDS, 0.0)
-
-    def value(mask: int) -> float:
-        members = [f for f in range(nf) if mask >> f & 1]
-        return tables[mask][tuple(key[f] for f in members)]
-
-    values = [value(mask) for mask in range(64)]
-    for f_idx, name in enumerate(PARAM_FIELDS):
-        bit = 1 << f_idx
-        total = 0.0
-        for mask in range(64):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[nf - s - 1] / fact[nf]
-            total += weight * (values[mask | bit] - values[mask])
-        phi[name] = total
-    return phi
+    grid = grid.reshape(shape)
+    nf = len(shape)
+    values = []
+    for mask in range(1 << nf):
+        inside = [f for f in range(nf) if mask >> f & 1]
+        rows = np.ascontiguousarray(grid.transpose(inside + [f for f in range(nf) if f not in inside]))
+        means = rows.reshape(math.prod(shape[f] for f in inside), -1).mean(axis=1)
+        values.append(means.reshape([size if f in inside else 1 for f, size in enumerate(shape)]))
+    phi = np.zeros(shape + (nf,))
+    for f in range(nf):
+        for mask in range(1 << nf):
+            if not mask >> f & 1:
+                s = bin(mask).count("1")
+                weight = math.factorial(s) * math.factorial(nf - s - 1) / math.factorial(nf)
+                phi[..., f] += weight * (values[mask | 1 << f] - values[mask])
+    return phi.reshape(-1, nf)
 
 
 def shapley_importance(space: SearchSpace, gaps: Sequence[float], config: MctsParams) -> dict[str, float]:
@@ -213,27 +208,13 @@ def shapley_importance(space: SearchSpace, gaps: Sequence[float], config: MctsPa
     Requires gaps for the full grid in grid_configs order. Efficiency holds:
     the attributions sum to config's gap minus the grand mean.
     """
-    tables = _coalition_value_table(space, gaps)
-    return _shapley_from_tables(tables, config_key(config))
+    index = np.ravel_multi_index([getattr(space, f).index(getattr(config, f)) for f in PARAM_FIELDS], space.shape)
+    return dict(zip(PARAM_FIELDS, _attributions(space, gaps)[index].tolist()))
 
 
 def shapley_for_all_configs(space: SearchSpace, gaps: Sequence[float]) -> list[dict[str, float]]:
-    """Attributions for every grid config, sharing the coalition tables."""
-    tables = _coalition_value_table(space, gaps)
-    return [_shapley_from_tables(tables, config_key(c)) for c in grid_configs(space)]
-
-
-def write_shapley_csv(space: SearchSpace, gaps: Sequence[float], path) -> None:
-    """Emit ``config_id,param,value,phi`` rows for every grid config."""
-    configs = grid_configs(space)
-    attributions = shapley_for_all_configs(space, gaps)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["config_id", "param", "value", "phi"])
-        for cfg, phi in zip(configs, attributions):
-            cid = config_id(cfg)
-            for name in PARAM_FIELDS:
-                writer.writerow([cid, name, getattr(cfg, name), f"{phi[name]:.12g}"])
+    """Attributions for every grid config, in grid_configs order."""
+    return [dict(zip(PARAM_FIELDS, phi)) for phi in _attributions(space, gaps).tolist()]
 
 
 def write_params_file(params: MctsParams, path) -> None:

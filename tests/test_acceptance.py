@@ -137,7 +137,7 @@ def test_c04_tuning_dominance(oracle_corpus, held_out_set):
     evaluator = make_benchmark_evaluator(
         instances, PriorSource(prior), Budget("iters", 5_000), seed=0,
     )
-    rpt = tune(space, evaluator, compute_shapley=False)
+    rpt = tune(space, evaluator)
     elapsed = time.monotonic() - start
     assert rpt.default_gap is not None
     assert rpt.best_gap <= rpt.default_gap + 1e-12

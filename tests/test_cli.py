@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tspmcts import tuner
 from tspmcts.cli import main
 from tspmcts.evalkit import RESULT_CSV_HEADER
 from tspmcts.heatmaps import load_prior
@@ -177,6 +178,15 @@ class TestSolve:
         assert code == 4
         assert err.startswith("config error:") and "use_heatmap: 'Ture'" in err
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_usage_error(self, instance_dir, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--jobs", jobs,
+                "--max-iters", 10, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_idempotent_outputs(self, instance_dir, tmp_path):
         args = ("solve", "--instances", instance_dir, "--heatmap", "zero",
                 "--use-heatmap", "false", "--max-iters", 300, "--seed", 7)
@@ -269,6 +279,28 @@ class TestTune:
         assert not (out / "shapley.csv").exists()
         assert "subset" in capsys.readouterr().err
 
+    def test_attribution_pass_runs_once(self, tmp_path, instance_dir, monkeypatch):
+        passes = []
+        original = tuner._attributions
+        monkeypatch.setattr(tuner, "_attributions", lambda *args: passes.append(args) or original(*args))
+        grid = ("--alpha-values", "0,1", "--beta-values", "10,100", "--max-depth-values", "10",
+                "--mcn-values", "5", "--param-h-values", "2", "--use-heatmap-values", "false")
+        args = ("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 20, *grid)
+        assert run(*args, "--out-dir", tmp_path / "full") == 0
+        assert len(passes) == 1
+        assert len(list(csv.DictReader(open(tmp_path / "full" / "shapley.csv")))) == 24
+        assert run(*args, "--subset", 2, "--out-dir", tmp_path / "subset") == 0
+        assert len(passes) == 1
+        assert not (tmp_path / "subset" / "shapley.csv").exists()
+
+    def test_jobs_below_one_usage_error(self, tmp_path, instance_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
+                "--out-dir", tmp_path / "tune", "--jobs", 0)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "tune").exists()
+
 
 class TestAnalyzeKnn:
     def test_oracle_distribution(self, tmp_path, instance_dir):
@@ -333,6 +365,18 @@ class TestReport:
         text = out.read_text()
         assert "| Heatmap | Config |" in text
         assert "zero" in text
+
+    @pytest.mark.parametrize("header, missing", [
+        ("a,b", "config, gap_pct, heatmap, length, time_s"),
+        ("instance,config,heatmap,length,ref_length,seed", "gap_pct, time_s"),
+        ("", "config, gap_pct, heatmap, length, time_s"),
+    ])
+    def test_not_a_results_csv_config_error(self, tmp_path, capsys, header, missing):
+        path = tmp_path / "other.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n" if header else "")
+        assert run("report", path) == 4
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: missing columns {missing}\n"
 
 
 def solve_in_child(tmp_path, n, *args):

@@ -16,7 +16,6 @@ from tspmcts.heatmaps import (
     save_heatmap,
     save_prior,
     softdist_heatmap,
-    sparsify_topk,
     zero_heatmap,
 )
 from tspmcts.instances import Instance, Metric, generate_uniform
@@ -259,31 +258,3 @@ class TestHeatmapIO:
         save_prior(BUILTIN_PRIORS["tsp500"], path)
         again = load_prior(path)
         assert np.array_equal(again.masses, BUILTIN_PRIORS["tsp500"].masses)
-
-
-class TestSparsifyTopk:
-    def test_short_rows_unchanged(self):
-        hm = make_heatmap(4, [[(1, 0.5), (2, 0.3), (3, 0.2)], [], [], []])
-        assert sparsify_topk(hm, 5).row(0) == hm.row(0)
-
-    def test_keeps_largest(self):
-        hm = make_heatmap(4, [[(1, 0.5), (2, 0.3), (3, 0.2)], [], [], []])
-        assert sparsify_topk(hm, 2).row(0) == ((1, 0.5), (2, 0.3))
-
-    def test_matches_per_row_sort_oracle(self):
-        rng = np.random.default_rng(12)
-        n = 15
-        rows = []
-        for i in range(n):
-            neighbors = [j for j in range(n) if j != i]
-            rows.append([(j, float(rng.random())) for j in neighbors])
-        hm = make_heatmap(n, rows)
-        sparse = sparsify_topk(hm, 5)
-        for i in range(n):
-            assert len(sparse.row(i)) == 5
-            expected = sorted((p for _, p in hm.row(i)), reverse=True)[:5]
-            assert sum(p for _, p in sparse.row(i)) == pytest.approx(sum(expected), rel=1e-12)
-
-    def test_tie_break_by_index(self):
-        hm = make_heatmap(4, [[(3, 0.5), (1, 0.5), (2, 0.5)], [], [], []])
-        assert sparsify_topk(hm, 2).row(0) == ((1, 0.5), (2, 0.5))

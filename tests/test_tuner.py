@@ -63,24 +63,24 @@ def stub_gap(params: MctsParams) -> float:
 
 class TestTune:
     def test_stub_argmin(self):
-        report = tune(SearchSpace(), stub_gap, compute_shapley=False)
+        report = tune(SearchSpace(), stub_gap)
         assert report.best_config.alpha == 1.0
         assert report.best_config.beta == 100.0
         assert report.best_gap <= min(report.mean_gaps)
 
     def test_best_beats_default(self):
-        report = tune(SearchSpace(), stub_gap, compute_shapley=False)
+        report = tune(SearchSpace(), stub_gap)
         assert report.default_gap is not None
         assert report.best_gap <= report.default_gap <= max(report.mean_gaps)
 
     def test_deterministic(self):
-        a = tune(SearchSpace(), stub_gap, compute_shapley=False)
-        b = tune(SearchSpace(), stub_gap, compute_shapley=False)
+        a = tune(SearchSpace(), stub_gap)
+        b = tune(SearchSpace(), stub_gap)
         assert a.mean_gaps == b.mean_gaps
         assert config_key(a.best_config) == config_key(b.best_config)
 
     def test_tie_breaks_to_grid_order(self):
-        report = tune(SearchSpace(), lambda p: 1.0, compute_shapley=False)
+        report = tune(SearchSpace(), lambda p: 1.0)
         assert config_key(report.best_config) == (0.0, 10.0, 10, 5, 2, True)
 
     def test_subset_skips_shapley(self):
@@ -93,7 +93,7 @@ class TestTune:
             alpha=(0.0, 1.0), beta=(10.0,), max_depth=(10,),
             max_candidate_num=(1000,), param_h=(10,), use_heatmap=(True,),
         )
-        report = tune(space, stub_gap, compute_shapley=False)
+        report = tune(space, stub_gap)
         path = tmp_path / "tuning.csv"
         report.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -188,6 +188,69 @@ class TestShapley:
             assert phi == pytest.approx(single)
 
 
+
+def reference_attributions(space: SearchSpace, gaps) -> list[dict[str, float]]:
+    """Test-only reference: per-coalition dict tables (projection onto S -> mean gap) and a
+    per-config sum over coalitions, the group-by the array pass must reproduce bit for bit."""
+    keys = [config_key(c) for c in grid_configs(space)]
+    gaps_arr = np.asarray(gaps, dtype=np.float64)
+    tables = []
+    for mask in range(64):
+        groups = {}
+        for row, key in enumerate(keys):
+            groups.setdefault(tuple(key[f] for f in range(6) if mask >> f & 1), []).append(row)
+        tables.append({proj: float(gaps_arr[rows].mean()) for proj, rows in groups.items()})
+    fact = [math.factorial(i) for i in range(7)]
+    result = []
+    for key in keys:
+        values = [tables[mask][tuple(key[f] for f in range(6) if mask >> f & 1)] for mask in range(64)]
+        phi = {}
+        for f, name in enumerate(PARAM_FIELDS):
+            total = 0.0
+            for mask in range(64):
+                if not mask >> f & 1:
+                    s = bin(mask).count("1")
+                    total += fact[s] * fact[6 - s - 1] / fact[6] * (values[mask | 1 << f] - values[mask])
+            phi[name] = total
+        result.append(phi)
+    return result
+
+
+def reference_game(space: SearchSpace, kind: str) -> list[float]:
+    rng = np.random.default_rng(11)
+    if kind == "random":
+        return (rng.random(space.size) * 40.0).tolist()
+    if kind == "tied":
+        return rng.choice([0.1, 0.7, 2.5], size=space.size).tolist()
+    if kind == "constant":
+        return [0.1] * space.size
+    # dummy: the last field with more than one value has no effect on the gap
+    dummy = max(f for f, size in enumerate(space.shape) if size > 1)
+    shape = tuple(1 if f == dummy else size for f, size in enumerate(space.shape))
+    return np.broadcast_to(rng.random(shape), space.shape).ravel().tolist()
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "constant", "dummy"])
+@pytest.mark.parametrize("space", [
+    SearchSpace(),
+    SearchSpace(alpha=(0.0, 1.0, 2.0), beta=(10.0, 100.0), max_depth=(10, 50),
+                max_candidate_num=(5, 20), param_h=(2, 5), use_heatmap=(True, False)),
+    SearchSpace(alpha=(0.0, 1.0), beta=(10.0, 100.0), max_depth=(10,),
+                max_candidate_num=(5,), param_h=(2,), use_heatmap=(True, False)),
+    SearchSpace(alpha=(1.0,), beta=(10.0, 100.0, 150.0), max_depth=(10,),
+                max_candidate_num=(5, 20, 50, 1000), param_h=(10,), use_heatmap=(False, True)),
+], ids=["full", "192", "8", "24"])
+def test_attributions_match_dict_table_reference(space, kind):
+    gaps = reference_game(space, kind)
+    expected = [[float.hex(phi[name]) for name in PARAM_FIELDS] for phi in reference_attributions(space, gaps)]
+    got = [[float.hex(phi[name]) for name in PARAM_FIELDS] for phi in shapley_for_all_configs(space, gaps)]
+    assert got == expected
+    configs = grid_configs(space)
+    for idx in (0, len(configs) // 2, len(configs) - 1):
+        single = shapley_importance(space, gaps, configs[idx])
+        assert [float.hex(single[name]) for name in PARAM_FIELDS] == expected[idx]
+
+
 #: 8 configs; with use_heatmap off the gaps depend on the search alone.
 SMALL_GRID = SearchSpace(
     alpha=(0.0, 1.0), beta=(10.0, 100.0), max_depth=(10,),
@@ -217,7 +280,7 @@ class TestBenchmarkEvaluator:
         distances = counting(monkeypatch, evalkit, "distance_matrix")
         oracle = counting(monkeypatch, evalkit, "exact_solve")
         evaluator = make_benchmark_evaluator(pair, ZeroSource(), Budget("iters", 50), seed=3)
-        rpt = tune(SMALL_GRID, evaluator, compute_shapley=False)
+        rpt = tune(SMALL_GRID, evaluator)
         assert len(rpt.mean_gaps) == 8
         assert len(distances) == 2
         assert len(oracle) == 2
@@ -227,13 +290,13 @@ class TestBenchmarkEvaluator:
         save_heatmap(softdist_heatmap(distance_matrix(pair[0]), 0.1, 5), path)
         loads = counting(monkeypatch, heatmaps, "load_heatmap")
         evaluator = make_benchmark_evaluator(pair, FileSource(str(path)), Budget("iters", 50), seed=3)
-        tune(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)), evaluator, compute_shapley=False)
+        tune(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)), evaluator)
         assert len(loads) == 2
 
     def test_golden_mean_gaps(self, pair):
         """Pinned bit for bit; preparing once must not change any result."""
         evaluator = make_benchmark_evaluator(pair, ZeroSource(), Budget("iters", 200), seed=3)
-        rpt = tune(SMALL_GRID, evaluator, compute_shapley=False)
+        rpt = tune(SMALL_GRID, evaluator)
         assert [float.hex(g) for g in rpt.mean_gaps] == [
             "0x1.0bb28a6250cc0p+1", "0x1.a1cfefbaf583fp+3", "0x1.0bb28a6250cc0p+1", "0x1.a1cfefbaf583fp+3",
             "0x1.21253fe7e827ep+1", "0x1.45b5be34a3724p+5", "0x1.a892e290a8d04p+0", "0x1.c468fc781132ap+3",
