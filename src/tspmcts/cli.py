@@ -25,6 +25,8 @@ EXIT_CONFIG = 4
 #: tune's grid flags by SearchSpace field; values parse with tuner.FIELD_PARSERS.
 GRID_FLAGS = {"alpha": "--alpha-values", "beta": "--beta-values", "max_depth": "--max-depth-values",
               "max_candidate_num": "--mcn-values", "param_h": "--param-h-values", "use_heatmap": "--use-heatmap-values"}
+#: The results-CSV columns ``report`` reads: two group keys, then three numbers.
+REPORT_COLUMNS = ("heatmap", "config", "length", "gap_pct", "time_s")
 
 
 class UsageError(Exception):
@@ -224,25 +226,34 @@ def cmd_analyze_knn(args) -> int:
     return EXIT_OK
 
 
+def _report_numbers(path: str, line: int, row: dict) -> list[float]:
+    """A results row's length, gap_pct and time_s; a missing field or a malformed number is a config error."""
+    if missing := [col for col in REPORT_COLUMNS if row[col] is None]:
+        raise ValueError(f"{path}: line {line}: missing {', '.join(missing)}")
+    try:
+        return [float(row[col]) for col in REPORT_COLUMNS[2:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
 def cmd_report(args) -> int:
-    groups: dict[tuple[str, str], list[dict]] = {}
+    groups: dict[tuple[str, str], list[list[float]]] = {}
     for path in args.inputs:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            missing = sorted({"heatmap", "config", "length", "gap_pct", "time_s"} - set(reader.fieldnames or ()))
+            missing = sorted(set(REPORT_COLUMNS) - set(reader.fieldnames or ()))
             if missing:
                 raise ValueError(f"{path}: missing columns {', '.join(missing)}")
             for row in reader:
-                groups.setdefault((row["heatmap"], row["config"]), []).append(row)
+                numbers = _report_numbers(path, reader.line_num, row)
+                groups.setdefault((row["heatmap"], row["config"]), []).append(numbers)
     lines = [
         "| Heatmap | Config | Instances | Mean Length | Mean Gap | Mean Time |",
         "|---|---|---|---|---|---|",
     ]
     summaries = []
     for (hm, cfg), rows in groups.items():
-        mean_len = float(np.mean([float(r["length"]) for r in rows]))
-        mean_gap = float(np.mean([float(r["gap_pct"]) for r in rows]))
-        mean_time = float(np.mean([float(r["time_s"]) for r in rows]))
+        mean_len, mean_gap, mean_time = (float(np.mean(col)) for col in zip(*rows))
         summaries.append((mean_gap, hm, cfg, len(rows), mean_len, mean_time))
     for mean_gap, hm, cfg, count, mean_len, mean_time in sorted(summaries):
         lines.append(f"| {hm} | {cfg} | {count} | {mean_len:.4f} | {mean_gap:.2f}% | {mean_time:.2f}s |")
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate instance files")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=positive_int, required=True)
     p.add_argument("--dist", choices=["uniform", "cluster", "explosion", "implosion"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid-search solver hyperparameters")
     p.add_argument("--instances", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--subset", type=int, help="evaluate a random config sample (skips shapley)")
+    p.add_argument("--subset", type=positive_int, help="evaluate a random config sample (skips shapley)")
     for flag in GRID_FLAGS.values():
         p.add_argument(flag, help="comma-separated grid values")
     _add_common_args(p)

@@ -16,11 +16,9 @@ Chains are encoded on a path array where every reconnection is a prefix
 reversal, so intermediate states are always Hamiltonian paths and no
 reconnection can disconnect the tour.
 
-The state is sparse: W and Q exist only on the symmetric union of candidate
-edges, in flat arrays of O(n * max_candidate_num) entries. Row i holds i's
-own candidates first, then the cities that hold i as their candidate; chains
-scan only the own part, while Omega_i sums the whole row. The bookkeeping
-after an accepted move skips the occasional closing edge outside the union.
+The state is sparse: W and Q exist only on the candidate union, beside each
+city's own candidates in (n, max_candidate_num) arrays; Omega_i sums every
+union edge at i. Accepted-move bookkeeping skips a closing edge off the union.
 """
 from __future__ import annotations
 
@@ -101,12 +99,9 @@ class Move:
 class MctsState:
     """Mutable search state owned by a single solver run.
 
-    W, Q and 1/sqrt(Q+1) are flat arrays over the candidate union: entry
-    i * mcn + t for ``candidates[i, t]``, then row i's reverse entries from
-    n * mcn + ``rev_ptr[i]``, one per city in ``rev_cities`` that holds i as a
-    candidate while i does not hold it. Every union edge thus sits once in each
-    of its end rows; ``omega[i]`` is row i's weight sum. The mutators keep both
-    ends and omega in sync."""
+    W, Q and 1/sqrt(Q+1) are (n, mcn) arrays aligned with ``candidates``: edge (i, j)
+    has a slot in row i if j is i's candidate and in row j if i is j's, with equal
+    values. ``omega[i]`` sums W over every union edge at i; the mutators keep slots and omegas in sync."""
 
     n: int
     dm: DistanceMatrix
@@ -115,11 +110,9 @@ class MctsState:
     M: int
     candidates: np.ndarray  # (n, mcn) int32, each row in candidate order
     cand_exp: np.ndarray  # (n, mcn), exp(P_ij) aligned with candidates
-    rev_ptr: np.ndarray  # (n + 1,) int64 row pointers into rev_cities
-    rev_cities: np.ndarray  # int32
-    weights: np.ndarray  # float64, n * mcn own entries then the reverse ones
-    counts: np.ndarray  # int32, aligned with weights
-    qinv: np.ndarray  # float64, aligned with weights
+    weights: np.ndarray  # (n, mcn) float64, aligned with candidates
+    counts: np.ndarray  # (n, mcn) int32
+    qinv: np.ndarray  # (n, mcn) float64
     omega: np.ndarray  # (n,) float64
     best_order: Optional[np.ndarray] = None
     best_length: float = math.inf
@@ -128,9 +121,9 @@ class MctsState:
 
     @cached_property
     def views(self) -> tuple[memoryview, ...]:
-        """Flat views of candidates, rev_ptr, rev_cities, weights, qinv, omega and counts
-        for scalar loops, whose items are Python numbers: faster than numpy scalars."""
-        arrays = (self.candidates, self.rev_ptr, self.rev_cities, self.weights, self.qinv, self.omega, self.counts)
+        """Flat views of candidates, weights, qinv, omega and counts for scalar
+        loops, whose items are Python numbers: faster than numpy scalars."""
+        arrays = (self.candidates, self.weights, self.qinv, self.omega, self.counts)
         return tuple(memoryview(a.reshape(-1)) for a in arrays)
 
 
@@ -140,33 +133,26 @@ def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, val
     block[row_of[a:b] - lo, cols[a:b]] = vals[a:b]
 
 
-def _union_rows(chosen: np.ndarray, own_w: np.ndarray, scratch: np.ndarray):
-    """Row pointers and cities (ascending per row) of the entries row j gains from edges
-    (i, j) with j in ``chosen[i]`` but i not in ``chosen[j]``; all union weights, own
-    block first; and each row's weight sum, omega."""
+def _omega(chosen: np.ndarray, own_w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Each city's weight sum over its union edges: to its own candidates and to the cities holding it."""
     n, mcn = chosen.shape
     flat = chosen.ravel()
     # The one n * mcn temporary: every entry, grouped by its city j. A stable sort: the default
     # introsort maps extra SIMD code into the process, which showed as peak RSS on small instances.
     by_city = np.argsort(flat, kind="stable")
     city_ptr = row_pointers(np.bincount(flat, minlength=n))
-    lengths, cities, weights, omega = np.empty(n, dtype=np.int64), [], [own_w.ravel()], np.empty(n)
+    omega = np.empty(n)
     for lo in range(0, n, scratch.shape[0]):
         hi = min(lo + scratch.shape[0], n)
         block = scratch[: hi - lo]
         into = by_city[city_ptr[lo] : city_ptr[hi]]
         block[flat[into] - lo, into // mcn] = own_w.ravel()[into]
-        np.put_along_axis(block, chosen[lo:hi], 0.0, axis=1)  # leaves the reverse entries
-        lengths[lo:hi] = np.count_nonzero(block, axis=1)
-        r, c = np.nonzero(block)
-        cities.append(c.astype(np.int32))
-        weights.append(block[r, c])
         np.put_along_axis(block, chosen[lo:hi], own_w[lo:hi], axis=1)
         # Summed over full-length rows: numpy's pairwise summation then
         # rounds exactly as for a dense n x n weight matrix.
         block.sum(axis=1, out=omega[lo:hi])
         block.fill(0.0)
-    return row_pointers(lengths), np.concatenate(cities), np.concatenate(weights), omega
+    return omega
 
 
 def init_state(
@@ -192,7 +178,7 @@ def init_state(
 
     Rows are processed in blocks over one dense scratch block of about
     ``BLOCK_ELEMS`` entries, so the temporaries beyond the O(n * mcn) state
-    are O(BLOCK_ELEMS) plus two (n, mcn) arrays: own weights and an index.
+    are O(BLOCK_ELEMS) plus one (n, mcn) int64 index.
     """
     n = inst.n
     if hm.n != n or dm.n != n or ranks.n != n:
@@ -234,7 +220,7 @@ def init_state(
         p_edge = np.maximum(p_own, np.take_along_axis(block, chosen[lo:hi], axis=1))
         block.fill(0.0)
         own_w[lo:hi] = np.where(p_edge > 0.0, 100.0 * p_edge, 1.0)
-    rev_ptr, rev_cities, weights, omega = _union_rows(chosen, own_w, scratch)
+    omega = _omega(chosen, own_w, scratch)  # first: its n * mcn sort index is freed before Q is allocated
     return MctsState(
         n=n,
         dm=dm,
@@ -243,71 +229,72 @@ def init_state(
         M=0,
         candidates=chosen,
         cand_exp=cand_exp,
-        rev_ptr=rev_ptr,
-        rev_cities=rev_cities,
-        weights=weights,
-        counts=np.zeros(weights.size, dtype=np.int32),
-        qinv=np.ones(weights.size),  # 1/sqrt(Q+1) with Q = 0
+        weights=own_w,
+        counts=np.zeros((n, mcn), dtype=np.int32),
+        qinv=np.ones((n, mcn)),  # 1/sqrt(Q+1) with Q = 0
         omega=omega,
     )
 
 
 def _find(state: MctsState, i: int, j: int) -> int:
-    """The flat index of edge (i, j) in row i, or -1 off the candidate union."""
-    views = state.views
-    n, mcn = state.candidates.shape
+    """The flat index of j among i's own candidates, or -1 if i does not hold j."""
+    mcn = state.candidates.shape[1]
     if mcn > WIDE_ROW:
         t = int(np.argmax(state.candidates[i] == j))  # the first hit, or 0 for none
-        if state.candidates[i, t] == j:
-            return i * mcn + t
-    elif j in (own := views[0][i * mcn : i * mcn + mcn].tolist()):
-        return i * mcn + own.index(j)
-    lo, hi = views[1][i], views[1][i + 1]
-    reverse = views[2][lo:hi].tolist()
-    return n * mcn + lo + reverse.index(j) if j in reverse else -1
+        return i * mcn + t if state.candidates[i, t] == j else -1
+    own = state.views[0][i * mcn : i * mcn + mcn].tolist()
+    own.append(j)  # a sentinel: one scan finds j, at index mcn if i does not hold it
+    return i * mcn + t if (t := own.index(j)) < mcn else -1
+
+
+def _slots(state: MctsState, i: int, j: int) -> tuple[int, ...]:
+    """Edge (i, j)'s flat indices in rows i and j: two if mutual, one if one-way, none off the union."""
+    slots = (_find(state, i, j), _find(state, j, i))
+    return slots if -1 not in slots else tuple(t for t in slots if t >= 0)
+
+
+def _edge(state: MctsState, i: int, j: int) -> int:
+    """The flat index of one slot of edge (i, j), or -1 off the candidate union."""
+    return t if (t := _find(state, i, j)) >= 0 else _find(state, j, i)
 
 
 def weight(state: MctsState, i: int, j: int) -> float:
     """W_ij; zero off the candidate union."""
-    return 0.0 if (t := _find(state, i, j)) < 0 else state.views[3][t]
+    return 0.0 if (t := _edge(state, i, j)) < 0 else state.views[1][t]
 
 
 def visits(state: MctsState, i: int, j: int) -> int:
     """Q_ij; zero off the candidate union."""
-    return 0 if (t := _find(state, i, j)) < 0 else state.views[6][t]
+    return 0 if (t := _edge(state, i, j)) < 0 else state.views[4][t]
 
 
-def _slots(state: MctsState, i: int, j: int) -> tuple[int, int]:
-    """The flat indices of edge (i, j) in row i and in row j, or (-1, -1) off the candidate union."""
-    ti = _find(state, i, j)
-    return (ti, _find(state, j, i)) if ti >= 0 else (-1, -1)
-
-
-def _write_weight(views, i: int, j: int, ti: int, tj: int, w: float) -> None:
-    """W = w at both slots of edge (i, j), keeping omega in sync."""
-    weights, omega = views[3], views[5]
-    change = w - weights[ti]
-    weights[ti] = weights[tj] = w
+def _write_weight(views, i: int, j: int, slots: tuple[int, ...], w: float) -> None:
+    """W = w at the slots of edge (i, j), keeping omega in sync at both ends."""
+    weights, omega = views[1], views[3]
+    change = w - weights[slots[0]]
+    for t in slots:
+        weights[t] = w
     omega[i] += change
     omega[j] += change
 
 
-def _count_access(views, ti: int, tj: int) -> None:
-    """One more access at both slots of an edge: Q and 1/sqrt(Q+1)."""
-    views[6][ti] = views[6][tj] = q = views[6][ti] + 1
-    views[4][ti] = views[4][tj] = 1.0 / math.sqrt(q + 1.0)
+def _count_access(views, slots: tuple[int, ...]) -> None:
+    """One more access at the slots of an edge: Q and 1/sqrt(Q+1)."""
+    q = views[4][slots[0]] + 1
+    for t in slots:
+        views[4][t], views[2][t] = q, 1.0 / math.sqrt(q + 1.0)
 
 
 def _set_weight(state: MctsState, i: int, j: int, w: float) -> None:
     """Symmetric weight write that keeps omega in sync; no-op off the candidate union."""
-    if (slots := _slots(state, i, j))[0] >= 0:
-        _write_weight(state.views, i, j, *slots, w)
+    if slots := _slots(state, i, j):
+        _write_weight(state.views, i, j, slots, w)
 
 
 def _bump_access(state: MctsState, i: int, j: int) -> None:
     """Count one more access of edge (i, j); no-op off the candidate union."""
-    if (slots := _slots(state, i, j))[0] >= 0:
-        _count_access(state.views, *slots)
+    if slots := _slots(state, i, j):
+        _count_access(state.views, slots)
 
 
 def _explore_scale(state: MctsState) -> float:
@@ -324,9 +311,9 @@ def _z(w, omega: float, sl: float, qinv):
 
 def potential(state: MctsState, i: int, j: int) -> float:
     """The UCB-style edge potential Z_ij of a union edge, as chains score it."""
-    if (t := _find(state, i, j)) < 0:
+    if (t := _edge(state, i, j)) < 0:
         raise KeyError(f"({i}, {j}) is not a candidate-union edge")
-    return _z(state.views[3][t], state.views[5][i], _explore_scale(state), state.views[4][t])
+    return _z(state.views[1][t], state.views[3][i], _explore_scale(state), state.views[2][t])
 
 
 def _target_picker(state: MctsState) -> Callable[[int, int, int], int]:
@@ -334,13 +321,13 @@ def _target_picker(state: MctsState) -> Callable[[int, int, int], int]:
     (the smallest city among ties; -1 if none), for the chains of one decision, with W, Q, M fixed."""
     mcn = state.candidates.shape[1]
     sl = _explore_scale(state)
-    cands, omega = state.views[0], state.views[5]
+    cands, omega = state.views[0], state.views[3]
     scored: dict[int, list[tuple[int, float]]] = {}
 
     def pick(head: int, a: int, p1: int) -> int:
         lo, hi = head * mcn, head * mcn + mcn
         if (row := scored.get(head)) is None:
-            z = _z(state.weights[lo:hi], omega[head], sl, state.qinv[lo:hi])
+            z = _z(state.weights[head], omega[head], sl, state.qinv[head])
             if mcn > WIDE_ROW:
                 own = state.candidates[head]
                 z[(own == a) | (own == p1)] = -math.inf
@@ -481,8 +468,8 @@ def _increment(state: MctsState, l_old: float, l_new: float) -> float:
 def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) -> None:
     """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored; no-op off the union."""
     increment, views = _increment(state, l_old, l_new), state.views
-    if (slots := _slots(state, i, j))[0] >= 0:
-        _write_weight(views, i, j, *slots, max(views[3][slots[0]] + increment, W_FLOOR))
+    if slots := _slots(state, i, j):
+        _write_weight(views, i, j, slots, max(views[1][slots[0]] + increment, W_FLOOR))
 
 
 def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tour:
@@ -495,9 +482,9 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
         for i, j in move.removed:
             _bump_access(state, i, j)
         for i, j in move.added:  # one slot lookup serves the count and the weight (separate arrays)
-            if (slots := _slots(state, i, j))[0] >= 0:
-                _count_access(views, *slots)
-                _write_weight(views, i, j, *slots, max(views[3][slots[0]] + increment, W_FLOOR))
+            if slots := _slots(state, i, j):
+                _count_access(views, slots)
+                _write_weight(views, i, j, slots, max(views[1][slots[0]] + increment, W_FLOOR))
         new_tour = Tour(order=move.new_order, length=new_length)
         if new_length < state.best_length:
             state.best_order = np.array(move.new_order)

@@ -38,10 +38,22 @@ def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
     return dm, nearest_neighbor_ranks(dm)
 
 
+#: (state, holders, pointers) of the last state ``union_neighbors`` read: the cities holding
+#: each city as a candidate, ascending, grouped by city; computed once per state.
+_holders: list = [None, None, None]
+
+
 def union_neighbors(state, i: int) -> np.ndarray:
-    """City i's neighbors in the candidate union, in the order of row i's entries."""
-    lo, hi = state.rev_ptr[i : i + 2]
-    return np.concatenate((state.candidates[i], state.rev_cities[lo:hi]))
+    """City i's neighbors in the candidate union: its own candidates in candidate order,
+    then the cities that hold i as a candidate while i does not hold them, ascending."""
+    if _holders[0] is not state:
+        flat = state.candidates.ravel()
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=state.n))))
+        holders = (np.argsort(flat, kind="stable") // state.candidates.shape[1]).astype(np.int32)
+        _holders[:] = state, holders, ptr
+    _, holders, ptr = _holders
+    own, held_by = state.candidates[i], holders[ptr[i] : ptr[i + 1]]
+    return np.concatenate((own, held_by[~np.isin(held_by, own)]))
 
 
 def brute_force_solve(dm: DistanceMatrix) -> Tour:

@@ -56,6 +56,14 @@ class TestGen:
         assert all(r["dist"] == "cluster" for r in rows)
         assert all("cluster" in r["id"] for r in rows)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_usage_error(self, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--n", 8, "--count", count, "--out", tmp_path / "d")
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestSolve:
     def test_zero_heatmap_run(self, instance_dir, tmp_path):
@@ -301,6 +309,15 @@ class TestTune:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "tune").exists()
 
+    def test_subset_below_one_usage_error(self, tmp_path, instance_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
+                "--out-dir", tmp_path / "tune", "--subset", 0)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--subset" in err and "warning" not in err
+        assert not (tmp_path / "tune").exists()
+
 
 class TestAnalyzeKnn:
     def test_oracle_distribution(self, tmp_path, instance_dir):
@@ -378,6 +395,27 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == f"config error: {path}: missing columns {missing}\n"
 
+    def results_csv(self, tmp_path, *rows):
+        path = tmp_path / "res.csv"
+        good = "u0,c,zero,1.5,1.0,50.0,0.1,0"
+        path.write_text("\n".join([",".join(RESULT_CSV_HEADER), good, *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("row, missing", [
+        ("u1,c,zero", "length, gap_pct, time_s"),
+        ("u1,c", "heatmap, length, gap_pct, time_s"),
+        ("u1,c,zero,1.5,1.0,50.0", "time_s"),
+    ])
+    def test_short_row_config_error(self, tmp_path, capsys, row, missing):
+        path = self.results_csv(tmp_path, row)
+        assert run("report", path) == 4
+        assert capsys.readouterr().err == f"config error: {path}: line 3: missing {missing}\n"
+
+    def test_malformed_number_config_error(self, tmp_path, capsys):
+        path = self.results_csv(tmp_path, "u1,c,zero,abc,1.0,50.0,0.1,0")
+        assert run("report", path) == 4
+        assert capsys.readouterr().err == f"config error: {path}: line 3: could not convert string to float: 'abc'\n"
+
 
 def solve_in_child(tmp_path, n, *args):
     """``tspmcts solve`` on one uniform instance in a child process: (exit code, max RSS in KiB)."""
@@ -404,9 +442,10 @@ def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
 
 
 def test_default_candidate_rows_stay_compact(tmp_path):
-    """n=2000 with the default 1000 candidates per city: 2M own entries and
-    their reverse entries in flat arrays. Measured about 122 MB max RSS on a
-    2-CPU host (252 MB with per-row Python lists and slot dicts)."""
+    """n=2000 with the default 1000 candidates per city: 2M own entries in
+    (n, mcn) arrays. Measured about 106 MB max RSS on a 2-CPU host (122 MB
+    with a reverse-entry copy of each one-way edge, 252 MB with per-row
+    Python lists and slot dicts)."""
     code, max_rss = solve_in_child(tmp_path, 2000, "--heatmap", "gtprior:tsp1000")
     assert code == 0
     assert max_rss <= 150 * 1024  # KiB on Linux

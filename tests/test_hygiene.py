@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tspmcts"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tspmcts"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -22,6 +23,38 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def private_definitions(source: str) -> list[str]:
+    """Module-level ``_``-prefixed functions, classes and constants (dunders exempt)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """Names a module reads: as a name, an attribute or an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def dead_private_names(module_sources: list[str], other_sources: list[str]) -> list[str]:
+    """Private module-level names that no module and no other source references."""
+    defined = {name for source in module_sources for name in private_definitions(source)}
+    used = set().union(*(references(source) for source in module_sources + other_sources))
+    return sorted(defined - used)
+
+
 def test_detector():
     source = (
         "from __future__ import annotations\n"
@@ -35,3 +68,23 @@ def test_detector():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_dead_private_detector():
+    module = (
+        "_LIMIT = 3\n_SCALE: float = 2.0\n__all__ = ['f']\n"
+        "def _union_rows(x):\n    return x\n"
+        "def _omega(x):\n    return x * _SCALE\n"
+        "class _Row:\n    pass\n"
+        "def f(x):\n    return _omega(x)\n"
+    )
+    other = "import m\nfrom m import _Row\nprint(m._LIMIT)\n"
+    assert dead_private_names([module], []) == ["_LIMIT", "_Row", "_union_rows"]
+    assert dead_private_names([module], [other]) == ["_union_rows"]
+
+
+def test_no_dead_private_code():
+    """Every private module-level name in the package is used in src, tests or bench."""
+    modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    others = [path.read_text() for folder in ("tests", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    assert dead_private_names(modules, others) == []

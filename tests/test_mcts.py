@@ -113,6 +113,67 @@ class TestInitState:
             init_state(inst, dm, ranks, zero_heatmap(9), MctsParams(), 0)
 
 
+class TestLayout:
+    """W, Q and 1/sqrt(Q+1) sit only beside each city's own candidates."""
+
+    def test_state_bytes_per_candidate_and_city(self):
+        """32 bytes per own candidate (int32 city, float64 exp(P), float64 W, int32 Q,
+        float64 1/sqrt(Q+1)) and 8 per city (omega): no entries for the reverse direction."""
+        n, mcn = 2000, 20
+        inst = generate_uniform(n, 0)
+        dm, ranks = dm_and_ranks(inst)
+        hm = prior_to_heatmap(BUILTIN_PRIORS["tsp1000"], ranks)
+        state = init_state(inst, dm, ranks, hm, MctsParams(max_candidate_num=mcn), 0)
+        assert state.weights.shape == state.counts.shape == state.qinv.shape == (n, mcn)
+        assert sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray)) == 32 * n * mcn + 8 * n
+
+    @pytest.fixture
+    def one_way(self):
+        """A state with random W and Q, and a one-way edge (i, j): j is i's t-th candidate,
+        while i is not among j's candidates."""
+        _, _, state = build_state(generate_uniform(40, 2), MctsParams(max_candidate_num=3, use_heatmap=False))
+        randomize_weights_and_visits(state, np.random.default_rng(5))
+        state.M = 7
+        i, t = next((i, t) for i in range(40) for t in range(3)
+                    if i not in state.candidates[state.candidates[i, t]].tolist())
+        return state, i, int(state.candidates[i, t]), t
+
+    def test_one_way_edge_reads_its_one_slot(self, one_way):
+        state, i, j, t = one_way
+        w, q, qinv = float(state.weights[i, t]), int(state.counts[i, t]), float(state.qinv[i, t])
+        assert weight(state, i, j) == weight(state, j, i) == w
+        assert visits(state, i, j) == visits(state, j, i) == q > 0
+        scale = math.sqrt(math.log(8))
+        for a, b in ((i, j), (j, i)):
+            assert potential(state, a, b) == w * (1.0 / state.omega[a]) + scale * qinv
+
+    def test_one_way_edge_writes_its_one_slot(self, one_way):
+        state, i, j, t = one_way
+        weights, counts, omega = state.weights.copy(), state.counts.copy(), state.omega.copy()
+        _set_weight(state, j, i, 2.5)
+        change = 2.5 - weights[i, t]
+        assert np.argwhere(state.weights != weights).tolist() == [[i, t]] and state.weights[i, t] == 2.5
+        assert np.flatnonzero(state.omega != omega).tolist() == sorted((i, j))
+        assert state.omega[i] == omega[i] + change and state.omega[j] == omega[j] + change
+        _bump_access(state, j, i)
+        assert np.argwhere(state.counts != counts).tolist() == [[i, t]]
+        assert state.counts[i, t] == counts[i, t] + 1
+        assert state.qinv[i, t] == 1.0 / math.sqrt(counts[i, t] + 2.0)
+
+    def test_edge_off_the_union_is_a_no_op(self, one_way):
+        state = one_way[0]
+        a, b = next((a, b) for a in range(40) for b in range(40) if a != b
+                    and b not in state.candidates[a].tolist() and a not in state.candidates[b].tolist())
+        before = [x.copy() for x in (state.weights, state.counts, state.qinv, state.omega)]
+        assert weight(state, a, b) == 0.0 and visits(state, b, a) == 0
+        _set_weight(state, a, b, 3.0)
+        _bump_access(state, b, a)
+        weight_update(state, a, b, 10.0, 9.0)
+        assert all(np.array_equal(x, y) for x, y in zip(before, (state.weights, state.counts, state.qinv, state.omega)))
+        with pytest.raises(KeyError):
+            potential(state, a, b)
+
+
 class TestSampleInitialTour:
     def test_valid_permutation(self):
         inst = generate_uniform(4, 5)
