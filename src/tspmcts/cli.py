@@ -63,11 +63,15 @@ def _flag_value(flag: str, text: str, cast):
         raise UsageError(f"{flag}: {text!r} is not a valid {cast.__name__}") from None
 
 
-def positive_int(text: str) -> int:
-    """An int of at least 1; anything else is a usage error on its flag."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type: an int of at least ``low``; anything else is a usage error on its flag."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a malformed value as "invalid int value"
+    return parse
 
 
 def _instance_files(path: str) -> list[Path]:
@@ -111,7 +115,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-factor", dest="time_factor", type=float, help="wall seconds per city")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="k-opt simulation cap (deterministic)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--jobs", type=int_at_least(1), default=1)
     p.add_argument("--metric", choices=["real", "int"], default="real")
 
 
@@ -127,7 +131,6 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = instances.StructuredParams(
         n_clusters=args.clusters,
         spread=args.spread,
@@ -141,6 +144,8 @@ def cmd_gen(args) -> int:
             inst = instances.generate_uniform(args.n, seed_i)
         else:
             inst = instances.generate_structured(args.n, seed_i, args.dist, params)
+        if i == 0:  # only once an instance is built: a bad parameter leaves no --out behind
+            out.mkdir(parents=True, exist_ok=True)
         fname = f"{i:04d}-{inst.id}.txt"
         (out / fname).write_text(instances.write_native(inst))
         manifest_rows.append([fname, inst.id, inst.n, args.dist, seed_i])
@@ -271,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate instance files")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=positive_int, required=True)
+    p.add_argument("--n", type=int_at_least(3), required=True)
+    p.add_argument("--count", type=int_at_least(1), required=True)
     p.add_argument("--dist", choices=["uniform", "cluster", "explosion", "implosion"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid-search solver hyperparameters")
     p.add_argument("--instances", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--subset", type=positive_int, help="evaluate a random config sample (skips shapley)")
+    p.add_argument("--subset", type=int_at_least(1), help="evaluate a random config sample (skips shapley)")
     for flag in GRID_FLAGS.values():
         p.add_argument(flag, help="comma-separated grid values")
     _add_common_args(p)

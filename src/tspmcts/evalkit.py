@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, Iterable, Optional
@@ -145,6 +144,9 @@ def run_benchmark(prepared: Iterable[Prepared], params: MctsParams, budget: Budg
     args = (prepared, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
     if jobs <= 1:
         return ResultTable(rows=tuple(map(_evaluate_one, *args)))
+    # Imported here: the process pool loads multiprocessing, about 1.5 MB no serial run needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Executor.map would submit, and so prepare, every instance up front; a
     # window of `jobs` in-flight solves bounds the live preparations instead.
     rows, in_flight = [], deque()

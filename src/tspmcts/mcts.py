@@ -109,7 +109,7 @@ class MctsState:
     rng: np.random.Generator
     M: int
     candidates: np.ndarray  # (n, mcn) int32, each row in candidate order
-    cand_exp: np.ndarray  # (n, mcn), exp(P_ij) aligned with candidates
+    cand_exp: np.ndarray  # (n, kh), exp(P_ij) of each row's first kh candidates; 1.0 beyond
     weights: np.ndarray  # (n, mcn) float64, aligned with candidates
     counts: np.ndarray  # (n, mcn) int32
     qinv: np.ndarray  # (n, mcn) float64
@@ -155,6 +155,60 @@ def _omega(chosen: np.ndarray, own_w: np.ndarray, scratch: np.ndarray) -> np.nda
     return omega
 
 
+def _candidate_rows(dm: DistanceMatrix, ranks: RankTable, hm: Heatmap, params: MctsParams, mcn: int,
+                    scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(candidates, exp(P) head, W) of every city, built one scratch block of rows at a time."""
+    n = dm.n
+    step = scratch.shape[0]
+    hm_rows = entry_rows(hm.indptr)
+    by_col = np.argsort(hm.cols, kind="stable")
+    forward = (hm.indptr, hm_rows, hm.cols, hm.probs)  # P[i, j] in row i
+    transposed = (row_pointers(np.bincount(hm.cols, minlength=n)), hm.cols[by_col], hm_rows[by_col],
+                  hm.probs[by_col])  # P[j, i] in row i
+    row_starts = np.arange(0, scratch.size, n)[:, None]
+    positives = np.bincount(hm_rows[hm.probs > 0.0], minlength=n)
+    chosen = np.empty((n, mcn), dtype=np.int32)
+    own_w = np.empty((n, mcn))
+
+    def choose(block: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The candidates of rows lo..hi-1, whose P ``block`` holds."""
+        by_distance = ranks.rows[lo:hi]
+        if ranks.width < n - 1:
+            # Positive heatmap entries per row that the truncated table holds.
+            held = (np.take(block.ravel(), by_distance + row_starts[: hi - lo]) > 0.0).sum(axis=1)
+            if mcn > ranks.width or params.use_heatmap and (held < positives[lo:hi]).any():
+                by_distance = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), n - 1)
+        if not params.use_heatmap:
+            return by_distance[:, :mcn]
+        # block[r, by_distance[r]] as one flat take, about twice as fast as take_along_axis.
+        p_ranked = np.take(block.ravel(), by_distance + row_starts[: hi - lo])
+        return np.take_along_axis(by_distance, np.argsort(-p_ranked, axis=1, kind="stable")[:, :mcn], axis=1)
+
+    def fill(lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of ``chosen`` and ``own_w``; returns their exp(P) up to the last P != 0.
+        ``choose`` and ``fill`` are functions so that their temporaries are freed on return."""
+        block = scratch[: hi - lo]
+        _scatter_rows(block, lo, hi, *forward)
+        chosen[lo:hi] = choose(block, lo, hi)
+        p_own = np.take_along_axis(block, chosen[lo:hi], axis=1)
+        block.fill(0.0)
+        _scatter_rows(block, lo, hi, *transposed)
+        p_edge = np.take_along_axis(block, chosen[lo:hi], axis=1)
+        block.fill(0.0)
+        np.maximum(p_own, p_edge, out=p_edge)
+        own_w[lo:hi] = np.where(p_edge > 0.0, 100.0 * p_edge, 1.0)
+        width = int(np.nonzero(p_own)[1].max(initial=-1)) + 1  # columns up to the last P != 0
+        return np.exp(p_own)[:, :width]
+
+    cand_exp = np.ones((n, 0))
+    for lo in range(0, n, step):
+        head = fill(lo, min(lo + step, n))
+        if (grow := head.shape[1] - cand_exp.shape[1]) > 0:
+            cand_exp = np.pad(cand_exp, ((0, 0), (0, grow)), constant_values=1.0)
+        cand_exp[lo : lo + len(head), : head.shape[1]] = head
+    return chosen, cand_exp, own_w
+
+
 def init_state(
     inst: Instance,
     dm: DistanceMatrix,
@@ -170,7 +224,8 @@ def init_state(
     distance); with ``use_heatmap`` off they are simply the nearest
     neighbors. An edge gets the larger heatmap value of its two directions;
     edges whose value is zero get weight 1.0 so that every weight row keeps
-    positive mass.
+    positive mass. exp(P) is stored up to the last column in which any row
+    has P != 0 (kh columns); beyond it every candidate's exp(P) is exactly 1.0.
 
     The choice is read off the rank table. A block of rows a truncated table
     cannot decide (``max_candidate_num`` exceeds it, or heatmap mass lies
@@ -184,42 +239,8 @@ def init_state(
     if hm.n != n or dm.n != n or ranks.n != n:
         raise ValueError(f"dimension mismatch: instance n={n}, heatmap n={hm.n}, dm n={dm.n}")
     mcn = min(params.max_candidate_num, n - 1)
-    step = max(1, BLOCK_ELEMS // n)
-    scratch = np.zeros((min(step, n), n))  # dense rows over all cities, zero between uses
-    hm_rows = entry_rows(hm.indptr)
-    by_col = np.argsort(hm.cols, kind="stable")
-    forward = (hm.indptr, hm_rows, hm.cols, hm.probs)  # P[i, j] in row i
-    transposed = (row_pointers(np.bincount(hm.cols, minlength=n)), hm.cols[by_col], hm_rows[by_col],
-                  hm.probs[by_col])  # P[j, i] in row i
-    row_starts = np.arange(0, scratch.size, n)[:, None]
-    positives = np.bincount(hm_rows[hm.probs > 0.0], minlength=n)
-    chosen = np.empty((n, mcn), dtype=np.int32)
-    cand_exp = np.empty((n, mcn))
-    own_w = np.empty((n, mcn))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = scratch[: hi - lo]
-        _scatter_rows(block, lo, hi, *forward)
-        by_distance = ranks.rows[lo:hi]
-        if ranks.width < n - 1:
-            # Positive heatmap entries per row that the truncated table holds.
-            held = (np.take(block.ravel(), by_distance + row_starts[: hi - lo]) > 0.0).sum(axis=1)
-            if mcn > ranks.width or params.use_heatmap and (held < positives[lo:hi]).any():
-                by_distance = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), n - 1)
-        if params.use_heatmap:
-            # block[r, by_distance[r]] as one flat take, about twice as fast as take_along_axis.
-            p_ranked = np.take(block.ravel(), by_distance + row_starts[: hi - lo])
-            pick = np.argsort(-p_ranked, axis=1, kind="stable")
-            chosen[lo:hi] = np.take_along_axis(by_distance, pick[:, :mcn], axis=1)
-        else:
-            chosen[lo:hi] = by_distance[:, :mcn]
-        p_own = np.take_along_axis(block, chosen[lo:hi], axis=1)
-        np.exp(p_own, out=cand_exp[lo:hi])
-        block.fill(0.0)
-        _scatter_rows(block, lo, hi, *transposed)
-        p_edge = np.maximum(p_own, np.take_along_axis(block, chosen[lo:hi], axis=1))
-        block.fill(0.0)
-        own_w[lo:hi] = np.where(p_edge > 0.0, 100.0 * p_edge, 1.0)
+    scratch = np.zeros((min(max(1, BLOCK_ELEMS // n), n), n))  # dense rows over all cities, zero between uses
+    chosen, cand_exp, own_w = _candidate_rows(dm, ranks, hm, params, mcn, scratch)
     omega = _omega(chosen, own_w, scratch)  # first: its n * mcn sort index is freed before Q is allocated
     return MctsState(
         n=n,
@@ -353,6 +374,8 @@ def sample_initial_tour(state: MctsState) -> Tour:
     rng = state.rng
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int32)
+    row_exp = np.ones(state.candidates.shape[1])  # exp(P) of one row: its stored head, then 1.0
+    head = row_exp[: state.cand_exp.shape[1]]
     current = int(rng.integers(n))
     order[0] = current
     visited[current] = True
@@ -361,7 +384,8 @@ def sample_initial_tour(state: MctsState) -> Tour:
         open_mask = ~visited[cands]
         if open_mask.any():
             choices = cands[open_mask]
-            cum = np.cumsum(state.cand_exp[current][open_mask])
+            head[...] = state.cand_exp[current]
+            cum = np.cumsum(row_exp[open_mask])
             nxt = int(choices[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
         else:
             # The nearest unvisited city; argmin takes the first, smallest-index, of ties.

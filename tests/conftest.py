@@ -56,6 +56,13 @@ def union_neighbors(state, i: int) -> np.ndarray:
     return np.concatenate((own, held_by[~np.isin(held_by, own)]))
 
 
+def start_weights(state) -> np.ndarray:
+    """exp(P) of every own candidate, (n, mcn): the stored head, then 1.0 for every candidate past it."""
+    full = np.ones(state.candidates.shape)
+    full[:, : state.cand_exp.shape[1]] = state.cand_exp
+    return full
+
+
 def brute_force_solve(dm: DistanceMatrix) -> Tour:
     """Exhaustive enumeration, for cross-checking exact_solve on tiny n."""
     n = dm.n

@@ -64,6 +64,20 @@ class TestGen:
         assert "--count" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("n", [2, 0])
+    def test_n_below_three_usage_error(self, tmp_path, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--n", n, "--count", 1, "--out", tmp_path / "d")
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("dist, flag, value", [("cluster", "--clusters", 0), ("cluster", "--spread", 0),
+                                                   ("explosion", "--radius", 0.6)])
+    def test_bad_structured_parameter_creates_nothing(self, tmp_path, dist, flag, value):
+        assert run("gen", "--n", 8, "--count", 1, "--dist", dist, flag, value, "--out", tmp_path / "d") == 4
+        assert not (tmp_path / "d").exists()
+
 
 class TestSolve:
     def test_zero_heatmap_run(self, instance_dir, tmp_path):
@@ -417,18 +431,29 @@ class TestReport:
         assert capsys.readouterr().err == f"config error: {path}: line 3: could not convert string to float: 'abc'\n"
 
 
+def child_env() -> dict[str, str]:
+    """This environment with the package's source directory first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only ``--jobs`` above 1 needs the process pool: importing the CLI loads no multiprocessing."""
+    code = "import sys, tspmcts.cli; print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def solve_in_child(tmp_path, n, *args):
     """``tspmcts solve`` on one uniform instance in a child process: (exit code, max RSS in KiB)."""
     (tmp_path / "insts").mkdir()
     (tmp_path / "refs").mkdir()
     (tmp_path / "insts" / "u.txt").write_text(write_native(generate_uniform(n, 0)))
     (tmp_path / "refs" / "u.tour").write_text(write_tour(np.arange(n)))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", tmp_path / "insts", "--refs",
             tmp_path / "refs", *args, "--max-iters", "1", "--out", tmp_path / "out.csv"]
     start = time.monotonic()
-    proc = subprocess.Popen([str(a) for a in argv], env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen([str(a) for a in argv], env=child_env(), stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     print(f"n={n} solve: {time.monotonic() - start:.1f} s wall, {usage.ru_maxrss / 1024:.0f} MB max RSS")
     return os.waitstatus_to_exitcode(status), usage.ru_maxrss
@@ -443,9 +468,9 @@ def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
 
 def test_default_candidate_rows_stay_compact(tmp_path):
     """n=2000 with the default 1000 candidates per city: 2M own entries in
-    (n, mcn) arrays. Measured about 106 MB max RSS on a 2-CPU host (122 MB
-    with a reverse-entry copy of each one-way edge, 252 MB with per-row
-    Python lists and slot dicts)."""
+    (n, mcn) arrays. Measured about 88 MB max RSS on a 2-CPU host (106 MB
+    with exp(P) stored for every candidate, 122 MB with a reverse-entry copy
+    of each one-way edge, 252 MB with per-row Python lists and slot dicts)."""
     code, max_rss = solve_in_child(tmp_path, 2000, "--heatmap", "gtprior:tsp1000")
     assert code == 0
     assert max_rss <= 150 * 1024  # KiB on Linux

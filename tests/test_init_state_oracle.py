@@ -25,7 +25,7 @@ from tspmcts.heatmaps import (
 from tspmcts.instances import BLOCK_ELEMS, DistanceMatrix, Instance, Metric, RankTable, nearest_neighbor_ranks
 from tspmcts.mcts import MctsParams, MctsState, init_state, potential, visits, weight
 
-from conftest import dm_and_ranks, union_neighbors
+from conftest import dm_and_ranks, start_weights, union_neighbors
 
 
 def reference_init_state(
@@ -80,7 +80,7 @@ def observe(state: MctsState):
     for i in range(state.n):
         rows.append({j: weight(state, i, j) for j in union_neighbors(state, i).tolist()})
         assert len(rows[i]) == len(union_neighbors(state, i))  # no neighbor twice
-    return state.candidates, state.cand_exp, rows, [float(w) for w in state.omega]
+    return state.candidates, start_weights(state), rows, [float(w) for w in state.omega]
 
 
 def assert_same_state(got, want) -> None:

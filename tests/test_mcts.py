@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspmcts.heatmaps import BUILTIN_PRIORS, make_heatmap, prior_to_heatmap, zero_heatmap
-from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, generate_uniform
+from tspmcts.evalkit import RANK_TABLE_WIDTH
+from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import (
     WIDE_ROW,
     Budget,
@@ -106,6 +107,23 @@ class TestInitState:
         # n=1500) would exceed this.
         assert peak - kept <= 8 * BLOCK_ELEMS * 8 + 4 * n * min(mcn, n - 1) * 8
 
+    def test_wide_row_build_peak(self):
+        """n=500 with the default mcn over the rank table ``prepare`` builds: the build peaks within
+        32 bytes per own candidate plus one scratch block of float64, because each block's
+        temporaries are freed before the next block and before omega's sort index."""
+        n = 500
+        inst = generate_uniform(n, 0)
+        dm = distance_matrix(inst)
+        ranks = nearest_neighbor_ranks(dm, RANK_TABLE_WIDTH)
+        hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
+        tracemalloc.start()
+        try:
+            init_state(inst, dm, ranks, hm, MctsParams(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n * (n - 1) + 8 * BLOCK_ELEMS
+
     def test_dimension_mismatch(self):
         inst = generate_uniform(8, 0)
         dm, ranks = dm_and_ranks(inst)
@@ -118,7 +136,8 @@ class TestLayout:
 
     def test_state_bytes_per_candidate_and_city(self):
         """32 bytes per own candidate (int32 city, float64 exp(P), float64 W, int32 Q,
-        float64 1/sqrt(Q+1)) and 8 per city (omega): no entries for the reverse direction."""
+        float64 1/sqrt(Q+1)) and 8 per city (omega): no entries for the reverse direction.
+        tsp1000 gives every row more than 20 positive entries, so exp(P) is stored in full (kh = mcn)."""
         n, mcn = 2000, 20
         inst = generate_uniform(n, 0)
         dm, ranks = dm_and_ranks(inst)
@@ -126,6 +145,21 @@ class TestLayout:
         state = init_state(inst, dm, ranks, hm, MctsParams(max_candidate_num=mcn), 0)
         assert state.weights.shape == state.counts.shape == state.qinv.shape == (n, mcn)
         assert sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray)) == 32 * n * mcn + 8 * n
+
+    @pytest.mark.parametrize("prior, kh", [("tsp500", 24), (None, 0)])
+    def test_exp_p_stored_for_the_positive_head_only(self, prior, kh):
+        """Full 499-wide rows: 24 bytes per own candidate (city, W, Q, 1/sqrt(Q+1)), 8 per stored
+        exp(P) and 8 per city. exp(P) is kept for the first kh candidates of each row, kh being the
+        most positive heatmap entries of any row (24 for tsp500, none for the Zero heatmap)."""
+        n = 500
+        mcn = n - 1
+        inst = generate_uniform(n, 0)
+        dm, ranks = dm_and_ranks(inst)
+        hm = prior_to_heatmap(BUILTIN_PRIORS[prior], ranks) if prior else zero_heatmap(n)
+        state = init_state(inst, dm, ranks, hm, MctsParams(), 0)
+        assert state.cand_exp.shape == (n, kh)
+        assert sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray)) == \
+            24 * n * mcn + 8 * n * kh + 8 * n
 
     @pytest.fixture
     def one_way(self):
