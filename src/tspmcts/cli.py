@@ -211,7 +211,6 @@ def cmd_analyze_knn(args) -> int:
     for path in _instance_files(args.instances):
         inst = instances.load_instance(path)
         dm = instances.distance_matrix(inst)
-        ranks = instances.nearest_neighbor_ranks(dm)
         if args.oracle:
             tour = tours.exact_solve(dm)
         else:
@@ -221,7 +220,7 @@ def cmd_analyze_knn(args) -> int:
             if not tour_path.exists():
                 raise FileNotFoundError(f"missing tour file: {tour_path}")
             tour = tours.make_tour(tours.parse_tour(tour_path.read_text()), dm)
-        dists.append(knn_stats.per_instance_distribution(ranks, tour))
+        dists.append(knn_stats.per_instance_distribution(dm, tour))
     combined = knn_stats.aggregate(dists)
     knn_stats.write_distribution_csv(combined, args.out)
     if args.emit_prior:

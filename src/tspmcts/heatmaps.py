@@ -86,32 +86,6 @@ def _from_entries(n: int, row_of: np.ndarray, cols: np.ndarray, probs: np.ndarra
                    probs=probs[order])
 
 
-def _validate_entries(n: int, i: int, entries: Sequence[tuple[int, float]]) -> None:
-    seen = set()
-    for j, p in entries:
-        if j == i:
-            raise ValueError(f"self-edge ({i}, {j})")
-        if not 0 <= j < n:
-            raise ValueError(f"neighbor index {j} out of range for n={n}")
-        if j in seen:
-            raise ValueError(f"duplicate neighbor {j} in row {i}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        seen.add(j)
-
-
-def make_heatmap(n: int, rows: Sequence[Sequence[tuple[int, float]]]) -> Heatmap:
-    """Validate per-row (neighbor, probability) entries and sort them canonically."""
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-    for i, entries in enumerate(rows):
-        _validate_entries(n, i, entries)
-    row_of = np.repeat(np.arange(n), [len(entries) for entries in rows])
-    cols = np.array([j for entries in rows for j, _ in entries], dtype=np.int32)
-    probs = np.array([p for entries in rows for _, p in entries], dtype=np.float64)
-    return _from_entries(n, row_of, cols, probs)
-
-
 @dataclass(frozen=True)
 class PriorVector:
     """Edge probability by neighbor rank; ranks beyond the truncation are 0."""
@@ -166,18 +140,18 @@ BUILTIN_PRIORS: dict[str, PriorVector] = {
 }
 
 
-def build_gt_prior(rank_tables: Sequence[RankTable], tours: Sequence[Tour]) -> PriorVector:
+def build_gt_prior(dms: Sequence[DistanceMatrix], tours: Sequence[Tour]) -> PriorVector:
     """Average per-instance rank distributions into a prior vector.
 
     Both traversal directions are counted, so each instance contributes 2n
     observations and the result sums to 1. Truncated at the largest rank
     observed anywhere in the corpus.
     """
-    if len(rank_tables) != len(tours):
-        raise ValueError(f"{len(rank_tables)} rank tables vs {len(tours)} tours")
+    if len(dms) != len(tours):
+        raise ValueError(f"{len(dms)} distance matrices vs {len(tours)} tours")
     if not tours:
-        raise ValueError("need at least one (rank table, tour) pair")
-    dists = [per_instance_distribution(rt, t) for rt, t in zip(rank_tables, tours)]
+        raise ValueError("need at least one (distance matrix, tour) pair")
+    dists = [per_instance_distribution(dm, t) for dm, t in zip(dms, tours)]
     return PriorVector(masses=aggregate(dists).masses)
 
 
@@ -235,14 +209,6 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
         counts.append(other.sum(axis=1))
     return Heatmap(n=n, indptr=row_pointers(np.concatenate(counts)), cols=np.concatenate(cols),
                    probs=np.concatenate(probs))
-
-
-def save_heatmap(hm: Heatmap, path) -> None:
-    """Write the text format: header ``n m`` then m lines ``i j p``."""
-    with open(path, "w") as f:
-        f.write(f"{hm.n} {hm.entry_count()}\n")
-        for i, j, p in zip(entry_rows(hm.indptr).tolist(), hm.cols.tolist(), hm.probs.tolist()):
-            f.write(f"{i} {j} {p:.17g}\n")
 
 
 def load_heatmap(path) -> Heatmap:

@@ -64,8 +64,7 @@ class DistanceMatrix:
     """Pairwise distances of a point set, computed from its coordinates on demand.
 
     Every reader evaluates ``sqrt(dx*dx + dy*dy)`` (then nint for EUC2D_INT,
-    as int64), so a distance is bit-identical however it is read. Only the
-    dense ``entries`` holds all n², built on first use.
+    as int64), so a distance is bit-identical however it is read.
     """
 
     metric: Metric
@@ -108,7 +107,11 @@ class DistanceMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense (n, n) matrix, built from ``rows`` in blocks on first use."""
+        """The dense (n, n) matrix, built from ``rows`` in blocks on first use.
+
+        Only ``tours.two_opt`` reads it. Both remain only because ``bench/``
+        builds its reference tours with ``two_opt`` and reads this matrix.
+        """
         n = self.n
         step = max(1, BLOCK_ELEMS // n)
         entries = np.empty((n, n), dtype=np.int64 if self.metric is Metric.EUC2D_INT else np.float64)
@@ -126,15 +129,18 @@ class RankTable:
     """Each city's nearest neighbors by ascending distance (ties by index).
 
     ``rows[i]`` lists the ``width`` cities nearest to i, nearest first: all
-    n-1 others for a full table, a prefix of that order for a truncated one.
-    ``rank_of(i, j)`` returns j's 1-based rank among i's neighbors.
+    n-1 others for a full table, a prefix of that order for a truncated one,
+    so j's 1-based rank among i's neighbors is its position in ``rows[i]`` + 1.
     """
 
     rows: np.ndarray = field(repr=False)  # shape (n, width), int32
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """``inverse[i, j]`` = ``rank_of(i, j)``, 0 off the table; shape (n, n), int32. Built on first use."""
+        """``inverse[i, j]`` = j's 1-based rank from i, 0 off the table; shape (n, n), int32. Built on first use.
+
+        Nothing in the package reads it; it remains only because ``bench/`` does.
+        """
         inverse = np.zeros((self.n, self.n), dtype=np.int32)
         np.put_along_axis(inverse, self.rows, np.arange(1, self.width + 1, dtype=np.int32), axis=1)
         inverse.setflags(write=False)
@@ -150,14 +156,6 @@ class RankTable:
 
     def row(self, i: int) -> np.ndarray:
         return self.rows[i]
-
-    def rank_of(self, i: int, j: int) -> int:
-        if i == j:
-            raise ValueError("rank_of is undefined for i == j")
-        rank = int(self.inverse[i, j])
-        if rank == 0:
-            raise ValueError(f"city {j} is not among the {self.width} nearest neighbors of city {i}")
-        return rank
 
 
 @dataclass(frozen=True)
@@ -281,21 +279,6 @@ def parse_tsplib(text: str) -> Instance:
         pts[idx] = (float(parts[1]), float(parts[2]))
     name = header.get("NAME", "unnamed")
     return Instance(id=name, points=pts, source=f"tsplib({name})")
-
-
-def write_tsplib(inst: Instance) -> str:
-    """Serialize an instance in the TSPLIB EUC_2D subset read by parse_tsplib."""
-    lines = [
-        f"NAME : {inst.id}",
-        "TYPE : TSP",
-        f"DIMENSION : {inst.n}",
-        "EDGE_WEIGHT_TYPE : EUC_2D",
-        "NODE_COORD_SECTION",
-    ]
-    for i, (x, y) in enumerate(inst.points, start=1):
-        lines.append(f"{i} {x:.17g} {y:.17g}")
-    lines.append("EOF")
-    return "\n".join(lines) + "\n"
 
 
 def parse_native(text: str, id: str = "native") -> Instance:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import RankTable
-from .tours import InvalidTourError, Tour
+from .instances import BLOCK_ELEMS, DistanceMatrix, nearest_in_rows
+from .tours import Tour, _check_permutation
 
 
 @dataclass(frozen=True)
@@ -41,22 +41,32 @@ class EmpiricalDistribution:
         return self.masses.shape[0]
 
 
-def rank_counts(ranks: RankTable, order: np.ndarray) -> np.ndarray:
-    """Count successor ranks over both traversal directions of a tour (ValueError beyond a truncated table)."""
-    n = ranks.n
-    order = np.asarray(order)
-    if order.shape != (n,):
-        raise InvalidTourError(f"tour size {order.shape} does not match n={n}")
-    succ = np.roll(order, -1)
-    found = np.concatenate((ranks.inverse[order, succ], ranks.inverse[succ, order]))
-    if not found.all():
-        raise ValueError(f"a tour edge lies beyond the {ranks.width} neighbors of the rank table")
-    return np.bincount(found - 1, minlength=n - 1).astype(np.int64)
+def rank_counts(dm: DistanceMatrix, order: np.ndarray) -> np.ndarray:
+    """Count successor ranks over both traversal directions of a tour.
+
+    Each city's tour successor and predecessor are found in its full rank
+    row, ranked by ``nearest_in_rows`` as the rank table is, in blocks of
+    ``BLOCK_ELEMS`` entries, so no table is kept.
+    """
+    n = dm.n
+    order = _check_permutation(np.asarray(order), n)
+    succ = np.empty(n, dtype=np.int64)
+    succ[order] = np.roll(order, -1)
+    pred = np.empty(n, dtype=np.int64)
+    pred[order] = np.roll(order, 1)
+    counts = np.zeros(n - 1, dtype=np.int64)
+    step = max(1, BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ranked = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), n - 1)
+        hits = (ranked == succ[lo:hi, None]) | (ranked == pred[lo:hi, None])
+        counts += np.bincount(np.nonzero(hits)[1], minlength=n - 1)
+    return counts
 
 
-def per_instance_distribution(ranks: RankTable, tour: Tour) -> EmpiricalDistribution:
+def per_instance_distribution(dm: DistanceMatrix, tour: Tour) -> EmpiricalDistribution:
     """Rank distribution of one tour, normalized by its 2n selections."""
-    counts = rank_counts(ranks, tour.order)
+    counts = rank_counts(dm, tour.order)
     support = int(np.flatnonzero(counts)[-1]) + 1
     masses = counts[:support] / counts.sum()
     return EmpiricalDistribution(masses=masses, sample_count=1)

@@ -89,7 +89,7 @@ def exact_solve(dm: DistanceMatrix) -> Tour:
     n = dm.n
     if n > EXACT_SOLVE_MAX_N:
         raise SizeLimitError(f"exact_solve handles n <= {EXACT_SOLVE_MAX_N}, got {n}")
-    d = dm.entries.astype(np.float64)
+    d = dm.rows(0, n).astype(np.float64)
     m = n - 1  # cities 1..n-1; tours anchored at city 0
     full = 1 << m
     dp = np.full((full, m), np.inf)

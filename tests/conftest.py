@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tspmcts.heatmaps import Heatmap, _from_entries, entry_rows
 from tspmcts.instances import DistanceMatrix, Instance, Metric, distance_matrix, nearest_neighbor_ranks
 from tspmcts.tours import SizeLimitError, Tour, make_tour
 
@@ -36,6 +37,28 @@ def circle_instance(n: int) -> Instance:
 def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
     dm = distance_matrix(inst, metric)
     return dm, nearest_neighbor_ranks(dm)
+
+
+def heatmap_from_rows(n: int, rows) -> Heatmap:
+    """A heatmap from per-row lists of (neighbor, probability), each row in canonical (-p, j) order."""
+    row_of = np.repeat(np.arange(n), [len(entries) for entries in rows])
+    cols = np.array([j for entries in rows for j, _ in entries], dtype=np.int32)
+    probs = np.array([p for entries in rows for _, p in entries], dtype=np.float64)
+    return _from_entries(n, row_of, cols, probs)
+
+
+def write_heatmap(hm: Heatmap, path) -> None:
+    """Write the text format ``load_heatmap`` reads: header ``n m``, then m lines ``i j p``."""
+    lines = [f"{hm.n} {hm.entry_count()}"]
+    lines += [f"{i} {j} {p:.17g}" for i, j, p in zip(entry_rows(hm.indptr).tolist(), hm.cols.tolist(), hm.probs.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def tsplib_text(inst: Instance) -> str:
+    """The instance as a TSPLIB EUC_2D file, coordinates exact to the bit (``%.17g``)."""
+    lines = [f"NAME : {inst.id}", "TYPE : TSP", f"DIMENSION : {inst.n}", "EDGE_WEIGHT_TYPE : EUC_2D", "NODE_COORD_SECTION"]
+    lines += [f"{i} {x:.17g} {y:.17g}" for i, (x, y) in enumerate(inst.points.tolist(), start=1)]
+    return "\n".join(lines + ["EOF"]) + "\n"
 
 
 #: (state, holders, pointers) of the last state ``union_neighbors`` read: the cities holding

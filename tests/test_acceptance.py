@@ -39,14 +39,12 @@ def report(criterion: int, text: str) -> None:
 def oracle_corpus():
     """200 uniform n=12 instances solved exactly, plus build time."""
     start = time.monotonic()
-    rank_tables, tours = [], []
+    dms, tours = [], []
     for i in range(CORPUS_SIZE):
-        inst = generate_uniform(CORPUS_N, 10_000 + i)
-        dm = distance_matrix(inst)
-        ranks = nearest_neighbor_ranks(dm)
-        rank_tables.append(ranks)
+        dm = distance_matrix(generate_uniform(CORPUS_N, 10_000 + i))
+        dms.append(dm)
         tours.append(exact_solve(dm))
-    return rank_tables, tours, time.monotonic() - start
+    return dms, tours, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +100,9 @@ def test_c02_move_correctness():
 
 
 def test_c03_solver_quality_desk_scale(oracle_corpus, held_out_set):
-    rank_tables, tours, corpus_time = oracle_corpus
+    dms, tours, corpus_time = oracle_corpus
     start = time.monotonic()
-    prior = build_gt_prior(rank_tables, tours)
+    prior = build_gt_prior(dms, tours)
     gaps_gt, gaps_zero = [], []
     for idx, (inst, dm, ranks, opt_len) in enumerate(held_out_set):
         hm = prior_to_heatmap(prior, ranks)
@@ -125,9 +123,9 @@ def test_c03_solver_quality_desk_scale(oracle_corpus, held_out_set):
 
 
 def test_c04_tuning_dominance(oracle_corpus, held_out_set):
-    rank_tables, tours, _ = oracle_corpus
+    dms, tours, _ = oracle_corpus
     start = time.monotonic()
-    prior = build_gt_prior(rank_tables, tours)
+    prior = build_gt_prior(dms, tours)
     instances = [inst for inst, _, _, _ in held_out_set]
     space = SearchSpace(
         alpha=(0.0, 1.0), beta=(10.0, 100.0), max_depth=(10, 50),
@@ -158,9 +156,9 @@ def test_c05_published_vectors():
 
 
 def test_c06_knn_locality(oracle_corpus):
-    rank_tables, tours, corpus_time = oracle_corpus
+    dms, tours, corpus_time = oracle_corpus
     start = time.monotonic()
-    dists = [per_instance_distribution(rt, t) for rt, t in zip(rank_tables, tours)]
+    dists = [per_instance_distribution(dm, t) for dm, t in zip(dms, tours)]
     combined = aggregate(dists)
     top5 = cumulative_mass(combined, 5)
     elapsed = time.monotonic() - start + corpus_time

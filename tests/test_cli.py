@@ -12,7 +12,8 @@ from tspmcts import tuner
 from tspmcts.cli import main
 from tspmcts.evalkit import RESULT_CSV_HEADER
 from tspmcts.heatmaps import load_prior
-from tspmcts.instances import generate_uniform, load_instance, write_native
+from tspmcts.instances import distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
+from tspmcts.knn_stats import EmpiricalDistribution, write_distribution_csv
 from tspmcts.tours import exact_solve, two_opt, make_tour, write_tour
 
 from conftest import circle_instance, dm_and_ranks
@@ -444,24 +445,55 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def solve_in_child(tmp_path, n, *args):
-    """``tspmcts solve`` on one uniform instance in a child process: (exit code, max RSS in KiB)."""
-    (tmp_path / "insts").mkdir()
-    (tmp_path / "refs").mkdir()
-    (tmp_path / "insts" / "u.txt").write_text(write_native(generate_uniform(n, 0)))
-    (tmp_path / "refs" / "u.tour").write_text(write_tour(np.arange(n)))
-    argv = [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", tmp_path / "insts", "--refs",
-            tmp_path / "refs", *args, "--max-iters", "1", "--out", tmp_path / "out.csv"]
+#: Starts the CLI on its arguments and prints the CLI's exit code and its own max RSS (KiB on
+#: Linux). A child's ``ru_maxrss`` starts at the RSS of the process that forked it, so the CLI
+#: is forked from this small interpreter rather than from the test process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "tspmcts.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def cli_in_child(tmp_path, *argv):
+    """``tspmcts *argv`` in a grandchild process: (exit code, the CLI's own max RSS in KiB)."""
     start = time.monotonic()
-    proc = subprocess.Popen([str(a) for a in argv], env=child_env(), stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    print(f"n={n} solve: {time.monotonic() - start:.1f} s wall, {usage.ru_maxrss / 1024:.0f} MB max RSS")
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *map(str, argv)], env=child_env(), cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    code, max_rss = map(int, proc.stdout.split())
+    print(f"tspmcts {argv[0]}: {time.monotonic() - start:.1f} s wall, {max_rss / 1024:.0f} MB max RSS")
+    return code, max_rss
+
+
+def one_instance(tmp_path, n, order):
+    """Uniform instance ``u`` (seed 0) in tmp_path/insts, with ``order`` as its tour ``u.tour`` in tmp_path/tours."""
+    (tmp_path / "insts").mkdir()
+    (tmp_path / "tours").mkdir()
+    inst = generate_uniform(n, 0)
+    (tmp_path / "insts" / "u.txt").write_text(write_native(inst))
+    (tmp_path / "tours" / "u.tour").write_text(write_tour(order))
+    return inst
+
+
+def solve_one(tmp_path, n, *args):
+    """``tspmcts solve`` for one iteration on one uniform instance, its identity tour as reference."""
+    one_instance(tmp_path, n, np.arange(n))
+    return cli_in_child(tmp_path, "solve", "--instances", tmp_path / "insts", "--refs", tmp_path / "tours",
+                        *args, "--max-iters", 1, "--out", tmp_path / "out.csv")
+
+
+def test_launcher_reads_the_cli_not_the_test_process(tmp_path):
+    """Holding 200 MB here must not show in the child's reading."""
+    ballast = np.ones(200 * 2**20 // 8)
+    code, max_rss = cli_in_child(tmp_path, "--help")
+    assert code == 0
+    assert ballast.sum() > 0 and max_rss <= 100 * 1024
 
 
 def test_solve_at_paper_scale_in_bounded_memory(tmp_path):
     """One uniform n=10000 instance through ``tspmcts solve`` in a child process."""
-    code, max_rss = solve_in_child(tmp_path, 10_000, "--heatmap", "gtprior:tsp10000", "--max-candidate-num", "20")
+    code, max_rss = solve_one(tmp_path, 10_000, "--heatmap", "gtprior:tsp10000", "--max-candidate-num", "20")
     assert code == 0
     assert max_rss <= 1024 * 1024  # KiB on Linux: 1 GB
 
@@ -471,6 +503,33 @@ def test_default_candidate_rows_stay_compact(tmp_path):
     (n, mcn) arrays. Measured about 88 MB max RSS on a 2-CPU host (106 MB
     with exp(P) stored for every candidate, 122 MB with a reverse-entry copy
     of each one-way edge, 252 MB with per-row Python lists and slot dicts)."""
-    code, max_rss = solve_in_child(tmp_path, 2000, "--heatmap", "gtprior:tsp1000")
+    code, max_rss = solve_one(tmp_path, 2000, "--heatmap", "gtprior:tsp1000")
     assert code == 0
     assert max_rss <= 150 * 1024  # KiB on Linux
+
+
+def test_analyze_knn_at_paper_scale_in_bounded_memory(tmp_path):
+    """``analyze-knn`` ranks tour edges from blocks of distance rows: at n=10000 the
+    full rank table and its inverse (400 MB each) are never built. Measured about
+    35 MB max RSS on a 2-CPU host, against 797 MB with the inverse."""
+    one_instance(tmp_path, 10_000, np.random.default_rng(0).permutation(10_000))
+    code, max_rss = cli_in_child(tmp_path, "analyze-knn", "--instances", tmp_path / "insts",
+                                 "--tours", tmp_path / "tours", "--out", tmp_path / "knn.csv")
+    assert code == 0
+    assert max_rss <= 100 * 1024  # KiB on Linux
+
+
+def test_analyze_knn_matches_the_rank_inverse(tmp_path):
+    """At n=2000 the CSV equals one counted from the full rank table's n x n inverse."""
+    n = 2000
+    order = np.random.default_rng(1).permutation(n)
+    inst = one_instance(tmp_path, n, order)
+    assert run("analyze-knn", "--instances", tmp_path / "insts", "--tours", tmp_path / "tours",
+               "--out", tmp_path / "knn.csv") == 0
+    inverse = nearest_neighbor_ranks(distance_matrix(inst)).inverse
+    succ = np.roll(order, -1)
+    counts = np.bincount(np.concatenate((inverse[order, succ], inverse[succ, order])) - 1, minlength=n - 1)
+    support = int(np.flatnonzero(counts)[-1]) + 1
+    expected = EmpiricalDistribution(masses=counts[:support] / counts.sum(), sample_count=1)
+    write_distribution_csv(expected, tmp_path / "expected.csv")
+    assert (tmp_path / "knn.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()

@@ -176,3 +176,10 @@ def test_prepare_and_solve_take_o_nk_memory():
     # 12 MB at n=2000 (about 9.4 MB measured): one full int32 rank table
     # (16 MB) or the dense float64 distances (32 MB) would exceed it.
     assert peak <= 200 * n * RANK_TABLE_WIDTH
+
+
+def test_oracle_reference_builds_no_dense_distances():
+    """The Held-Karp reference reads one block of distance rows, not the cached n x n matrix."""
+    prep = prepare(generate_uniform(12, 4), None, ZeroSource())
+    assert prep.reference_length == exact_solve(prep.dm).length
+    assert "entries" not in prep.dm.__dict__

@@ -11,28 +11,21 @@ from tspmcts.heatmaps import (
     build_gt_prior,
     load_heatmap,
     load_prior,
-    make_heatmap,
     prior_to_heatmap,
-    save_heatmap,
     save_prior,
     softdist_heatmap,
     zero_heatmap,
 )
-from tspmcts.instances import Instance, Metric, generate_uniform
+from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform
 from tspmcts.tours import exact_solve, make_tour
 
-from conftest import circle_instance, dm_and_ranks
+from conftest import circle_instance, dm_and_ranks, heatmap_from_rows, write_heatmap
 
 
 def oracle_corpus(count, n, seed0):
-    """Rank tables and exact tours for small uniform instances."""
-    rank_tables, tours = [], []
-    for i in range(count):
-        inst = generate_uniform(n, seed0 + i)
-        dm, ranks = dm_and_ranks(inst)
-        rank_tables.append(ranks)
-        tours.append(exact_solve(dm))
-    return rank_tables, tours
+    """Distance matrices and exact tours for small uniform instances."""
+    dms = [distance_matrix(generate_uniform(n, seed0 + i)) for i in range(count)]
+    return dms, [exact_solve(dm) for dm in dms]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -62,24 +55,23 @@ class TestBuildGtPrior:
     def test_circle_mass_at_first_two_ranks(self):
         # On a circle each tour neighbor is a rank-1 neighbor up to ties,
         # which the index rule can push to rank 2; nothing goes beyond.
-        inst = circle_instance(12)
-        dm, ranks = dm_and_ranks(inst)
+        dm = distance_matrix(circle_instance(12))
         tour = make_tour(np.arange(12), dm)
-        prior = build_gt_prior([ranks], [tour])
+        prior = build_gt_prior([dm], [tour])
         assert prior.truncation <= 2
         assert prior.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_small_oracle_corpus_is_local(self):
-        rank_tables, tours = oracle_corpus(30, 12, 5000)
-        prior = build_gt_prior(rank_tables, tours)
+        dms, tours = oracle_corpus(30, 12, 5000)
+        prior = build_gt_prior(dms, tours)
         assert prior.masses.sum() == pytest.approx(1.0, abs=1e-9)
         assert prior.masses[:5].sum() >= 0.85
         assert prior.truncation <= 11
 
     def test_mismatched_lengths(self):
-        rank_tables, tours = oracle_corpus(2, 8, 100)
+        dms, tours = oracle_corpus(2, 8, 100)
         with pytest.raises(ValueError):
-            build_gt_prior(rank_tables[:1], tours)
+            build_gt_prior(dms[:1], tours)
 
 
 class TestPriorToHeatmap:
@@ -105,10 +97,11 @@ class TestPriorToHeatmap:
     def test_circle_prior_round_trip(self):
         inst = circle_instance(10)
         dm, ranks = dm_and_ranks(inst)
-        prior = build_gt_prior([ranks], [make_tour(np.arange(10), dm)])
+        prior = build_gt_prior([dm], [make_tour(np.arange(10), dm)])
         hm = prior_to_heatmap(prior, ranks)
         for i in range(10):
-            assert {ranks.rank_of(i, j) for j, _ in hm.row(i)} <= {1, 2}
+            row = ranks.row(i).tolist()
+            assert {row.index(j) + 1 for j, _ in hm.row(i)} <= {1, 2}
 
     def test_rank_monotonicity(self):
         inst = generate_uniform(30, 2)
@@ -141,7 +134,7 @@ class TestPriorToHeatmap:
 
 class TestHeatmapArrays:
     def test_rows_are_csr_slices(self):
-        hm = make_heatmap(4, [[(2, 0.25), (1, 0.5)], [], [(0, 1.0)], []])
+        hm = heatmap_from_rows(4, [[(2, 0.25), (1, 0.5)], [], [(0, 1.0)], []])
         assert hm.indptr.tolist() == [0, 2, 2, 3, 3]
         assert hm.cols.dtype == np.int32 and hm.cols.tolist() == [1, 2, 0]
         assert hm.probs.dtype == np.float64 and hm.probs.tolist() == [0.5, 0.25, 1.0]
@@ -232,7 +225,7 @@ class TestHeatmapIO:
         dm, _ = dm_and_ranks(inst)
         hm = softdist_heatmap(dm, tau=0.4, k_keep=4)
         path = tmp_path / "hm.txt"
-        save_heatmap(hm, path)
+        write_heatmap(hm, path)
         assert load_heatmap(path) == hm
 
     def test_self_edge_rejected_with_line_number(self, tmp_path):

@@ -88,3 +88,32 @@ def test_no_dead_private_code():
     modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     others = [path.read_text() for folder in ("tests", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
     assert dead_private_names(modules, others) == []
+
+
+def attribute_readers(source: str, attr: str) -> list[str]:
+    """Names of the module-level functions and classes that read ``.attr`` (``<module>`` outside any)."""
+    readers = []
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        readers.extend(owner for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == attr)
+    return sorted(set(readers))
+
+
+def test_attribute_reader_detector():
+    source = (
+        "x = table.entries\n"
+        "def exact(dm):\n    return dm.rows(0, 3)\n"
+        "def two_opt(dm):\n    d = dm.entries\n    return d\n"
+        "class Table:\n    def entries(self):\n        entries = 1\n        return entries\n"
+    )
+    assert attribute_readers(source, "entries") == ["<module>", "two_opt"]
+    assert attribute_readers(source, "inverse") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_dense_tables_stay_out_of_the_package(module):
+    """Nothing reads the n x n rank inverse, and only ``tours.two_opt`` the n x n distances:
+    both tables remain only because the benchmark reads them."""
+    source = (SRC / module).read_text()
+    assert attribute_readers(source, "inverse") == []
+    assert attribute_readers(source, "entries") == (["two_opt"] if module == "tours.py" else [])

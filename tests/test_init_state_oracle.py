@@ -16,16 +16,14 @@ from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
     Heatmap,
     load_heatmap,
-    make_heatmap,
     prior_to_heatmap,
-    save_heatmap,
     softdist_heatmap,
     zero_heatmap,
 )
 from tspmcts.instances import BLOCK_ELEMS, DistanceMatrix, Instance, Metric, RankTable, nearest_neighbor_ranks
 from tspmcts.mcts import MctsParams, MctsState, init_state, potential, visits, weight
 
-from conftest import dm_and_ranks, start_weights, union_neighbors
+from conftest import dm_and_ranks, heatmap_from_rows, start_weights, union_neighbors, write_heatmap
 
 
 def reference_init_state(
@@ -119,7 +117,7 @@ def asymmetric_file_heatmap(inst, ranks, tmp_path):
         picked = dict.fromkeys(int(j) for j in np.concatenate((near, far)) if rng.random() < 0.7)
         rows.append([(j, float(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0]))) for j in picked])
     path = tmp_path / "hm.txt"
-    save_heatmap(make_heatmap(inst.n, rows), path)
+    write_heatmap(heatmap_from_rows(inst.n, rows), path)
     return load_heatmap(path)
 
 

@@ -21,12 +21,11 @@ from tspmcts.instances import (
     parse_native,
     parse_tsplib,
     write_native,
-    write_tsplib,
 )
 from tspmcts.mcts import Budget, MctsParams, solve
 from tspmcts.tours import tour_length
 
-from conftest import dm_and_ranks
+from conftest import dm_and_ranks, tsplib_text
 
 
 class TestGenerateUniform:
@@ -123,7 +122,7 @@ class TestParseTsplib:
     def test_minimal_round_trip(self):
         text = "NAME : tiny\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 0.5 1\n3 1 0\nEOF\n"
         inst = parse_tsplib(text)
-        again = parse_tsplib(write_tsplib(inst))
+        again = parse_tsplib(tsplib_text(inst))
         assert again.id == inst.id
         assert np.array_equal(again.points, inst.points)
 
@@ -190,13 +189,13 @@ class TestNearestNeighborRanks:
         # Middle point is equidistant from both ends: index order breaks the tie.
         assert list(ranks.row(1)) == [0, 2]
 
-    def test_rank_of_inverse_consistency(self):
+    def test_inverse_matches_row_positions(self):
         inst = generate_uniform(25, 3)
         _, ranks = dm_and_ranks(inst)
         for i in range(inst.n):
-            assert ranks.rank_of(i, int(ranks.row(i)[0])) == 1
+            assert ranks.inverse[i, i] == 0
             for k, j in enumerate(ranks.row(i), start=1):
-                assert ranks.rank_of(i, int(j)) == k
+                assert ranks.inverse[i, j] == k
 
     def test_matches_brute_force_sort(self):
         inst = generate_uniform(10, 8)
@@ -291,20 +290,13 @@ class TestBlockedBuild:
         with pytest.raises(ValueError, match="width"):
             nearest_neighbor_ranks(distance_matrix(generate_uniform(5, 0)), 0)
 
-    def test_rank_of_off_a_truncated_table_raises(self):
-        dm = distance_matrix(generate_uniform(10, 0))
-        ranks = nearest_neighbor_ranks(dm, 3)
-        far = int(nearest_neighbor_ranks(dm).row(0)[-1])
-        with pytest.raises(ValueError, match="nearest neighbors"):
-            ranks.rank_of(0, far)
-
     def test_inverse_built_only_on_demand(self):
         prep = prepare(generate_uniform(40, 5), np.arange(40), PriorSource(BUILTIN_PRIORS["tsp500"]))
         solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, MctsParams(), 0, Budget("iters", 200))
         assert "inverse" not in prep.ranks.__dict__
         for i in range(prep.inst.n):
             for k, j in enumerate(prep.ranks.row(i), start=1):
-                assert prep.ranks.rank_of(i, int(j)) == k
+                assert prep.ranks.inverse[i, j] == k
         assert "inverse" in prep.ranks.__dict__
 
     def test_build_memory_stays_near_output_size(self):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspmcts.heatmaps import BUILTIN_PRIORS
-from tspmcts.instances import distance_matrix, generate_uniform, nearest_neighbor_ranks
+from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform
 from tspmcts.knn_stats import (
     EmpiricalDistribution,
     aggregate,
     cumulative_mass,
     per_instance_distribution,
+    rank_counts,
     write_distribution_csv,
 )
-from tspmcts.tours import exact_solve, make_tour
+from tspmcts.tours import InvalidTourError, exact_solve, make_tour
 
 from conftest import circle_instance, dm_and_ranks
 
@@ -21,61 +24,76 @@ def builtin_as_distribution(name):
 
 class TestPerInstanceDistribution:
     def test_square_mass_within_two_ranks(self, unit_square):
-        dm, ranks = dm_and_ranks(unit_square)
-        dist = per_instance_distribution(ranks, make_tour(np.array([0, 1, 2, 3]), dm))
+        dm = distance_matrix(unit_square)
+        dist = per_instance_distribution(dm, make_tour(np.array([0, 1, 2, 3]), dm))
         assert dist.support <= 2
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_masses_sum_to_one(self):
-        inst = generate_uniform(15, 21)
-        dm, ranks = dm_and_ranks(inst)
+        dm = distance_matrix(generate_uniform(15, 21))
         rng = np.random.default_rng(0)
-        dist = per_instance_distribution(ranks, make_tour(rng.permutation(15), dm))
+        dist = per_instance_distribution(dm, make_tour(rng.permutation(15), dm))
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_directed_step_enumeration(self):
         inst = generate_uniform(10, 33)
         dm, ranks = dm_and_ranks(inst)
         tour = exact_solve(dm)
-        dist = per_instance_distribution(ranks, tour)
-        # Walk the 20 directed steps by hand and tally ranks independently.
+        dist = per_instance_distribution(dm, tour)
+        # Walk the 20 directed steps by hand and tally ranks from the table's rows.
+        rank = [{int(j): k for k, j in enumerate(ranks.row(i), start=1)} for i in range(10)]
         counts = {}
         order = list(tour.order)
         for t in range(10):
             i, j = order[t], order[(t + 1) % 10]
-            counts[ranks.rank_of(i, j)] = counts.get(ranks.rank_of(i, j), 0) + 1
-            counts[ranks.rank_of(j, i)] = counts.get(ranks.rank_of(j, i), 0) + 1
+            counts[rank[i][j]] = counts.get(rank[i][j], 0) + 1
+            counts[rank[j][i]] = counts.get(rank[j][i], 0) + 1
         assert sum(counts.values()) == 20
         for k, c in counts.items():
             assert dist.masses[k - 1] == pytest.approx(c / 20, abs=1e-12)
 
-    def test_truncated_table_counts_exactly_or_raises(self):
-        from tspmcts.knn_stats import rank_counts
-
-        inst = generate_uniform(40, 5)
-        dm = distance_matrix(inst)
-        order = np.random.default_rng(0).permutation(40)
-        expected = rank_counts(nearest_neighbor_ranks(dm), order)
-        raised = 0
-        for width in range(1, 40):
-            try:
-                counts = rank_counts(nearest_neighbor_ranks(dm, width), order)
-            except ValueError as exc:
-                assert "beyond" in str(exc)
-                raised += 1
-            else:
-                assert np.array_equal(counts, expected)
-        # The longest rank on the tour decides: narrower tables raise, wider ones count.
-        assert raised == int(np.flatnonzero(expected)[-1])
+    def test_edges_beyond_a_truncated_table_count_exactly(self):
+        """A random tour reaches far past the 30 ranks that ``prepare`` keeps; every rank is counted."""
+        dm, ranks = dm_and_ranks(generate_uniform(200, 5))
+        order = np.random.default_rng(0).permutation(200)
+        expected = np.zeros(199, dtype=np.int64)
+        for a, b in zip(order, np.roll(order, -1)):
+            expected[np.flatnonzero(ranks.row(a) == b)] += 1
+            expected[np.flatnonzero(ranks.row(b) == a)] += 1
+        counts = rank_counts(dm, order)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        assert counts[30:].sum() > 0
 
     def test_invalid_tour(self):
-        inst = generate_uniform(8, 1)
-        dm, ranks = dm_and_ranks(inst)
-        from tspmcts.knn_stats import rank_counts
-        from tspmcts.tours import InvalidTourError
-
+        dm = distance_matrix(generate_uniform(8, 1))
         with pytest.raises(InvalidTourError):
-            rank_counts(ranks, np.array([0, 1, 2]))
+            rank_counts(dm, np.array([0, 1, 2]))
+        with pytest.raises(InvalidTourError):
+            rank_counts(dm, np.array([0, 1, 1, 2, 3, 4, 5, 6]))
+
+
+@st.composite
+def grid_tours(draw):
+    """(points, tour order) on a small integer grid: duplicate cities and tied distances."""
+    n = draw(st.integers(3, 24))
+    points = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n))
+    return np.array(points, dtype=np.float64), np.array(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_tours(), st.sampled_from(list(Metric)))
+def test_rank_counts_match_per_row_sort(case, metric):
+    points, order = case
+    n = len(order)
+    dm = distance_matrix(Instance(id="grid", points=points), metric)
+    expected = np.zeros(n - 1, dtype=np.int64)
+    for t in range(n):
+        a, b = int(order[t]), int(order[(t + 1) % n])
+        for i, j in ((a, b), (b, a)):
+            ranked = sorted((c for c in range(n) if c != i), key=lambda c: (dm[i, c], c))
+            expected[ranked.index(j)] += 1
+    assert np.array_equal(rank_counts(dm, order), expected)
 
 
 class TestAggregate:
@@ -139,9 +157,8 @@ class TestCumulativeMass:
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_circle_cumulative_two_is_one(self):
-        inst = circle_instance(9)
-        dm, ranks = dm_and_ranks(inst)
-        dist = per_instance_distribution(ranks, exact_solve(dm))
+        dm = distance_matrix(circle_instance(9))
+        dist = per_instance_distribution(dm, exact_solve(dm))
         assert cumulative_mass(dist, 2) == pytest.approx(1.0, abs=1e-12)
 
 

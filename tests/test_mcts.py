@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import BUILTIN_PRIORS, make_heatmap, prior_to_heatmap, zero_heatmap
+from tspmcts.heatmaps import BUILTIN_PRIORS, prior_to_heatmap, zero_heatmap
 from tspmcts.evalkit import RANK_TABLE_WIDTH
 from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import (
@@ -32,7 +32,7 @@ from tspmcts.mcts import (
 )
 from tspmcts.tours import exact_solve, make_tour, tour_length
 
-from conftest import dm_and_ranks, union_neighbors
+from conftest import dm_and_ranks, heatmap_from_rows, union_neighbors
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -66,7 +66,7 @@ class TestInitState:
 
     def test_single_entry_heatmap_weight(self):
         inst = generate_uniform(6, 1)
-        hm = make_heatmap(6, [[(1, 0.8)], [], [], [], [], []])
+        hm = heatmap_from_rows(6, [[(1, 0.8)], [], [], [], [], []])
         _, _, state = build_state(inst, hm=hm)
         assert weight(state, 0, 1) == pytest.approx(80.0)
         assert weight(state, 1, 0) == pytest.approx(80.0)

@@ -7,9 +7,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import PriorVector, load_heatmap, load_prior, make_heatmap, save_heatmap, save_prior
-from tspmcts.instances import Instance, parse_native, parse_tsplib, write_native, write_tsplib
+from tspmcts.heatmaps import PriorVector, load_heatmap, load_prior, save_prior
+from tspmcts.instances import Instance, parse_native, parse_tsplib, write_native
 from tspmcts.tours import parse_tour, write_tour
+
+from conftest import heatmap_from_rows, tsplib_text, write_heatmap
 
 #: Probabilities: a few exact values (so rows have ties) or any float in [0, 1].
 probabilities = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -38,9 +40,9 @@ def instances(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(heatmap_rows())
-def test_make_heatmap_sorts_rows_by_descending_probability_then_neighbor(case):
+def test_heatmap_rows_sort_by_descending_probability_then_neighbor(case):
     n, rows = case
-    hm = make_heatmap(n, rows)
+    hm = heatmap_from_rows(n, rows)
     assert hm.entry_count() == sum(len(entries) for entries in rows)
     for i, entries in enumerate(rows):
         assert hm.row(i) == tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
@@ -53,15 +55,15 @@ def test_make_heatmap_sorts_rows_by_descending_probability_then_neighbor(case):
 @given(heatmap_rows())
 def test_heatmap_file_round_trip(case):
     n, rows = case
-    hm = make_heatmap(n, rows)
+    hm = heatmap_from_rows(n, rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hm.txt"
-        save_heatmap(hm, path)
+        write_heatmap(hm, path)
         again = load_heatmap(path)
         assert again == hm
         assert [again.row(i) for i in range(n)] == [hm.row(i) for i in range(n)]
         resaved = Path(tmp) / "again.txt"
-        save_heatmap(again, resaved)
+        write_heatmap(again, resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
 
@@ -88,11 +90,11 @@ def test_native_round_trip_is_exact(inst):
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_tsplib_round_trip_is_exact(inst):
-    text = write_tsplib(inst)
+    text = tsplib_text(inst)
     again = parse_tsplib(text)
     assert again.id == inst.id
     assert again.points.tobytes() == inst.points.tobytes()
-    assert write_tsplib(again) == text
+    assert tsplib_text(again) == text
 
 
 @settings(max_examples=100, deadline=None)

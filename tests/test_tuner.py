@@ -7,7 +7,7 @@ import pytest
 
 from tspmcts import evalkit, heatmaps
 from tspmcts.evalkit import Budget
-from tspmcts.heatmaps import FileSource, ZeroSource, save_heatmap, softdist_heatmap
+from tspmcts.heatmaps import FileSource, ZeroSource, softdist_heatmap
 from tspmcts.instances import distance_matrix, generate_uniform
 from tspmcts.mcts import MctsParams
 from tspmcts.tuner import (
@@ -25,6 +25,8 @@ from tspmcts.tuner import (
     tune,
     write_params_file,
 )
+
+from conftest import write_heatmap
 
 
 class TestGridConfigs:
@@ -287,7 +289,7 @@ class TestBenchmarkEvaluator:
 
     def test_file_heatmap_loaded_once_per_instance(self, pair, tmp_path, monkeypatch):
         path = tmp_path / "hm.txt"
-        save_heatmap(softdist_heatmap(distance_matrix(pair[0]), 0.1, 5), path)
+        write_heatmap(softdist_heatmap(distance_matrix(pair[0]), 0.1, 5), path)
         loads = counting(monkeypatch, heatmaps, "load_heatmap")
         evaluator = make_benchmark_evaluator(pair, FileSource(str(path)), Budget("iters", 50), seed=3)
         tune(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)), evaluator)
