@@ -114,7 +114,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heatmap", required=True, help="zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH")
     p.add_argument("--time-factor", dest="time_factor", type=float, help="wall seconds per city")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="k-opt simulation cap (deterministic)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--jobs", type=int_at_least(1), default=1)
     p.add_argument("--metric", choices=["real", "int"], default="real")
 
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int_at_least(3), required=True)
     p.add_argument("--count", type=int_at_least(1), required=True)
     p.add_argument("--dist", choices=["uniform", "cluster", "explosion", "implosion"], default="uniform")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--clusters", type=int, default=5)
     p.add_argument("--spread", type=float, default=0.05)

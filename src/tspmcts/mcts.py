@@ -9,8 +9,9 @@ neighbor with the highest potential
     Z_ij = W_ij / Omega_i + alpha * sqrt(ln(M + 1) / (Q_ij + 1)),
 
 then closed back into a cycle. Improving moves are applied and reinforce the
-weights of their new edges; non-improving rounds restart from a freshly
-sampled tour while the best tour found so far is retained.
+weights of their new edges; non-improving rounds, and moves that gain less
+than ``IMPROVE_REL`` of the tour length, restart from a freshly sampled tour
+while the best tour found so far is retained.
 
 Chains are encoded on a path array where every reconnection is a prefix
 reversal, so intermediate states are always Hamiltonian paths and no
@@ -23,6 +24,7 @@ union edge at i. Accepted-move bookkeeping skips a closing edge off the union.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +34,7 @@ import numpy as np
 
 from .heatmaps import Heatmap, entry_rows, row_pointers
 from .instances import BLOCK_ELEMS, DistanceMatrix, Instance, RankTable, nearest_in_rows
-from .tours import SolveResult, Tour
+from .tours import SolveResult, Tour, canonical_order, tour_length
 
 #: Lower bound kept on every candidate-edge weight so row sums stay positive.
 W_FLOOR = 1e-6
@@ -40,6 +42,9 @@ W_FLOOR = 1e-6
 #: Python lists. On a 2-CPU host a numpy scan took ~9-14 us at any width, a list
 #: scan ~1.5 us + ~0.15-0.2 us per entry: they cross at 60-80 entries.
 WIDE_ROW = 64
+#: A move is accepted only if it shortens the tour by more than this share of its length:
+#: a smaller change is floating-point noise in the accumulated deltas.
+IMPROVE_REL = 1e-12
 
 
 class DegenerateRowError(ValueError):
@@ -106,7 +111,7 @@ class MctsState:
     n: int
     dm: DistanceMatrix
     params: MctsParams
-    rng: np.random.Generator
+    rng: random.Random
     M: int
     candidates: np.ndarray  # (n, mcn) int32, each row in candidate order
     cand_exp: np.ndarray  # (n, kh), exp(P_ij) of each row's first kh candidates; 1.0 beyond
@@ -118,6 +123,7 @@ class MctsState:
     best_length: float = math.inf
     restarts: int = 0
     simulations: int = 0
+    noise_rejects: int = 0
 
     @cached_property
     def views(self) -> tuple[memoryview, ...]:
@@ -133,33 +139,35 @@ def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, val
     block[row_of[a:b] - lo, cols[a:b]] = vals[a:b]
 
 
-def _omega(chosen: np.ndarray, own_w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Each city's weight sum over its union edges: to its own candidates and to the cities holding it."""
+def _omega(chosen: np.ndarray, own_w: np.ndarray) -> np.ndarray:
+    """Each city's weight sum over its union edges: its own row, plus the one-way entries of the cities holding it."""
     n, mcn = chosen.shape
-    flat = chosen.ravel()
-    # The one n * mcn temporary: every entry, grouped by its city j. A stable sort: the default
-    # introsort maps extra SIMD code into the process, which showed as peak RSS on small instances.
-    by_city = np.argsort(flat, kind="stable")
-    city_ptr = row_pointers(np.bincount(flat, minlength=n))
-    omega = np.empty(n)
-    for lo in range(0, n, scratch.shape[0]):
-        hi = min(lo + scratch.shape[0], n)
-        block = scratch[: hi - lo]
-        into = by_city[city_ptr[lo] : city_ptr[hi]]
-        block[flat[into] - lo, into // mcn] = own_w.ravel()[into]
-        np.put_along_axis(block, chosen[lo:hi], own_w[lo:hi], axis=1)
-        # Summed over full-length rows: numpy's pairwise summation then
-        # rounds exactly as for a dense n x n weight matrix.
-        block.sum(axis=1, out=omega[lo:hi])
-        block.fill(0.0)
+    omega = own_w.sum(axis=1)
+    if mcn >= n - 1:
+        return omega  # every row holds every other city: each edge is mutual
+    step = max(1, BLOCK_ELEMS // mcn)
+    # The one n * mcn temporary: entry (i, j) as the key i * n + j, each row sorted, so ascending overall.
+    keys = np.empty((n, mcn), dtype=np.int64)
+    for lo in range(0, n, step):
+        keys[lo : lo + step] = np.sort(chosen[lo : lo + step], axis=1) + np.arange(lo, min(lo + step, n))[:, None] * n
+    keys = keys.ravel()
+    for lo in range(0, n, step):
+        cols = chosen[lo : lo + step].ravel()
+        back = cols * np.int64(n) + np.arange(lo, lo + cols.size // mcn).repeat(mcn)  # the key of (j, i)
+        # Looked up in ascending order, the searches walk ``keys`` front to back: several times faster.
+        by_key = np.argsort(back)
+        back = back[by_key]
+        by_key = by_key[keys[np.searchsorted(keys, back).clip(max=keys.size - 1)] != back]  # j does not hold i
+        omega += np.bincount(cols[by_key], weights=own_w[lo : lo + step].ravel()[by_key], minlength=n)
     return omega
 
 
-def _candidate_rows(dm: DistanceMatrix, ranks: RankTable, hm: Heatmap, params: MctsParams, mcn: int,
-                    scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _candidate_rows(dm: DistanceMatrix, ranks: RankTable, hm: Heatmap, params: MctsParams,
+                    mcn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(candidates, exp(P) head, W) of every city, built one scratch block of rows at a time."""
     n = dm.n
-    step = scratch.shape[0]
+    step = min(max(1, BLOCK_ELEMS // n), n)
+    scratch = np.zeros((step, n))  # dense rows over all cities, zero between uses
     hm_rows = entry_rows(hm.indptr)
     by_col = np.argsort(hm.cols, kind="stable")
     forward = (hm.indptr, hm_rows, hm.cols, hm.probs)  # P[i, j] in row i
@@ -232,21 +240,21 @@ def init_state(
     beyond it) is ranked in full from ``dm.rows``, and the ranking dropped.
 
     Rows are processed in blocks over one dense scratch block of about
-    ``BLOCK_ELEMS`` entries, so the temporaries beyond the O(n * mcn) state
-    are O(BLOCK_ELEMS) plus one (n, mcn) int64 index.
+    ``BLOCK_ELEMS`` entries, freed before Omega is summed from the (n, mcn)
+    arrays, so the temporaries beyond the O(n * mcn) state are
+    O(BLOCK_ELEMS) plus one (n, mcn) int64 index.
     """
     n = inst.n
     if hm.n != n or dm.n != n or ranks.n != n:
         raise ValueError(f"dimension mismatch: instance n={n}, heatmap n={hm.n}, dm n={dm.n}")
     mcn = min(params.max_candidate_num, n - 1)
-    scratch = np.zeros((min(max(1, BLOCK_ELEMS // n), n), n))  # dense rows over all cities, zero between uses
-    chosen, cand_exp, own_w = _candidate_rows(dm, ranks, hm, params, mcn, scratch)
-    omega = _omega(chosen, own_w, scratch)  # first: its n * mcn sort index is freed before Q is allocated
+    chosen, cand_exp, own_w = _candidate_rows(dm, ranks, hm, params, mcn)
+    omega = _omega(chosen, own_w)  # first: its n * mcn key index is freed before Q is allocated
     return MctsState(
         n=n,
         dm=dm,
         params=params,
-        rng=np.random.default_rng(seed),
+        rng=random.Random(seed),
         M=0,
         candidates=chosen,
         cand_exp=cand_exp,
@@ -339,7 +347,7 @@ def potential(state: MctsState, i: int, j: int) -> float:
 
 def _target_picker(state: MctsState) -> Callable[[int, int, int], int]:
     """``pick(head, a, p1)``: head's own candidate of highest potential other than ``a`` and ``p1``
-    (the smallest city among ties; -1 if none), for the chains of one decision, with W, Q, M fixed."""
+    (the first in candidate order among ties; -1 if none), for the chains of one decision, with W, Q, M fixed."""
     mcn = state.candidates.shape[1]
     sl = _explore_scale(state)
     cands, omega = state.views[0], state.views[3]
@@ -352,12 +360,12 @@ def _target_picker(state: MctsState) -> Callable[[int, int, int], int]:
             if mcn > WIDE_ROW:
                 own = state.candidates[head]
                 z[(own == a) | (own == p1)] = -math.inf
-                return int(own[z == z.max()].min())
+                return int(own[np.argmax(z)])  # a wide row always keeps a candidate
             # Numpy's per-call cost dominates short rows: keep their scores as Python floats.
             row = scored[head] = list(zip(cands[lo:hi].tolist(), z.tolist()))
         best_z, target = -math.inf, -1
         for j, z in row:
-            if j != a and j != p1 and (z > best_z or z == best_z and j < target):
+            if z > best_z and j != a and j != p1:
                 best_z, target = z, j
         return target
 
@@ -371,12 +379,11 @@ def sample_initial_tour(state: MctsState) -> Tour:
     which guarantees completion.
     """
     n = state.n
-    rng = state.rng
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int32)
     row_exp = np.ones(state.candidates.shape[1])  # exp(P) of one row: its stored head, then 1.0
     head = row_exp[: state.cand_exp.shape[1]]
-    current = int(rng.integers(n))
+    current = state.rng.randrange(n)
     order[0] = current
     visited[current] = True
     for t in range(1, n):
@@ -386,7 +393,7 @@ def sample_initial_tour(state: MctsState) -> Tour:
             choices = cands[open_mask]
             head[...] = state.cand_exp[current]
             cum = np.cumsum(row_exp[open_mask])
-            nxt = int(choices[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+            nxt = int(choices[np.searchsorted(cum, state.rng.random() * cum[-1], side="right")])
         else:
             # The nearest unvisited city; argmin takes the first, smallest-index, of ties.
             open_cities = np.flatnonzero(~visited)
@@ -466,20 +473,15 @@ def generate_kopt_move(state: MctsState, tour: Tour) -> Optional[Move]:
     best: Optional[tuple[float, list[int], list, list]] = None
     for _ in range(state.params.param_h):
         state.simulations += 1
-        draw = int(state.rng.integers(2 * n))
+        draw = state.rng.randrange(2 * n)
         a = draw >> 1
         chain = _sample_chain(state, pick, order_list, pos[a], a, bool(draw & 1))
         if chain is not None and (best is None or chain[0] < best[0]):
             best = chain
     if best is None:
         return None
-    delta, new_order, add_edges, rem_edges = best
-    return Move(
-        new_order=np.array(new_order, dtype=np.int32),
-        delta=delta,
-        added=tuple(add_edges),
-        removed=tuple(rem_edges),
-    )
+    delta, new_order, added, removed = best
+    return Move(np.array(new_order, dtype=np.int32), delta, tuple(added), tuple(removed))
 
 
 def _increment(state: MctsState, l_old: float, l_new: float) -> float:
@@ -497,8 +499,9 @@ def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) 
 
 
 def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tour:
-    """Apply an improving move (with bookkeeping) or restart from a sample."""
-    if move is not None and move.delta < 0.0:
+    """Apply a move that shortens the tour by more than ``IMPROVE_REL`` of its length (with
+    bookkeeping), or restart from a sample; a smaller gain counts as a noise reject."""
+    if move is not None and move.delta < -IMPROVE_REL * tour.length:
         assert len(set(move.new_order.tolist())) == state.n, "move broke the permutation"
         new_length = tour.length + move.delta
         state.M += 1
@@ -514,6 +517,7 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
             state.best_order = np.array(move.new_order)
             state.best_length = new_length
         return new_tour
+    state.noise_rejects += move is not None and move.delta < 0.0
     state.restarts += 1
     return sample_initial_tour(state)
 
@@ -537,26 +541,17 @@ def solve(
     start = time.monotonic()
     state = init_state(inst, dm, ranks, hm, params, seed)
     tour = sample_initial_tour(state)
-    if budget.mode == "wall":
-        deadline = start + budget.value * inst.n
-
-        def budget_left() -> bool:
-            return time.monotonic() < deadline
-
-    else:
-        max_iters = int(budget.value)
-
-        def budget_left() -> bool:
-            return state.simulations < max_iters
-
-    while budget_left():
+    wall, deadline, max_iters = budget.mode == "wall", start + budget.value * inst.n, int(budget.value)
+    while time.monotonic() < deadline if wall else state.simulations < max_iters:
         move = generate_kopt_move(state, tour)
         tour = accept_or_restart(state, tour, move)
-    best = Tour(order=state.best_order, length=state.best_length)
+    # Summed from the canonical order, not accumulated from deltas: equal tours report equal lengths.
+    best = canonical_order(state.best_order)
     return SolveResult(
-        best_tour=best,
+        best_tour=Tour(order=best, length=tour_length(best, dm)),
         wall_time=time.monotonic() - start,
         restarts=state.restarts,
         moves_accepted=state.M,
         simulations=state.simulations,
+        noise_rejects=state.noise_rejects,
     )

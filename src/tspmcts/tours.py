@@ -46,6 +46,8 @@ class SolveResult:
     restarts: int
     moves_accepted: int
     simulations: int = 0
+    #: Moves rejected because they shortened the tour only by floating-point noise.
+    noise_rejects: int = 0
 
 
 def _check_permutation(order: np.ndarray, n: int) -> np.ndarray:

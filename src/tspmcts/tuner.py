@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -154,9 +155,8 @@ def tune(space: SearchSpace, evaluator: ConfigEvaluator, subset: int | None = No
     if subset is not None:
         if subset < 1:
             raise ValueError("subset must be >= 1")
-        rng = np.random.default_rng(subset_seed)
-        picks = sorted(rng.choice(len(configs), size=min(subset, len(configs)), replace=False))
-        configs = [configs[i] for i in picks]
+        picks = random.Random(subset_seed).sample(range(len(configs)), min(subset, len(configs)))
+        configs = [configs[i] for i in sorted(picks)]
     gaps = [evaluator(cfg) for cfg in configs]
     best_idx = min(range(len(configs)), key=gaps.__getitem__)
     default_key = config_key(DEFAULT_PARAMS)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import BUILTIN_PRIORS, prior_to_heatmap, zero_heatmap
-from tspmcts.evalkit import RANK_TABLE_WIDTH
+from tspmcts.heatmaps import BUILTIN_PRIORS, load_heatmap, prior_to_heatmap, softdist_heatmap, zero_heatmap
+from tspmcts.evalkit import RANK_TABLE_WIDTH, prepare, run_benchmark
 from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import (
+    IMPROVE_REL,
     WIDE_ROW,
     Budget,
     MctsParams,
     MctsState,
     W_FLOOR,
     _bump_access,
+    _omega,
     _sample_chain,
     _target_picker,
     _set_weight,
@@ -32,7 +35,7 @@ from tspmcts.mcts import (
 )
 from tspmcts.tours import exact_solve, make_tour, tour_length
 
-from conftest import dm_and_ranks, heatmap_from_rows, union_neighbors
+from conftest import dm_and_ranks, heatmap_from_rows, union_neighbors, write_heatmap
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -206,6 +209,120 @@ class TestLayout:
         assert all(np.array_equal(x, y) for x, y in zip(before, (state.weights, state.counts, state.qinv, state.omega)))
         with pytest.raises(KeyError):
             potential(state, a, b)
+
+
+#: n at which the number of scratch-block rows, BLOCK_ELEMS // n, crosses n.
+SQUARE = math.isqrt(BLOCK_ELEMS)
+
+#: (n, metric, heatmap) of the set-up checks: every n meets two heatmaps, every heatmap both metrics.
+CASES = [
+    (3, Metric.EUC2D_REAL, "prior"), (3, Metric.EUC2D_INT, "file"),
+    (12, Metric.EUC2D_INT, "zero"), (12, Metric.EUC2D_REAL, "softdist"),
+    (12, Metric.EUC2D_REAL, "file"), (12, Metric.EUC2D_INT, "prior"),
+    (SQUARE - 1, Metric.EUC2D_REAL, "zero"), (SQUARE - 1, Metric.EUC2D_INT, "file"),
+    (SQUARE, Metric.EUC2D_INT, "softdist"), (SQUARE, Metric.EUC2D_REAL, "prior"),
+    (SQUARE + 1, Metric.EUC2D_REAL, "file"), (SQUARE + 1, Metric.EUC2D_INT, "prior"),
+    (600, Metric.EUC2D_INT, "zero"), (600, Metric.EUC2D_REAL, "softdist"),
+]
+CASE_IDS = [f"n{n}-{m.name}-{k}" for n, m, k in CASES]
+
+
+def asymmetric_file_heatmap(inst, ranks, tmp_path):
+    """A heatmap read from a file: tied values, explicit zeros, one-way entries."""
+    rng = np.random.default_rng(inst.n)
+    rows = []
+    for i in range(inst.n):
+        near = ranks.row(i)[: min(8, inst.n - 1)]
+        far = rng.choice(ranks.row(i), size=min(3, inst.n - 1), replace=False)
+        picked = dict.fromkeys(int(j) for j in np.concatenate((near, far)) if rng.random() < 0.7)
+        rows.append([(j, float(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0]))) for j in picked])
+    path = tmp_path / "hm.txt"
+    write_heatmap(heatmap_from_rows(inst.n, rows), path)
+    return load_heatmap(path)
+
+
+def case_inputs(n, metric, kind, tmp_path):
+    """(instance, dm, full rank table, heatmap) of one set-up case."""
+    rng = np.random.default_rng(n)
+    # A coarse grid at small n gives tied distances, hence tied ranks.
+    pts = np.floor(rng.random((n, 2)) * 8) if n <= 12 else rng.random((n, 2)) * 1000
+    inst = Instance(id="t", points=pts)
+    dm, ranks = dm_and_ranks(inst, metric)
+    if kind == "zero":
+        hm = zero_heatmap(n)
+    elif kind == "prior":
+        hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
+    elif kind == "softdist":
+        hm = softdist_heatmap(dm, tau=0.05 * float(dm.rows(0, n).max()), k_keep=12)
+    else:
+        hm = asymmetric_file_heatmap(inst, ranks, tmp_path)
+    return inst, dm, ranks, hm
+
+
+def case_states(n, metric, kind, tmp_path):
+    """(params, table, state) for mcn 1, 5, 20 and n - 1, with and without the heatmap, over
+    the full rank table (table 0), then tables 5 and 20 wide (tables 1 and 2)."""
+    inst, dm, ranks, hm = case_inputs(n, metric, kind, tmp_path)
+    tables = [ranks] + [nearest_neighbor_ranks(dm, width) for width in (5, 20)]
+    for mcn in (1, 5, 20, n - 1):
+        for use_heatmap in (True, False):
+            params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
+            for k, table in enumerate(tables):
+                yield params, k, init_state(inst, dm, table, hm, params, seed=n)
+
+
+STATE_ARRAYS = ("candidates", "cand_exp", "weights", "counts", "qinv", "omega")
+
+
+@pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
+def test_truncated_table_builds_the_same_state(n, metric, kind, tmp_path):
+    """mcn below, at and above the table width; prior, softdist and file heatmaps reach beyond it.
+    Every array of the state agrees byte for byte with the full table's, and each state draws
+    from ``random.Random(seed)``."""
+    for _, table, got in case_states(n, metric, kind, tmp_path):
+        if table == 0:
+            want = [getattr(got, name) for name in STATE_ARRAYS]
+        for name, a in zip(STATE_ARRAYS, want):
+            b = getattr(got, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+        assert got.rng.random() == random.Random(n).random()
+
+
+@pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
+def test_omega_is_the_fsum_of_union_weights(n, metric, kind, tmp_path):
+    """Omega_i, summed from the (n, mcn) arrays, equals math.fsum over i's union edges: its own
+    candidates, then every city holding i that i does not hold. A mutual edge has one weight."""
+    for _, _, state in case_states(n, metric, kind, tmp_path):
+        own = [dict(zip(c, w)) for c, w in zip(state.candidates.tolist(), state.weights.tolist())]
+        union = [dict(row) for row in own]
+        for i, row in enumerate(own):
+            for j, w in row.items():
+                assert own[j].get(i, w) == w
+                union[j].setdefault(i, w)
+        want = np.array([math.fsum(row.values()) for row in union])
+        assert np.all(np.abs(state.omega - want) <= 1e-12 * want)
+
+
+def test_omega_temporaries_stay_one_index():
+    """Beyond its result, Omega allocates one n * mcn int64 key index and block-sized arrays:
+    no dense row, no n x n array and no second index. Rows are offset sets, so that about
+    half of the edges are one-way."""
+    n, mcn = 4000, 300
+    rng = np.random.default_rng(0)
+    offsets = rng.permutation(np.arange(1, n))[:mcn]
+    chosen = ((np.arange(n)[:, None] + offsets) % n).astype(np.int32)
+    own_w = rng.random((n, mcn))
+    tracemalloc.start()
+    try:
+        omega = _omega(chosen, own_w)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 8 * n * mcn + 8 * 8 * BLOCK_ELEMS
+    one_way = ~np.isin(n - offsets, offsets)
+    assert 0 < one_way.sum() < mcn
+    want = own_w.sum(axis=1) + np.bincount(chosen[:, one_way].ravel(), weights=own_w[:, one_way].ravel(), minlength=n)
+    assert np.allclose(omega, want, rtol=1e-12, atol=0.0)
 
 
 class TestSampleInitialTour:
@@ -385,18 +502,19 @@ class TestSolve:
 
         state = mk(inst, dm, ranks, zero_heatmap(18), MctsParams(max_candidate_num=5), 4)
         tour = sample_initial_tour(state)
-        accepted = 0
+        accepted = noise = 0
         for _ in range(400):
             move = generate_kopt_move(state, tour)
             if move is not None and move.delta < 0:
-                accepted += 1
+                accepted += move.delta < -IMPROVE_REL * tour.length
+                noise += move.delta >= -IMPROVE_REL * tour.length
             tour = accept_or_restart(state, tour, move)
         for i in range(18):
             for j in range(18):
                 assert weight(state, i, j) == weight(state, j, i)
                 assert visits(state, i, j) == visits(state, j, i)
                 assert weight(state, i, j) >= 0 and visits(state, i, j) >= 0
-        assert state.M == accepted
+        assert state.M == accepted and state.noise_rejects == noise
         rows = [[weight(state, i, j) for j in union_neighbors(state, i).tolist()] for i in range(18)]
         kept = [w for row in rows for w in row if w > 0]
         assert min(kept) >= W_FLOOR - 1e-18
@@ -428,6 +546,7 @@ def golden_solve(n, seed, iters, metric=Metric.EUC2D_REAL, scale=1.0, prior=None
     hm = prior_to_heatmap(BUILTIN_PRIORS[prior], ranks) if prior else zero_heatmap(n)
     result = solve(inst, dm, ranks, hm, MctsParams(**params), seed, Budget("iters", iters))
     order = np.asarray(result.best_tour.order, dtype=np.int32)
+    assert result.best_tour.length == tour_length(order, dm)  # summed from the tour, not from deltas
     digest = hashlib.sha256(order.tobytes()).hexdigest()[:16]
     return float.hex(result.best_tour.length), result.moves_accepted, result.restarts, digest
 
@@ -438,21 +557,21 @@ def golden_solve(n, seed, iters, metric=Metric.EUC2D_REAL, scale=1.0, prior=None
 #: re-records them and says so.
 GOLDEN = [
     (dict(n=12, seed=1, iters=2000, alpha=0.0, max_candidate_num=5),
-     ("0x1.6cb6f15c8e86dp+1", 194, 6, "0aa4f01dcb9c554b")),
+     ("0x1.6cb6f15c8e8a8p+1", 127, 73, "1f96d5b713ae2b7d")),
     (dict(n=12, seed=1, iters=2000, alpha=0.0, max_candidate_num=1000),
-     ("0x1.80d0776329a3bp+1", 192, 8, "ecdde4cd101a2c0f")),
+     ("0x1.6cb6f15c8e8a8p+1", 145, 55, "1f96d5b713ae2b7d")),
     (dict(n=12, seed=1, iters=2000, alpha=1.0, max_candidate_num=5),
-     ("0x1.6cb6f15c8e89bp+1", 170, 30, "a4af9d11299a2a45")),
+     ("0x1.6cb6f15c8e8a8p+1", 147, 53, "1f96d5b713ae2b7d")),
     (dict(n=12, seed=1, iters=2000, alpha=1.0, max_candidate_num=1000),
-     ("0x1.aef1f78f70303p+1", 170, 30, "5de08aa9428572f5")),
+     ("0x1.7d76b10948516p+1", 161, 39, "8908d2da3ff5814d")),
     (dict(n=60, seed=2, iters=6000, metric=Metric.EUC2D_INT, scale=1000.0, prior="tsp500",
           max_candidate_num=30),
-     ("0x1.d820000000000p+12", 541, 59, "641e072590537c88")),
+     ("0x1.1818000000000p+13", 539, 61, "1400cb13cf814a28")),
     # Zero heatmap with use_heatmap on: every potential in a row ties.
     (dict(n=100, seed=3, iters=4000, use_heatmap=True),
-     ("0x1.070c3cc9eab5ep+5", 383, 17, "297b5d90ddec1258")),
+     ("0x1.a37807229903bp+3", 390, 10, "9e393c9162f1e569")),
     (dict(n=200, seed=4, iters=8000, prior="tsp500", max_candidate_num=20),
-     ("0x1.9f58450017290p+3", 753, 47, "d2de23c87485628f")),
+     ("0x1.ccdf0f14995d2p+3", 752, 48, "fac0edaca0a840c3")),
 ]
 
 
@@ -465,8 +584,8 @@ def test_golden_trajectory(case, expected):
 def test_chain_picks_potential_argmax(seed, kind):
     """A depth-1 chain reconnects to the argmax of potential() over the head's
     own candidates, skipping ``a`` and the path successor; ties go to the
-    smaller city index. The first 25 trials (n < 40) take the list scan; the
-    last three have rows wider than WIDE_ROW, which take the numpy scan."""
+    first in candidate order. The first 25 trials (n < 40) take the list scan;
+    the last three have rows wider than WIDE_ROW, which take the numpy scan."""
     rng = np.random.default_rng(seed)
     for trial in range(28):
         wide = trial >= 25
@@ -499,8 +618,61 @@ def test_chain_picks_potential_argmax(seed, kind):
             if not eligible:
                 assert chain is None
                 continue
-            expected = max(eligible, key=lambda j: (potential(state, head, j), -j))
+            best = max(potential(state, head, j) for j in eligible)
+            expected = next(j for j in eligible if potential(state, head, j) == best)
             assert chain[2][0] == (head, expected)
+
+
+@pytest.mark.parametrize("n, mcn", [(30, 5), (WIDE_ROW + 16, 1000)], ids=["list-scan", "numpy-scan"])
+def test_tied_potentials_pick_the_first_candidate(n, mcn):
+    """With the Zero heatmap at M = 0 every potential in a row ties: the chain takes the first
+    candidate in row order (the nearest city) that it may take, not the smallest city index."""
+    _, _, state = build_state(generate_uniform(n, 3), MctsParams(max_candidate_num=mcn))
+    pick = _target_picker(state)
+    index_rule_differs = 0
+    for head in range(n):
+        row = state.candidates[head].tolist()
+        assert len({potential(state, head, j) for j in row}) == 1
+        assert pick(head, row[0], row[1]) == row[2]
+        assert pick(head, -1, row[0]) == row[1]
+        index_rule_differs += row[2] != min(row[2:])
+    assert index_rule_differs > n // 2
+
+
+def test_accepts_only_real_improvements():
+    """n=12 over 2000 simulations: many chains close on a tour of the same length, which the
+    accumulated deltas show as a tiny negative change. Every accepted move shortens the tour by
+    more than IMPROVE_REL of its length; the others restart and count as noise rejects."""
+    inst = generate_uniform(12, 1)
+    dm, ranks = dm_and_ranks(inst)
+    params = MctsParams(alpha=0.0, max_candidate_num=5)
+    state = init_state(inst, dm, ranks, zero_heatmap(12), params, 1)
+    tour = sample_initial_tour(state)
+    noise = 0
+    while state.simulations < 2000:  # solve's loop, observed
+        move = generate_kopt_move(state, tour)
+        accepted = state.M
+        next_tour = accept_or_restart(state, tour, move)
+        if state.M > accepted:
+            assert move.delta < -IMPROVE_REL * tour.length
+        elif move is not None and move.delta < 0.0:
+            noise += 1
+        tour = next_tour
+    assert state.noise_rejects == noise > 0
+    result = solve(inst, dm, ranks, zero_heatmap(12), params, 1, Budget("iters", 2000))
+    assert (result.moves_accepted, result.noise_rejects) == (state.M, noise)
+
+
+def test_optimal_run_reports_a_gap_of_exactly_zero():
+    """n=9 runs that reach the Held-Karp optimum report its length bit for bit: the best tour's
+    length is summed from its canonical order, as the oracle sums its own tour's."""
+    for seed in range(5):
+        prep = prepare(generate_uniform(9, seed), None, lambda inst, dm, ranks: zero_heatmap(inst.n))
+        result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, MctsParams(), seed, Budget("iters", 2000))
+        assert np.array_equal(result.best_tour.order, exact_solve(prep.dm).order)
+        row = run_benchmark([prep], MctsParams(), Budget("iters", 2000), seed=seed).rows[0]
+        assert row.solver_length == row.reference_length
+        assert row.gap_percent == 0.0 and math.copysign(1.0, row.gap_percent) == 1.0
 
 
 @st.composite
