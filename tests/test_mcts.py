@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import BUILTIN_PRIORS, load_heatmap, prior_to_heatmap, softdist_heatmap, zero_heatmap
+from tspmcts.heatmaps import BUILTIN_PRIORS, prior_to_heatmap, zero_heatmap
 from tspmcts.evalkit import RANK_TABLE_WIDTH, prepare, run_benchmark
 from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import (
@@ -35,7 +34,7 @@ from tspmcts.mcts import (
 )
 from tspmcts.tours import exact_solve, make_tour, tour_length
 
-from conftest import dm_and_ranks, heatmap_from_rows, union_neighbors, write_heatmap
+from conftest import dm_and_ranks, heatmap_from_rows, union_neighbors
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -209,98 +208,6 @@ class TestLayout:
         assert all(np.array_equal(x, y) for x, y in zip(before, (state.weights, state.counts, state.qinv, state.omega)))
         with pytest.raises(KeyError):
             potential(state, a, b)
-
-
-#: n at which the number of scratch-block rows, BLOCK_ELEMS // n, crosses n.
-SQUARE = math.isqrt(BLOCK_ELEMS)
-
-#: (n, metric, heatmap) of the set-up checks: every n meets two heatmaps, every heatmap both metrics.
-CASES = [
-    (3, Metric.EUC2D_REAL, "prior"), (3, Metric.EUC2D_INT, "file"),
-    (12, Metric.EUC2D_INT, "zero"), (12, Metric.EUC2D_REAL, "softdist"),
-    (12, Metric.EUC2D_REAL, "file"), (12, Metric.EUC2D_INT, "prior"),
-    (SQUARE - 1, Metric.EUC2D_REAL, "zero"), (SQUARE - 1, Metric.EUC2D_INT, "file"),
-    (SQUARE, Metric.EUC2D_INT, "softdist"), (SQUARE, Metric.EUC2D_REAL, "prior"),
-    (SQUARE + 1, Metric.EUC2D_REAL, "file"), (SQUARE + 1, Metric.EUC2D_INT, "prior"),
-    (600, Metric.EUC2D_INT, "zero"), (600, Metric.EUC2D_REAL, "softdist"),
-]
-CASE_IDS = [f"n{n}-{m.name}-{k}" for n, m, k in CASES]
-
-
-def asymmetric_file_heatmap(inst, ranks, tmp_path):
-    """A heatmap read from a file: tied values, explicit zeros, one-way entries."""
-    rng = np.random.default_rng(inst.n)
-    rows = []
-    for i in range(inst.n):
-        near = ranks.row(i)[: min(8, inst.n - 1)]
-        far = rng.choice(ranks.row(i), size=min(3, inst.n - 1), replace=False)
-        picked = dict.fromkeys(int(j) for j in np.concatenate((near, far)) if rng.random() < 0.7)
-        rows.append([(j, float(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0]))) for j in picked])
-    path = tmp_path / "hm.txt"
-    write_heatmap(heatmap_from_rows(inst.n, rows), path)
-    return load_heatmap(path)
-
-
-def case_inputs(n, metric, kind, tmp_path):
-    """(instance, dm, full rank table, heatmap) of one set-up case."""
-    rng = np.random.default_rng(n)
-    # A coarse grid at small n gives tied distances, hence tied ranks.
-    pts = np.floor(rng.random((n, 2)) * 8) if n <= 12 else rng.random((n, 2)) * 1000
-    inst = Instance(id="t", points=pts)
-    dm, ranks = dm_and_ranks(inst, metric)
-    if kind == "zero":
-        hm = zero_heatmap(n)
-    elif kind == "prior":
-        hm = prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
-    elif kind == "softdist":
-        hm = softdist_heatmap(dm, tau=0.05 * float(dm.rows(0, n).max()), k_keep=12)
-    else:
-        hm = asymmetric_file_heatmap(inst, ranks, tmp_path)
-    return inst, dm, ranks, hm
-
-
-def case_states(n, metric, kind, tmp_path):
-    """(params, table, state) for mcn 1, 5, 20 and n - 1, with and without the heatmap, over
-    the full rank table (table 0), then tables 5 and 20 wide (tables 1 and 2)."""
-    inst, dm, ranks, hm = case_inputs(n, metric, kind, tmp_path)
-    tables = [ranks] + [nearest_neighbor_ranks(dm, width) for width in (5, 20)]
-    for mcn in (1, 5, 20, n - 1):
-        for use_heatmap in (True, False):
-            params = MctsParams(max_candidate_num=mcn, use_heatmap=use_heatmap)
-            for k, table in enumerate(tables):
-                yield params, k, init_state(inst, dm, table, hm, params, seed=n)
-
-
-STATE_ARRAYS = ("candidates", "cand_exp", "weights", "counts", "qinv", "omega")
-
-
-@pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
-def test_truncated_table_builds_the_same_state(n, metric, kind, tmp_path):
-    """mcn below, at and above the table width; prior, softdist and file heatmaps reach beyond it.
-    Every array of the state agrees byte for byte with the full table's, and each state draws
-    from ``random.Random(seed)``."""
-    for _, table, got in case_states(n, metric, kind, tmp_path):
-        if table == 0:
-            want = [getattr(got, name) for name in STATE_ARRAYS]
-        for name, a in zip(STATE_ARRAYS, want):
-            b = getattr(got, name)
-            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
-        assert got.rng.random() == random.Random(n).random()
-
-
-@pytest.mark.parametrize("n, metric, kind", CASES, ids=CASE_IDS)
-def test_omega_is_the_fsum_of_union_weights(n, metric, kind, tmp_path):
-    """Omega_i, summed from the (n, mcn) arrays, equals math.fsum over i's union edges: its own
-    candidates, then every city holding i that i does not hold. A mutual edge has one weight."""
-    for _, _, state in case_states(n, metric, kind, tmp_path):
-        own = [dict(zip(c, w)) for c, w in zip(state.candidates.tolist(), state.weights.tolist())]
-        union = [dict(row) for row in own]
-        for i, row in enumerate(own):
-            for j, w in row.items():
-                assert own[j].get(i, w) == w
-                union[j].setdefault(i, w)
-        want = np.array([math.fsum(row.values()) for row in union])
-        assert np.all(np.abs(state.omega - want) <= 1e-12 * want)
 
 
 def test_omega_temporaries_stay_one_index():
