@@ -327,18 +327,76 @@ def nearest_in_rows(dist: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
 
 
 def nearest_neighbor_ranks(dm: DistanceMatrix, k: int | None = None) -> RankTable:
-    """Each city's k nearest neighbors (default all n-1), ties by index: the full table's first k columns."""
+    """Each city's k nearest neighbors (default all n-1), ties by index: the full table's first k columns.
+
+    A truncated table ranks against all n cities only the rows ``_grid_ranks`` cannot certify.
+    """
     n = dm.n
     k = n - 1 if k is None else min(k, n - 1)
     if k < 1:
         raise ValueError(f"rank table width must be >= 1, got {k}")
     rows = np.empty((n, k), dtype=np.int32)
-    step = max(1, BLOCK_ELEMS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rows[lo:hi] = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), k)
+    todo = np.arange(n) if k == n - 1 else _grid_ranks(dm, k, rows)
+    for own, near, _ in _ranked(dm, todo, np.arange(n), k):
+        rows[own] = near
     rows.setflags(write=False)
     return RankTable(rows=rows)
+
+
+def _ranked(dm: DistanceMatrix, cities: np.ndarray, cands: np.ndarray, k: int):
+    """Rank ``cities`` against the ascending ``cands`` in blocks of ``BLOCK_ELEMS``: yield
+    (own, its k nearest candidates, the k-th one's distance)."""
+    step = max(1, BLOCK_ELEMS // len(cands))
+    for lo in range(0, len(cities), step):
+        own = cities[lo : lo + step]
+        dist = dm.edges(own[:, None], cands)
+        near = nearest_in_rows(dist, np.searchsorted(cands, own), k)
+        yield own, cands[near], dist[np.arange(len(own)), near[:, -1]]
+
+
+def _grid_ranks(dm: DistanceMatrix, k: int, rows: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``rows`` that a grid search certifies; return the other cities.
+
+    Cities are bucketed into square cells of about k/2 cities each, were they
+    spread evenly (Bentley's neighbor lists), and rank the cities of the 3x3
+    cells around their own. A row is kept when its k-th distance is below a
+    bound on every city beyond: the x or y gap to the nearest such city's
+    coordinate, put through ``edges``' monotone rounding, less 1e-9 relative.
+    """
+    n, pts = dm.n, dm.points
+    low = pts.min(axis=0)
+    g = int(math.sqrt(2 * n / k))  # cells along the longer side
+    side = float((pts.max(axis=0) - low).max()) / g
+    if not 0 < side < math.inf:  # all cities on one point, or an extent past the float range
+        return np.arange(n)
+    cell = np.minimum(((pts - low) / side).astype(np.int64), g - 1)  # (column, row), monotone in (x, y)
+    gap = np.full(n, np.inf)
+    for coord, line in zip(pts.T, cell.T):
+        lines, by_coord = np.sort(line), np.concatenate(([-np.inf], np.sort(coord), [np.inf]))
+        gap = np.minimum(gap, by_coord[np.searchsorted(lines, line + 2) + 1] - coord)  # lines >= line + 2
+        gap = np.minimum(gap, coord - by_coord[np.searchsorted(lines, line - 1)])  # lines <= line - 2
+    bound = np.sqrt(gap * gap) * (1 - 1e-9)
+    if dm.metric is Metric.EUC2D_INT:
+        bound = np.floor(bound + 0.5)
+    gx, gy = cell.max(axis=0) + 1
+    cid = cell[:, 1] * gx + cell[:, 0]
+    by_cell = np.argsort(cid, kind="stable")
+    starts = np.searchsorted(cid[by_cell], np.arange(gx * gy + 1))
+    failed = []
+    for c in np.flatnonzero(np.diff(starts)).tolist():  # occupied cells
+        cy, cx = divmod(c, gx)
+        left, right = max(cx - 1, 0), min(cx + 2, gx)
+        cands = np.sort(np.concatenate([by_cell[starts[r * gx + left] : starts[r * gx + right]]
+                                        for r in range(max(cy - 1, 0), min(cy + 2, gy))]))
+        cities = by_cell[starts[c] : starts[c + 1]]
+        if len(cands) <= k:  # fewer than k others around
+            failed.append(cities)
+            continue
+        for own, near, kth in _ranked(dm, cities, cands, k):
+            ok = kth < bound[own]
+            rows[own[ok]] = near[ok]
+            failed.append(own[~ok])
+    return np.concatenate(failed)
 
 
 def load_instance(path) -> Instance:

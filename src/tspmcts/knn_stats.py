@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix, nearest_in_rows
+from .instances import BLOCK_ELEMS, DistanceMatrix
 from .tours import Tour, _check_permutation
 
 
@@ -44,9 +44,10 @@ class EmpiricalDistribution:
 def rank_counts(dm: DistanceMatrix, order: np.ndarray) -> np.ndarray:
     """Count successor ranks over both traversal directions of a tour.
 
-    Each city's tour successor and predecessor are found in its full rank
-    row, ranked by ``nearest_in_rows`` as the rank table is, in blocks of
-    ``BLOCK_ELEMS`` entries, so no table is kept.
+    The rank of j from i is one plus the number of other cities ahead of j
+    under (distance, index), the order of the rank table; it is counted for
+    each city's tour successor and predecessor from blocks of ``BLOCK_ELEMS``
+    distances, so no row is sorted and no table is kept.
     """
     n = dm.n
     order = _check_permutation(np.asarray(order), n)
@@ -55,12 +56,17 @@ def rank_counts(dm: DistanceMatrix, order: np.ndarray) -> np.ndarray:
     pred = np.empty(n, dtype=np.int64)
     pred[order] = np.roll(order, 1)
     counts = np.zeros(n - 1, dtype=np.int64)
+    cities = np.arange(n)
     step = max(1, BLOCK_ELEMS // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        ranked = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), n - 1)
-        hits = (ranked == succ[lo:hi, None]) | (ranked == pred[lo:hi, None])
-        counts += np.bincount(np.nonzero(hits)[1], minlength=n - 1)
+        dist = dm.rows(lo, hi)
+        block = np.arange(hi - lo)
+        dist[block, cities[lo:hi]] = -1  # the own city is ahead of all, so it stands for the rank's 1
+        for nbr in (succ[lo:hi], pred[lo:hi]):
+            d = dist[block, nbr][:, None]
+            ahead = ((dist < d) | (dist == d) & (cities < nbr[:, None])).sum(axis=1)
+            counts += np.bincount(ahead - 1, minlength=n - 1)
     return counts
 
 

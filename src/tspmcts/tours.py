@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import DistanceMatrix
+from .instances import BLOCK_ELEMS, DistanceMatrix
 
 #: Largest instance the Held-Karp oracle accepts (2^(n-1) * (n-1) table).
 EXACT_SOLVE_MAX_N = 18
@@ -87,7 +87,12 @@ def canonical_order(order: np.ndarray) -> np.ndarray:
 
 
 def exact_solve(dm: DistanceMatrix) -> Tour:
-    """Globally optimal tour by Held-Karp dynamic programming (n <= 18)."""
+    """Globally optimal tour by Held-Karp dynamic programming (n <= 18).
+
+    Subsets are processed in layers of equal size, each (subset, last city)
+    pair in one gather over all predecessors, in chunks of ``BLOCK_ELEMS``
+    sums; ties go to the first predecessor.
+    """
     n = dm.n
     if n > EXACT_SOLVE_MAX_N:
         raise SizeLimitError(f"exact_solve handles n <= {EXACT_SOLVE_MAX_N}, got {n}")
@@ -96,32 +101,28 @@ def exact_solve(dm: DistanceMatrix) -> Tour:
     full = 1 << m
     dp = np.full((full, m), np.inf)
     parent = np.full((full, m), -1, dtype=np.int8)
-    for j in range(m):
-        dp[1 << j, j] = d[0, j + 1]
-    dsub = d[1:, 1:]
-    bit_lists = [[j for j in range(m) if mask >> j & 1] for mask in range(full)]
-    for mask in range(1, full):
-        js = bit_lists[mask]
-        if len(js) < 2:
-            continue
-        prevs = [mask ^ (1 << j) for j in js]
-        # cand[t, i] = best path over prevs[t] ending at i, plus edge i -> js[t]
-        cand = dp[prevs] + dsub[:, js].T
-        dp[mask, js] = cand.min(axis=1)
-        parent[mask, js] = cand.argmin(axis=1)
+    dp[1 << np.arange(m), np.arange(m)] = d[0, 1:]
+    dsub_t = d[1:, 1:].T.copy()  # dsub_t[j, i]: edge i -> j
+    masks = np.arange(full, dtype=np.int32)
+    size = sum((masks >> j & 1).astype(np.int8) for j in range(m))
+    step = max(1, BLOCK_ELEMS // m)
+    for layer in range(2, m + 1):
+        layer_masks = masks[size == layer]
+        row, lasts = np.nonzero(layer_masks[:, None] >> np.arange(m, dtype=np.int32) & 1)  # (subset, last city) pairs
+        subsets = layer_masks[row]
+        for lo in range(0, len(subsets), step):
+            sub, last = subsets[lo : lo + step], lasts[lo : lo + step]
+            # cand[t, i] = best path over sub[t] minus last[t] ending at i, plus edge i -> last[t]
+            cand = dp[sub ^ (1 << last)]
+            cand += dsub_t[last]
+            dp[sub, last] = cand.min(axis=1)
+            parent[sub, last] = cand.argmin(axis=1)
     closing = dp[full - 1] + d[1:, 0]
-    j = int(closing.argmin())
-    order = [0]
-    mask = full - 1
-    path = []
+    j, mask, path = int(closing.argmin()), full - 1, []
     while j >= 0:
         path.append(j + 1)
-        j_next = int(parent[mask, j])
-        mask ^= 1 << j
-        j = j_next
-    order.extend(reversed(path))
-    order = canonical_order(np.array(order, dtype=np.int32))
-    return make_tour(order, dm)
+        mask, j = mask ^ (1 << j), int(parent[mask, j])
+    return make_tour(canonical_order(np.array([0, *reversed(path)], dtype=np.int32)), dm)
 
 
 def two_opt(start: Tour, dm: DistanceMatrix, max_passes: int = 50) -> Tour:

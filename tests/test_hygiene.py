@@ -117,3 +117,37 @@ def test_dense_tables_stay_out_of_the_package(module):
     source = (SRC / module).read_text()
     assert attribute_readers(source, "inverse") == []
     assert attribute_readers(source, "entries") == (["two_opt"] if module == "tours.py" else [])
+
+
+#: Scalar accessors of the search state that only tests read: acceptance check c09
+#: pins ``potential`` and ``weight_update``, and the state tests read ``visits``.
+STATE_ACCESSORS = {"visits", "potential", "weight_update"}
+
+
+def definitions_only_tests_read(module_sources: list[str], init_source: str, other_sources: list[str]) -> list[str]:
+    """Public module-level functions and classes that neither the package nor another
+    source reads and that the package's ``__init__`` does not export."""
+    exported = {alias.name for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(*(references(source) for source in module_sources + other_sources))
+    defined = {node.name for source in module_sources for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    return sorted(defined - used - exported)
+
+
+def test_test_only_detector():
+    module = (
+        "def exact(d):\n    return d\ndef per_mask(d):\n    return d\n"
+        "def helper(d):\n    return exact(d)\nclass Tour:\n    pass\n"
+    )
+    assert definitions_only_tests_read([module], "from .tours import Tour\n", []) == ["helper", "per_mask"]
+    assert definitions_only_tests_read([module], "", ["from m import helper\n"]) == ["Tour", "per_mask"]
+
+
+def test_no_test_only_code_in_the_package():
+    """Oracles and references that only tests call live under tests/ (the per-mask
+    Held-Karp loop in ``test_tours.py``, the dense tables in ``test_instances.py``)."""
+    modules = [path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    unused = definitions_only_tests_read(modules, (SRC / "__init__.py").read_text(), bench)
+    assert sorted(set(unused) - STATE_ACCESSORS) == []

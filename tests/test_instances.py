@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tspmcts.evalkit import prepare
 from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource
 from tspmcts.instances import (
+    BLOCK_ELEMS,
     Instance,
     Metric,
     ParseError,
@@ -17,6 +18,7 @@ from tspmcts.instances import (
     distance_matrix,
     generate_structured,
     generate_uniform,
+    _grid_ranks,
     nearest_neighbor_ranks,
     parse_native,
     parse_tsplib,
@@ -309,6 +311,63 @@ class TestBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * (dm.entries.nbytes + ranks.rows.nbytes)
+
+
+@st.composite
+def rank_inputs(draw):
+    """(points, k): point sets that strain a grid search, with the widths ``prepare`` and the tests use."""
+    n = draw(st.integers(3, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "grid", "equal", "collinear", "cluster"]))
+    if kind == "uniform":
+        points = rng.random((n, 2))
+    elif kind == "grid":  # integer points: duplicate cities and tied distances
+        points = np.floor(rng.random((n, 2)) * draw(st.integers(1, 20)))
+    elif kind == "equal":
+        points = np.full((n, 2), 0.25)
+    elif kind == "collinear":
+        points = np.outer(rng.random(n), draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 0.5)])))
+    else:  # five clusters of spread 1e-6
+        points = rng.random((5, 2))[np.arange(n) % 5] + rng.normal(0.0, 1e-6, size=(n, 2))
+    return points, min(draw(st.sampled_from([1, 2, 7, 30, n - 2])), n - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_inputs(), st.sampled_from(list(Metric)))
+def test_grid_built_table_equals_full_rows(case, metric):
+    """A truncated table, grid-certified rows and fallback rows alike, is the full table's prefix byte for byte."""
+    points, k = case
+    dm = distance_matrix(Instance(id="t", points=points), metric)
+    full = nearest_neighbor_ranks(dm).rows
+    assert nearest_neighbor_ranks(dm, k).rows.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_rows_the_grid_cannot_certify_fall_back(metric):
+    """Uniform n=600 at width 30: a few rows fail the grid's bound and are ranked against all cities."""
+    n, k = 600, 30
+    dm = distance_matrix(Instance(id="t", points=generate_uniform(n, 0).points * 1000), metric)
+    scratch = np.full((n, k), -1, dtype=np.int32)
+    fallback = _grid_ranks(dm, k, scratch)
+    assert 0 < len(fallback) < n // 10
+    full = nearest_neighbor_ranks(dm).rows[:, :k]
+    certified = np.setdiff1d(np.arange(n), fallback)
+    assert np.array_equal(scratch[certified], full[certified])
+    assert np.array_equal(nearest_neighbor_ranks(dm, k).rows, full)
+
+
+def test_truncated_build_memory_on_few_distinct_points():
+    """n=5000 cities on 3 distinct points: every distance ties, yet a width-30 table
+    costs its output plus a bounded number of ``BLOCK_ELEMS`` float64 temporaries
+    (about 8.7 measured: ties fill each block's sort)."""
+    dm = distance_matrix(Instance(id="t", points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[np.arange(5000) % 3]))
+    tracemalloc.start()
+    try:
+        ranks = nearest_neighbor_ranks(dm, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ranks.rows.nbytes + 12 * 8 * BLOCK_ELEMS
 
 
 @settings(max_examples=25, deadline=None)

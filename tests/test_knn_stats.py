@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspmcts.heatmaps import BUILTIN_PRIORS
-from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform
+from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform, nearest_in_rows
 from tspmcts.knn_stats import (
     EmpiricalDistribution,
     aggregate,
@@ -93,6 +93,22 @@ def test_rank_counts_match_per_row_sort(case, metric):
         for i, j in ((a, b), (b, a)):
             ranked = sorted((c for c in range(n) if c != i), key=lambda c: (dm[i, c], c))
             expected[ranked.index(j)] += 1
+    assert np.array_equal(rank_counts(dm, order), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_tours(), st.sampled_from(list(Metric)), st.integers(1, 4))
+def test_rank_counts_match_nearest_in_rows(case, metric, scale):
+    """Counting the cities ahead ranks each tour neighbor where ``nearest_in_rows``
+    sorts it, ties and duplicate cities included."""
+    points, order = case
+    n = len(order)
+    dm = distance_matrix(Instance(id="grid", points=points * scale), metric)
+    ranked = nearest_in_rows(dm.rows(0, n), np.arange(n), n - 1)
+    expected = np.zeros(n - 1, dtype=np.int64)
+    for a, b in zip(order, np.roll(order, -1)):
+        expected[np.flatnonzero(ranked[a] == b)] += 1
+        expected[np.flatnonzero(ranked[b] == a)] += 1
     assert np.array_equal(rank_counts(dm, order), expected)
 
 
