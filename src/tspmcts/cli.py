@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import heatmaps, instances, knn_stats, tours, tuner
-from .evalkit import Budget, prepare, run_benchmark
+from .evalkit import Budget, run_benchmark
 from .mcts import MctsParams
 
 EXIT_OK = 0
@@ -164,9 +164,10 @@ def cmd_solve(args) -> int:
     insts = load_instance_dir(args.instances)
     refs = load_reference_tours(args.refs, args.instances) if args.refs else [None] * len(insts)
     metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
-    prepared = (prepare(inst, ref, source, metric) for inst, ref in zip(insts, refs, strict=True))
+    # prepare()'s arguments, not Prepared instances: each is prepared where it is solved.
+    tasks = ((inst, ref, source, metric) for inst, ref in zip(insts, refs, strict=True))
     table = run_benchmark(
-        prepared, params, budget, seed=args.seed, jobs=args.jobs,
+        tasks, params, budget, seed=args.seed, jobs=args.jobs,
         config_id=tuner.config_id(params), heatmap_id=heatmap_id,
     )
     table.write_csv(args.out)

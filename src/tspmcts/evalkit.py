@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Callable, Iterable, Optional
@@ -117,7 +116,8 @@ def prepare(inst: Instance, reference_tour: Optional[np.ndarray], heatmap_source
     return Prepared(inst, dm, ranks, ref_len, heatmap_source(inst, dm, ranks))
 
 
-def _evaluate_one(prep, params, budget, seed, config_id, heatmap_id) -> GapReport:
+def _evaluate_one(task, params, budget, seed, config_id, heatmap_id) -> GapReport:
+    prep = task if isinstance(task, Prepared) else prepare(*task)
     result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, params, seed, budget)
     return GapReport(
         instance_id=prep.inst.id,
@@ -131,29 +131,24 @@ def _evaluate_one(prep, params, budget, seed, config_id, heatmap_id) -> GapRepor
     )
 
 
-def run_benchmark(prepared: Iterable[Prepared], params: MctsParams, budget: Budget, seed: int = 0,
+def run_benchmark(tasks: Iterable[Prepared | tuple], params: MctsParams, budget: Budget, seed: int = 0,
                   jobs: int = 1, config_id: str = "default", heatmap_id: str = "") -> ResultTable:
-    """Solve every prepared instance and report gaps, in input order.
+    """Solve every task's instance and report gaps, in input order.
 
-    ``prepared`` may be a generator: each instance is then prepared only
-    when a solve slot is free, so with ``jobs=1`` one preparation is alive
-    at a time and with ``jobs > 1`` at most ``jobs + 1``. Each instance is
-    solved with seed ``seed + index`` so results do not depend on scheduling.
+    A task is a ``Prepared`` instance or ``prepare``'s arguments ``(inst,
+    reference_tour, heatmap_source, metric)``, prepared in the process that
+    solves it. With ``jobs=1`` tasks are prepared, solved and freed one at a
+    time; with ``jobs > 1`` each worker prepares its own, and the first task
+    that fails cancels those not yet started. Each instance is solved with
+    seed ``seed + index`` so results do not depend on scheduling.
     """
-    # map() keeps no reference to a solved instance, so each preparation is freed before the next.
-    args = (prepared, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
+    args = (tasks, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
     if jobs <= 1:
+        # map() keeps no reference to a solved instance, so each preparation is freed before the next.
         return ResultTable(rows=tuple(map(_evaluate_one, *args)))
     # Imported here: the process pool loads multiprocessing, about 1.5 MB no serial run needs.
     from concurrent.futures import ProcessPoolExecutor
 
-    # Executor.map would submit, and so prepare, every instance up front; a
-    # window of `jobs` in-flight solves bounds the live preparations instead.
-    rows, in_flight = [], deque()
+    # Executor.map cancels the pending tasks as soon as one raises.
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for a in zip(*args):
-            if len(in_flight) == jobs:
-                rows.append(in_flight.popleft().result())
-            in_flight.append(pool.submit(_evaluate_one, *a))
-        rows.extend(f.result() for f in in_flight)
-    return ResultTable(rows=tuple(rows))
+        return ResultTable(rows=tuple(pool.map(_evaluate_one, *args)))

@@ -63,9 +63,6 @@ class Heatmap:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return tuple(zip(self.cols[lo:hi].tolist(), self.probs[lo:hi].tolist()))
 
-    def entry_count(self) -> int:
-        return int(self.indptr[-1])
-
 
 def row_pointers(lengths: np.ndarray) -> np.ndarray:
     """CSR row pointers (int64, one longer than ``lengths``) for rows of these lengths."""

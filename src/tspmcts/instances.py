@@ -120,9 +120,6 @@ class DistanceMatrix:
         entries.setflags(write=False)
         return entries
 
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        return self.pair(*ij)
-
 
 @dataclass(frozen=True)
 class RankTable:
@@ -153,9 +150,6 @@ class RankTable:
     @property
     def width(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
 
 
 @dataclass(frozen=True)
@@ -320,7 +314,7 @@ def nearest_in_rows(dist: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
     dist[np.arange(m), own] = -1  # the own city sorts before every other
     if k + 1 >= n:
         return np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
-    kth = np.partition(dist, k, axis=1)[:, k, None]
+    kth = np.partition(dist, k, axis=1)[:, k, None].copy()  # a view would keep the partitioned copy alive
     r, c = np.nonzero(dist <= kth)  # row-major, so r is sorted
     order = np.lexsort((dist[r, c], r))  # stable: ties keep ascending c
     return c[order[np.searchsorted(r, np.arange(m))[:, None] + np.arange(1, k + 1)]]

@@ -95,10 +95,6 @@ class Move:
     added: tuple[tuple[int, int], ...]
     removed: tuple[tuple[int, int], ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.removed)
-
 
 @dataclass
 class MctsState:
@@ -491,11 +487,16 @@ def _increment(state: MctsState, l_old: float, l_new: float) -> float:
     return state.params.beta * math.expm1((l_old - l_new) / l_old)
 
 
+def _reinforce(views, i: int, j: int, slots: tuple[int, ...], increment: float) -> None:
+    """W = max(W + increment, W_FLOOR) at the slots of edge (i, j)."""
+    _write_weight(views, i, j, slots, max(views[1][slots[0]] + increment, W_FLOOR))
+
+
 def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) -> None:
     """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored; no-op off the union."""
-    increment, views = _increment(state, l_old, l_new), state.views
+    increment = _increment(state, l_old, l_new)
     if slots := _slots(state, i, j):
-        _write_weight(views, i, j, slots, max(views[1][slots[0]] + increment, W_FLOOR))
+        _reinforce(state.views, i, j, slots, increment)
 
 
 def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tour:
@@ -511,7 +512,7 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
         for i, j in move.added:  # one slot lookup serves the count and the weight (separate arrays)
             if slots := _slots(state, i, j):
                 _count_access(views, slots)
-                _write_weight(views, i, j, slots, max(views[1][slots[0]] + increment, W_FLOOR))
+                _reinforce(views, i, j, slots, increment)
         new_tour = Tour(order=move.new_order, length=new_length)
         if new_length < state.best_length:
             state.best_order = np.array(move.new_order)

@@ -49,7 +49,7 @@ def heatmap_from_rows(n: int, rows) -> Heatmap:
 
 def write_heatmap(hm: Heatmap, path) -> None:
     """Write the text format ``load_heatmap`` reads: header ``n m``, then m lines ``i j p``."""
-    lines = [f"{hm.n} {hm.entry_count()}"]
+    lines = [f"{hm.n} {int(hm.indptr[-1])}"]
     lines += [f"{i} {j} {p:.17g}" for i, j, p in zip(entry_rows(hm.indptr).tolist(), hm.cols.tolist(), hm.probs.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspmcts import tuner
+from tspmcts import evalkit, tuner
 from tspmcts.cli import main
 from tspmcts.evalkit import RESULT_CSV_HEADER
 from tspmcts.heatmaps import load_prior
@@ -215,6 +215,46 @@ class TestSolve:
                 "--max-iters", 10, "--out", tmp_path / "x.csv")
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_jobs_two_writes_the_serial_csv(self, instance_dir, tmp_path, monkeypatch):
+        """The workers prepare the instances: under --jobs 2 this process builds no ``Prepared``."""
+        built, init = [], evalkit.Prepared.__init__
+
+        def counted_init(self, inst, *fields):
+            built.append(inst.id)
+            init(self, inst, *fields)
+
+        monkeypatch.setattr(evalkit.Prepared, "__init__", counted_init)
+        args = ("solve", "--instances", instance_dir, "--heatmap", "gtprior:tsp500", "--max-iters", 300, "--seed", 7)
+        out_1, out_2 = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
+        assert run(*args, "--jobs", 1, "--out", out_1) == 0
+        assert len(built) == 4
+        assert run(*args, "--jobs", 2, "--out", out_2) == 0
+        assert len(built) == 4
+        strip = lambda p: [{k: v for k, v in row.items() if k != "time_s"} for row in csv.DictReader(open(p))]
+        assert len(strip(out_1)) == 4
+        assert strip(out_2) == strip(out_1)
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("4 1\n0 1 0.5\n", 4, "config error: heatmap file is for n=4, instance has n=10\n"),
+        ("10 1\n0 x 0.5\n", 4, "config error: line 2: expected 'i j p', got '0 x 0.5'\n"),
+        (None, 3, "I/O error: [Errno 2] No such file or directory: "),
+    ], ids=["wrong-n", "malformed-line", "missing-file"])
+    def test_worker_errors_keep_their_exit_codes(self, instance_dir, tmp_path, text, code, message):
+        """Instances are prepared inside the workers under --jobs 2: their errors reach the
+        CLI's exit codes and messages, and stderr shows no traceback."""
+        hm_path = tmp_path / "hm.txt"
+        if text is not None:
+            hm_path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", str(instance_dir), "--heatmap",
+             f"file:{hm_path}", "--max-iters", "10", "--jobs", "2", "--out", str(tmp_path / "x.csv")],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_seed_usage_error(self, instance_dir, tmp_path, capsys):
@@ -466,6 +506,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     code = "import sys, tspmcts.cli; print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_serial_solve_leaves_the_process_pool_unloaded(instance_dir, tmp_path):
+    """``solve --jobs 1`` prepares and solves in the main process without loading the pool."""
+    code = ("import sys\nfrom tspmcts.cli import main\n"
+            f"code = main(['solve', '--instances', {str(instance_dir)!r}, '--heatmap', 'zero', '--max-iters', '50', "
+            f"'--jobs', '1', '--out', {str(tmp_path / 'x.csv')!r}])\n"
+            "print(code, [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_solve_and_tune_leave_numpy_random_unloaded(tmp_path, instance_dir):

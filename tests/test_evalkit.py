@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from tspmcts import evalkit
 from tspmcts.evalkit import (
     RANK_TABLE_WIDTH,
     Budget,
@@ -16,7 +17,7 @@ from tspmcts.evalkit import (
     run_benchmark,
 )
 from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource, ZeroSource
-from tspmcts.instances import generate_uniform
+from tspmcts.instances import Metric, generate_uniform
 from tspmcts.mcts import MctsParams, solve
 from tspmcts.tours import exact_solve
 
@@ -98,24 +99,31 @@ class TestRunBenchmark:
         parallel = run_benchmark(prepared_zero(small_set), **kwargs, jobs=3)
         assert fingerprint(serial) == fingerprint(again)
         assert fingerprint(serial) == fingerprint(parallel)
+        # Tasks given as prepare()'s arguments are prepared where they run, with the same results.
+        tasks = [(inst, None, ZeroSource(), Metric.EUC2D_REAL) for inst in small_set]
+        for jobs in (1, 3):
+            assert fingerprint(run_benchmark(tasks, **kwargs, jobs=jobs)) == fingerprint(serial)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_live_preparations_bounded_by_jobs(self, jobs):
+    def test_instances_are_prepared_where_they_are_solved(self, monkeypatch, jobs):
+        """Tasks given as prepare()'s arguments: with jobs=2 the main process prepares
+        none of them (the workers do); with jobs=1 one preparation is alive at a time."""
         refs = []
         peak = 0
 
-        def tracked():
+        def tracked(*args):
             nonlocal peak
-            for i in range(8):
-                prep = prepare(generate_uniform(30, 700 + i), np.arange(30), ZeroSource())
-                refs.append(weakref.ref(prep))
-                peak = max(peak, sum(r() is not None for r in refs))
-                yield prep
-                del prep
+            prep = prepare(*args)
+            refs.append(weakref.ref(prep))
+            peak = max(peak, sum(r() is not None for r in refs))
+            return prep
 
-        table = run_benchmark(tracked(), MctsParams(use_heatmap=False), Budget("iters", 100), jobs=jobs)
-        assert len(table.rows) == 8
-        assert peak <= jobs + 1
+        monkeypatch.setattr(evalkit, "prepare", tracked)
+        tasks = [(generate_uniform(30, 700 + i), np.arange(30), ZeroSource(), Metric.EUC2D_REAL) for i in range(8)]
+        table = run_benchmark(tasks, MctsParams(use_heatmap=False), Budget("iters", 100), jobs=jobs)
+        assert [r.instance_id for r in table.rows] == [inst.id for inst, *_ in tasks]
+        assert len(refs) == (8 if jobs == 1 else 0)
+        assert peak == (1 if jobs == 1 else 0)
 
     def test_mean_matches_rows(self, small_set):
         table = run_benchmark(

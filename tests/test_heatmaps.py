@@ -80,7 +80,7 @@ class TestPriorToHeatmap:
         _, ranks = dm_and_ranks(inst)
         hm = prior_to_heatmap(PriorVector(np.array([1.0])), ranks)
         for i in range(10):
-            assert hm.row(i) == ((int(ranks.row(i)[0]), 1.0),)
+            assert hm.row(i) == ((int(ranks.rows[i][0]), 1.0),)
 
     def test_published_vector_rows(self):
         inst = generate_uniform(500, 42)
@@ -91,7 +91,7 @@ class TestPriorToHeatmap:
             row = hm.row(i)
             assert len(row) == 24
             by_rank = {j: p for j, p in row}
-            for k, j in enumerate(ranks.row(i)[:24]):
+            for k, j in enumerate(ranks.rows[i][:24]):
                 assert by_rank[int(j)] == prior.masses[k]
 
     def test_circle_prior_round_trip(self):
@@ -100,7 +100,7 @@ class TestPriorToHeatmap:
         prior = build_gt_prior([dm], [make_tour(np.arange(10), dm)])
         hm = prior_to_heatmap(prior, ranks)
         for i in range(10):
-            row = ranks.row(i).tolist()
+            row = ranks.rows[i].tolist()
             assert {row.index(j) + 1 for j, _ in hm.row(i)} <= {1, 2}
 
     def test_rank_monotonicity(self):
@@ -117,7 +117,7 @@ class TestPriorToHeatmap:
         prior = BUILTIN_PRIORS["tsp500"]
         hm = prior_to_heatmap(prior, ranks)
         for i in range(60):
-            entries = [(int(j), float(p)) for j, p in zip(ranks.row(i)[:24], prior.masses)]
+            entries = [(int(j), float(p)) for j, p in zip(ranks.rows[i][:24], prior.masses)]
             assert hm.row(i) == tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
 
     def test_build_memory_stays_near_output_size(self):
@@ -128,7 +128,7 @@ class TestPriorToHeatmap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert hm.entry_count() == 1500 * 30
+        assert int(hm.indptr[-1]) == 1500 * 30
         assert peak <= 2.5 * (hm.indptr.nbytes + hm.cols.nbytes + hm.probs.nbytes)
 
 
@@ -152,7 +152,7 @@ class TestZeroHeatmap:
         hm = zero_heatmap(5)
         assert hm.n == 5
         assert all(hm.row(i) == () for i in range(hm.n))
-        assert hm.entry_count() == 0
+        assert int(hm.indptr[-1]) == 0
         assert dict(hm.row(0)).get(1, 0.0) == 0.0
 
 
@@ -180,7 +180,7 @@ class TestSoftDist:
         tau = 0.1
         hm = softdist_heatmap(dm, tau=tau, k_keep=5)
         i = 2
-        weights = {j: np.exp(-dm[i, j] / tau) for j in range(6) if j != i}
+        weights = {j: np.exp(-dm.pair(i, j) / tau) for j in range(6) if j != i}
         total = sum(weights.values())
         for j, p in hm.row(i):
             assert p == pytest.approx(weights[j] / total, rel=1e-9)

@@ -119,20 +119,40 @@ def test_dense_tables_stay_out_of_the_package(module):
     assert attribute_readers(source, "entries") == (["two_opt"] if module == "tours.py" else [])
 
 
-#: Scalar accessors of the search state that only tests read: acceptance check c09
-#: pins ``potential`` and ``weight_update``, and the state tests read ``visits``.
-STATE_ACCESSORS = {"visits", "potential", "weight_update"}
+#: The package's public definitions that only tests read, each with the reason it stays.
+READ_ONLY_BY_TESTS = {
+    "visits": "a scalar accessor of the search state; the state tests read Q through it",
+    "potential": "a scalar accessor of the search state that acceptance check c09 pins",
+    "weight_update": "a scalar accessor of the search state that acceptance check c09 pins",
+    "Heatmap.row": "the shared reader of one CSR row, so tests need not slice indptr themselves",
+}
+
+
+def public_definitions(source: str) -> list[tuple[str, str]]:
+    """Public module-level functions and classes, as (name, name), and the public methods
+    and properties of those classes, as (``Class.member``, member)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend((f"{node.name}.{member.name}", member.name) for member in node.body
+                             if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"))
+    return found
 
 
 def definitions_only_tests_read(module_sources: list[str], init_source: str, other_sources: list[str]) -> list[str]:
-    """Public module-level functions and classes that neither the package nor another
-    source reads and that the package's ``__init__`` does not export."""
+    """Public definitions (see ``public_definitions``) that neither the package nor another
+    source reads and that the package's ``__init__`` does not export. A member counts as
+    read only through an attribute (``x.member``): a local variable of the same name is not a reader."""
     exported = {alias.name for node in ast.walk(ast.parse(init_source))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set().union(*(references(source) for source in module_sources + other_sources))
-    defined = {node.name for source in module_sources for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
-    return sorted(defined - used - exported)
+    sources = module_sources + other_sources
+    used = set().union(*(references(source) for source in sources))
+    attributes = {node.attr for source in sources for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+    defined = [definition for source in module_sources for definition in public_definitions(source)]
+    return sorted(qualified for qualified, name in defined
+                  if qualified not in exported and name not in (used if qualified == name else attributes))
 
 
 def test_test_only_detector():
@@ -144,10 +164,31 @@ def test_test_only_detector():
     assert definitions_only_tests_read([module], "", ["from m import helper\n"]) == ["Tour", "per_mask"]
 
 
+def test_test_only_member_detector():
+    module = (
+        "class Table:\n"
+        "    rows: list\n"
+        "    def __getitem__(self, i):\n        return self.rows[i]\n"
+        "    def _cache(self):\n        return 0\n"
+        "    def row(self, i):\n        return self.rows[i]\n"
+        "    @property\n    def width(self):\n        return len(self.rows[0])\n"
+        "    @property\n    def k(self):\n        return self.width\n"
+        "    def pair(self, i, j):\n        return self.rows[i][j]\n"
+        "def length(t, i):\n    row = t.pair(i, i + 1)\n    return row\n"
+        "class _Cell:\n    def weight(self):\n        return 1\n"
+    )
+    init = "from .m import Table, length\n"
+    # Dunders, private members and private classes are exempt; exporting a class exempts only
+    # the class, and the local variable ``row`` does not read ``Table.row``.
+    assert definitions_only_tests_read([module], init, []) == ["Table.k", "Table.row"]
+    assert definitions_only_tests_read([module], init, ["def f(table):\n    return table.k\n"]) == ["Table.row"]
+
+
 def test_no_test_only_code_in_the_package():
     """Oracles and references that only tests call live under tests/ (the per-mask
-    Held-Karp loop in ``test_tours.py``, the dense tables in ``test_instances.py``)."""
+    Held-Karp loop in ``test_tours.py``, the dense tables in ``test_instances.py``),
+    and so do readers of package classes that only tests use."""
     modules = [path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
     unused = definitions_only_tests_read(modules, (SRC / "__init__.py").read_text(), bench)
-    assert sorted(set(unused) - STATE_ACCESSORS) == []
+    assert sorted(set(unused) - set(READ_ONLY_BY_TESTS)) == []

@@ -51,7 +51,7 @@ def reference_init_state(
     for i in range(n):
         cols = list(prob_rows[i])
         dense[cols] = list(prob_rows[i].values())
-        by_distance = ranks.row(i)
+        by_distance = ranks.rows[i]
         if params.use_heatmap:
             chosen = by_distance[np.argsort(-dense[by_distance], kind="stable")[:mcn]]
         else:
@@ -124,8 +124,8 @@ def asymmetric_file_heatmap(inst, ranks, tmp_path):
     rng = np.random.default_rng(inst.n)
     rows = []
     for i in range(inst.n):
-        near = ranks.row(i)[: min(8, inst.n - 1)]
-        far = rng.choice(ranks.row(i), size=min(3, inst.n - 1), replace=False)
+        near = ranks.rows[i][: min(8, inst.n - 1)]
+        far = rng.choice(ranks.rows[i], size=min(3, inst.n - 1), replace=False)
         picked = dict.fromkeys(int(j) for j in np.concatenate((near, far)) if rng.random() < 0.7)
         rows.append([(j, float(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0]))) for j in picked])
     path = tmp_path / "hm.txt"

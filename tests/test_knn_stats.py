@@ -41,7 +41,7 @@ class TestPerInstanceDistribution:
         tour = exact_solve(dm)
         dist = per_instance_distribution(dm, tour)
         # Walk the 20 directed steps by hand and tally ranks from the table's rows.
-        rank = [{int(j): k for k, j in enumerate(ranks.row(i), start=1)} for i in range(10)]
+        rank = [{int(j): k for k, j in enumerate(ranks.rows[i], start=1)} for i in range(10)]
         counts = {}
         order = list(tour.order)
         for t in range(10):
@@ -58,8 +58,8 @@ class TestPerInstanceDistribution:
         order = np.random.default_rng(0).permutation(200)
         expected = np.zeros(199, dtype=np.int64)
         for a, b in zip(order, np.roll(order, -1)):
-            expected[np.flatnonzero(ranks.row(a) == b)] += 1
-            expected[np.flatnonzero(ranks.row(b) == a)] += 1
+            expected[np.flatnonzero(ranks.rows[a] == b)] += 1
+            expected[np.flatnonzero(ranks.rows[b] == a)] += 1
         counts = rank_counts(dm, order)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
@@ -91,7 +91,7 @@ def test_rank_counts_match_per_row_sort(case, metric):
     for t in range(n):
         a, b = int(order[t]), int(order[(t + 1) % n])
         for i, j in ((a, b), (b, a)):
-            ranked = sorted((c for c in range(n) if c != i), key=lambda c: (dm[i, c], c))
+            ranked = sorted((c for c in range(n) if c != i), key=lambda c: (dm.pair(i, c), c))
             expected[ranked.index(j)] += 1
     assert np.array_equal(rank_counts(dm, order), expected)
 

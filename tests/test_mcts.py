@@ -64,7 +64,7 @@ class TestInitState:
         params = MctsParams(use_heatmap=False, max_candidate_num=5)
         dm, ranks, state = build_state(inst, params)
         for i in range(20):
-            assert list(state.candidates[i]) == list(ranks.row(i)[:5])
+            assert list(state.candidates[i]) == list(ranks.rows[i][:5])
 
     def test_single_entry_heatmap_weight(self):
         inst = generate_uniform(6, 1)
@@ -305,7 +305,7 @@ class TestGenerateMove:
         for _ in range(20):
             move = generate_kopt_move(state, tour)
             if move is not None:
-                assert move.k == 2  # one reconnection plus the closing edge
+                assert len(move.removed) == 2  # one reconnection plus the closing edge
             tour = accept_or_restart(state, tour, move)
 
     def test_apply_and_recompute_oracle(self):

@@ -43,7 +43,7 @@ def instances(draw):
 def test_heatmap_rows_sort_by_descending_probability_then_neighbor(case):
     n, rows = case
     hm = heatmap_from_rows(n, rows)
-    assert hm.entry_count() == sum(len(entries) for entries in rows)
+    assert int(hm.indptr[-1]) == sum(len(entries) for entries in rows)
     for i, entries in enumerate(rows):
         assert hm.row(i) == tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
         present = dict(entries)

@@ -38,7 +38,7 @@ class TestTourLength:
         dm, _ = dm_and_ranks(inst)
         rng = np.random.default_rng(1)
         order = rng.permutation(8)
-        naive = sum(dm[int(order[k]), int(order[(k + 1) % 8])] for k in range(8))
+        naive = sum(dm.pair(int(order[k]), int(order[(k + 1) % 8])) for k in range(8))
         assert tour_length(order, dm) == pytest.approx(naive, rel=1e-12)
 
     def test_rejects_non_permutations(self, unit_square):
