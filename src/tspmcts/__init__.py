@@ -18,13 +18,11 @@ from .tours import Tour, SolveResult, exact_solve, tour_length, two_opt
 from .heatmaps import (
     BUILTIN_PRIORS,
     Heatmap,
-    PriorVector,
-    build_gt_prior,
     prior_to_heatmap,
     softdist_heatmap,
     zero_heatmap,
 )
-from .knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
+from .knn_stats import PriorVector, build_gt_prior, cumulative_mass
 from .mcts import Budget, MctsParams, MctsState, init_state, sample_initial_tour, solve
 from .evalkit import GapReport, Prepared, ResultTable, optimality_gap, prepare, run_benchmark
 from .tuner import SearchSpace, TuningReport, grid_configs, shapley_importance, tune

@@ -208,7 +208,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_analyze_knn(args) -> int:
-    dists = []
+    dms, tour_list = [], []
     for path in _instance_files(args.instances):
         inst = instances.load_instance(path)
         dm = instances.distance_matrix(inst)
@@ -221,13 +221,14 @@ def cmd_analyze_knn(args) -> int:
             if not tour_path.exists():
                 raise FileNotFoundError(f"missing tour file: {tour_path}")
             tour = tours.make_tour(tours.parse_tour(tour_path.read_text()), dm)
-        dists.append(knn_stats.per_instance_distribution(dm, tour))
-    combined = knn_stats.aggregate(dists)
-    knn_stats.write_distribution_csv(combined, args.out)
+        dms.append(dm)
+        tour_list.append(tour)
+    prior = knn_stats.build_gt_prior(dms, tour_list)
+    knn_stats.write_distribution_csv(prior, args.out)
     if args.emit_prior:
-        heatmaps.save_prior(heatmaps.PriorVector(masses=combined.masses), args.emit_prior)
-    top5 = knn_stats.cumulative_mass(combined, 5)
-    print(f"{len(dists)} instances, support {combined.support}, top-5 mass {top5:.4f} -> {args.out}")
+        heatmaps.save_prior(prior, args.emit_prior)
+    top5 = knn_stats.cumulative_mass(prior, 5)
+    print(f"{len(dms)} instances, truncation {prior.truncation}, top-5 mass {top5:.4f} -> {args.out}")
     return EXIT_OK
 
 

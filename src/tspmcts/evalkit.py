@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .heatmaps import BUILTIN_PRIORS, Heatmap
+from .heatmaps import BUILTIN_PRIORS, Heatmap, PriorSource
 from .instances import DistanceMatrix, Instance, Metric, RankTable, distance_matrix, nearest_neighbor_ranks
 from .mcts import Budget, MctsParams, solve
 from .tours import EXACT_SOLVE_MAX_N, exact_solve, tour_length
@@ -19,7 +19,7 @@ RESULT_CSV_HEADER = ["instance", "config", "heatmap", "length", "ref_length", "g
 #: Builds a heatmap for one instance; receives (instance, dm, ranks).
 HeatmapSource = Callable[[Instance, DistanceMatrix, RankTable], Heatmap]
 
-#: Width of the rank table ``prepare`` builds: the widest builtin prior.
+#: Least width of the rank table ``prepare`` builds: the widest builtin prior.
 RANK_TABLE_WIDTH = max(prior.truncation for prior in BUILTIN_PRIORS.values())
 
 
@@ -108,10 +108,15 @@ def prepare(inst: Instance, reference_tour: Optional[np.ndarray], heatmap_source
             metric: Metric = Metric.EUC2D_REAL) -> Prepared:
     """Distances, ranks, reference length (None: the exact oracle's) and heatmap of one instance.
 
-    O(n * RANK_TABLE_WIDTH) memory: distances are computed from the coordinates.
+    The one rank table is as wide as the heatmap reads: ``RANK_TABLE_WIDTH``,
+    or a wider prior's truncation. O(n * width) memory: distances are computed
+    from the coordinates.
     """
     dm = distance_matrix(inst, metric)
-    ranks = nearest_neighbor_ranks(dm, RANK_TABLE_WIDTH)
+    width = RANK_TABLE_WIDTH
+    if isinstance(heatmap_source, PriorSource):  # its heatmap reads the table up to the prior's truncation
+        width = max(width, heatmap_source.prior.truncation)
+    ranks = nearest_neighbor_ranks(dm, width)
     ref_len = reference_length_for(inst, dm, reference_tour)
     return Prepared(inst, dm, ranks, ref_len, heatmap_source(inst, dm, ranks))
 

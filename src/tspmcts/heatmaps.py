@@ -1,4 +1,4 @@
-"""Edge-probability heatmaps and the neighbor-rank prior that feeds them.
+"""Edge-probability heatmaps, and the builtin neighbor-rank priors that feed them.
 
 A heatmap stores, per city, a sparse row of (neighbor, probability) entries
 in compressed-row arrays; absent entries are implicit zeros. The GT-Prior
@@ -9,13 +9,11 @@ from i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix, RankTable, nearest_neighbor_ranks
-from .knn_stats import aggregate, per_instance_distribution
-from .tours import Tour
+from .instances import BLOCK_ELEMS, DistanceMatrix, RankTable
+from .knn_stats import PriorVector
 
 
 class HeatmapFormatError(ValueError):
@@ -83,28 +81,6 @@ def _from_entries(n: int, row_of: np.ndarray, cols: np.ndarray, probs: np.ndarra
                    probs=probs[order])
 
 
-@dataclass(frozen=True)
-class PriorVector:
-    """Edge probability by neighbor rank; ranks beyond the truncation are 0."""
-
-    masses: np.ndarray  # masses[k-1] = probability at rank k
-
-    def __post_init__(self) -> None:
-        masses = np.array(self.masses, dtype=np.float64)
-        if masses.ndim != 1 or masses.size == 0:
-            raise ValueError("prior needs a non-empty 1-d mass vector")
-        if not ((masses >= 0) & (masses <= 1)).all():  # also rejects NaN
-            raise ValueError("prior masses must lie in [0, 1]")
-        if masses.sum() > 1 + 1e-9:
-            raise ValueError(f"prior masses sum to {masses.sum()}, exceeding 1")
-        masses.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
-
-    @property
-    def truncation(self) -> int:
-        return self.masses.shape[0]
-
-
 #: Published rank-prior vectors, derived from Concorde/LKH-3 solutions of
 #: uniform instances at the three reference scales.
 BUILTIN_PRIORS: dict[str, PriorVector] = {
@@ -135,21 +111,6 @@ BUILTIN_PRIORS: dict[str, PriorVector] = {
         6.2500000e-06, 6.2500000e-06,
     ])),
 }
-
-
-def build_gt_prior(dms: Sequence[DistanceMatrix], tours: Sequence[Tour]) -> PriorVector:
-    """Average per-instance rank distributions into a prior vector.
-
-    Both traversal directions are counted, so each instance contributes 2n
-    observations and the result sums to 1. Truncated at the largest rank
-    observed anywhere in the corpus.
-    """
-    if len(dms) != len(tours):
-        raise ValueError(f"{len(dms)} distance matrices vs {len(tours)} tours")
-    if not tours:
-        raise ValueError("need at least one (distance matrix, tour) pair")
-    dists = [per_instance_distribution(dm, t) for dm, t in zip(dms, tours)]
-    return PriorVector(masses=aggregate(dists).masses)
 
 
 def prior_to_heatmap(prior: PriorVector, ranks: RankTable) -> Heatmap:
@@ -254,13 +215,11 @@ class ZeroSource:
 
 @dataclass(frozen=True)
 class PriorSource:
-    """Per-instance factory applying a fixed rank prior."""
+    """Per-instance factory applying a fixed rank prior to the table ``prepare`` widened for it."""
 
     prior: PriorVector
 
     def __call__(self, inst, dm, ranks) -> Heatmap:
-        if ranks.width < min(self.prior.truncation, inst.n - 1):
-            ranks = nearest_neighbor_ranks(dm, self.prior.truncation)
         return prior_to_heatmap(self.prior, ranks)
 
 

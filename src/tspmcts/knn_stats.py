@@ -1,10 +1,10 @@
-"""Neighbor-rank statistics of (near-)optimal tours.
+"""The neighbor-rank prior: the rank distribution of edges in (near-)optimal tours.
 
 For a tour, every city selects a successor in each traversal direction, so a
 city's two tour neighbors yield two rank observations and an instance of n
 cities yields 2n in total. Normalizing by 2n gives a per-instance probability
 distribution over neighbor ranks; averaging across instances gives the
-empirical rank distribution that underlies the GT-Prior heatmap.
+empirical rank distribution that the GT-Prior heatmap assigns to edges.
 """
 from __future__ import annotations
 
@@ -19,25 +19,24 @@ from .tours import Tour, _check_permutation
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Probability mass per neighbor rank k = 1..support."""
+class PriorVector:
+    """Edge probability by neighbor rank; ranks beyond the truncation are 0."""
 
-    masses: np.ndarray  # shape (support,), float64; masses[k-1] = P(rank k)
-    sample_count: int
+    masses: np.ndarray  # masses[k-1] = probability at rank k
 
     def __post_init__(self) -> None:
         masses = np.array(self.masses, dtype=np.float64)
         if masses.ndim != 1 or masses.size == 0:
-            raise ValueError("masses must be a non-empty 1-d array")
-        if (masses < 0).any():
-            raise ValueError("masses must be non-negative")
-        if abs(masses.sum() - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1, got {masses.sum()}")
+            raise ValueError("prior needs a non-empty 1-d mass vector")
+        if not ((masses >= 0) & (masses <= 1)).all():  # also rejects NaN
+            raise ValueError("prior masses must lie in [0, 1]")
+        if masses.sum() > 1 + 1e-9:
+            raise ValueError(f"prior masses sum to {masses.sum()}, exceeding 1")
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
 
     @property
-    def support(self) -> int:
+    def truncation(self) -> int:
         return self.masses.shape[0]
 
 
@@ -70,38 +69,39 @@ def rank_counts(dm: DistanceMatrix, order: np.ndarray) -> np.ndarray:
     return counts
 
 
-def per_instance_distribution(dm: DistanceMatrix, tour: Tour) -> EmpiricalDistribution:
-    """Rank distribution of one tour, normalized by its 2n selections."""
-    counts = rank_counts(dm, tour.order)
-    support = int(np.flatnonzero(counts)[-1]) + 1
-    masses = counts[:support] / counts.sum()
-    return EmpiricalDistribution(masses=masses, sample_count=1)
+def build_gt_prior(dms: Sequence[DistanceMatrix], tours: Sequence[Tour]) -> PriorVector:
+    """The mean of the tours' rank distributions, each normalized by its 2n selections.
 
-
-def aggregate(dists: Sequence[EmpiricalDistribution]) -> EmpiricalDistribution:
-    """Arithmetic mean of distributions, padded to the largest support."""
-    if not dists:
-        raise ValueError("aggregate needs at least one distribution")
-    support = max(d.support for d in dists)
-    total = np.zeros(support)
+    The result sums to 1 and is truncated at the largest rank observed
+    anywhere in the corpus; a tour whose ranks stop short adds zeros beyond them.
+    """
+    if len(dms) != len(tours):
+        raise ValueError(f"{len(dms)} distance matrices vs {len(tours)} tours")
+    if not tours:
+        raise ValueError("need at least one (distance matrix, tour) pair")
+    dists = []
+    for dm, tour in zip(dms, tours):
+        counts = rank_counts(dm, tour.order)
+        dists.append(counts[: np.flatnonzero(counts)[-1] + 1] / counts.sum())
+    total = np.zeros(max(d.size for d in dists))
     for d in dists:
-        total[: d.support] += d.masses
-    return EmpiricalDistribution(masses=total / len(dists), sample_count=len(dists))
+        total[: d.size] += d
+    return PriorVector(masses=total / len(dists))
 
 
-def cumulative_mass(dist: EmpiricalDistribution, k: int) -> float:
+def cumulative_mass(prior: PriorVector, k: int) -> float:
     """Total mass at ranks 1..k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return float(dist.masses[: min(k, dist.support)].sum())
+    return float(prior.masses[:k].sum())
 
 
-def write_distribution_csv(dist: EmpiricalDistribution, path) -> None:
+def write_distribution_csv(prior: PriorVector, path) -> None:
     """Emit ``rank,mass,cumulative`` rows for external plotting."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["rank", "mass", "cumulative"])
         running = 0.0
-        for k, mass in enumerate(dist.masses, start=1):
+        for k, mass in enumerate(prior.masses, start=1):
             running += float(mass)
             writer.writerow([k, f"{mass:.12g}", f"{running:.12g}"])

@@ -231,9 +231,10 @@ def init_state(
     positive mass. exp(P) is stored up to the last column in which any row
     has P != 0 (kh columns); beyond it every candidate's exp(P) is exactly 1.0.
 
-    The choice is read off the rank table. A block of rows a truncated table
-    cannot decide (``max_candidate_num`` exceeds it, or heatmap mass lies
-    beyond it) is ranked in full from ``dm.rows``, and the ranking dropped.
+    The choice is read off the rank table, which ``prepare`` makes as wide as
+    a prior heatmap reads. A block of rows a truncated table cannot decide
+    (``max_candidate_num`` exceeds it, or file or softdist mass lies beyond
+    it) is ranked in full from ``dm.rows``, and the ranking dropped.
 
     Rows are processed in blocks over one dense scratch block of about
     ``BLOCK_ELEMS`` entries, freed before Omega is summed from the (n, mcn)
@@ -308,12 +309,6 @@ def _count_access(views, slots: tuple[int, ...]) -> None:
     q = views[4][slots[0]] + 1
     for t in slots:
         views[4][t], views[2][t] = q, 1.0 / math.sqrt(q + 1.0)
-
-
-def _set_weight(state: MctsState, i: int, j: int, w: float) -> None:
-    """Symmetric weight write that keeps omega in sync; no-op off the candidate union."""
-    if slots := _slots(state, i, j):
-        _write_weight(state.views, i, j, slots, w)
 
 
 def _bump_access(state: MctsState, i: int, j: int) -> None:

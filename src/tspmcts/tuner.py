@@ -93,7 +93,6 @@ class TuningReport:
     configs: tuple[MctsParams, ...]
     mean_gaps: tuple[float, ...]
     best_config: MctsParams
-    default_config: Optional[MctsParams]
     default_gap: Optional[float]
     #: Every config's attribution (field -> phi), in ``configs`` order; None without a full grid.
     shapley: Optional[tuple[dict[str, float], ...]] = None
@@ -165,7 +164,6 @@ def tune(space: SearchSpace, evaluator: ConfigEvaluator, subset: int | None = No
         configs=tuple(configs),
         mean_gaps=tuple(gaps),
         best_config=configs[best_idx],
-        default_config=None if default_idx is None else configs[default_idx],
         default_gap=None if default_idx is None else gaps[default_idx],
         shapley=None if subset is not None else tuple(shapley_for_all_configs(space, gaps)),
     )

@@ -7,6 +7,7 @@ import pytest
 
 from tspmcts.heatmaps import Heatmap, _from_entries, entry_rows
 from tspmcts.instances import DistanceMatrix, Instance, Metric, distance_matrix, nearest_neighbor_ranks
+from tspmcts.mcts import MctsState, _slots, _write_weight
 from tspmcts.tours import SizeLimitError, Tour, make_tour
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -37,6 +38,12 @@ def circle_instance(n: int) -> Instance:
 def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
     dm = distance_matrix(inst, metric)
     return dm, nearest_neighbor_ranks(dm)
+
+
+def set_weight(state: MctsState, i: int, j: int, w: float) -> None:
+    """Symmetric weight write that keeps omega in sync; no-op off the candidate union."""
+    if slots := _slots(state, i, j):
+        _write_weight(state.views, i, j, slots, w)
 
 
 def heatmap_from_rows(n: int, rows) -> Heatmap:

@@ -14,17 +14,16 @@ from tspmcts.evalkit import Budget, optimality_gap, prepare, run_benchmark
 from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
     PriorSource,
-    build_gt_prior,
     prior_to_heatmap,
     zero_heatmap,
 )
 from tspmcts.instances import Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
-from tspmcts.knn_stats import EmpiricalDistribution, aggregate, cumulative_mass, per_instance_distribution
-from tspmcts.mcts import MctsParams, _set_weight, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
+from tspmcts.knn_stats import build_gt_prior, cumulative_mass
+from tspmcts.mcts import MctsParams, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
 from tspmcts.tours import exact_solve, parse_tour, tour_length
 from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, grid_configs, make_benchmark_evaluator, shapley_for_all_configs, tune
 
-from conftest import brute_force_solve, union_neighbors
+from conftest import brute_force_solve, set_weight, union_neighbors
 
 CORPUS_SIZE = 200
 CORPUS_N = 12
@@ -147,10 +146,8 @@ def test_c05_published_vectors():
     start = time.monotonic()
     for name, prior in BUILTIN_PRIORS.items():
         assert abs(prior.masses.sum() - 1.0) <= 1e-6, name
-        dist = EmpiricalDistribution(masses=prior.masses, sample_count=1)
-        assert cumulative_mass(dist, 5) > 0.94, name
-    tsp500 = EmpiricalDistribution(masses=BUILTIN_PRIORS["tsp500"].masses, sample_count=1)
-    assert cumulative_mass(tsp500, 1) == 0.440078125
+        assert cumulative_mass(prior, 5) > 0.94, name
+    assert cumulative_mass(BUILTIN_PRIORS["tsp500"], 1) == 0.440078125
     assert time.monotonic() - start < 1.0
     report(5, "built-in prior vectors: unit sums, exact k=1 mass, top-5 > 94%")
 
@@ -158,9 +155,7 @@ def test_c05_published_vectors():
 def test_c06_knn_locality(oracle_corpus):
     dms, tours, corpus_time = oracle_corpus
     start = time.monotonic()
-    dists = [per_instance_distribution(dm, t) for dm, t in zip(dms, tours)]
-    combined = aggregate(dists)
-    top5 = cumulative_mass(combined, 5)
+    top5 = cumulative_mass(build_gt_prior(dms, tours), 5)
     elapsed = time.monotonic() - start + corpus_time
     assert top5 >= 0.90, f"top-5 mass {top5:.4f} < 0.90"
     assert elapsed < 120.0
@@ -223,9 +218,9 @@ def test_c09_potential_and_weight_update_point_checks():
     ranks = nearest_neighbor_ranks(dm)
     state = init_state(inst, dm, ranks, zero_heatmap(5), MctsParams(alpha=1.0, beta=10.0), seed=0)
     for j in union_neighbors(state, 0).tolist():
-        _set_weight(state, 0, j, 0.0)
-    _set_weight(state, 0, 1, 50.0)
-    _set_weight(state, 0, 2, 50.0)  # row sum 100
+        set_weight(state, 0, j, 0.0)
+    set_weight(state, 0, 1, 50.0)
+    set_weight(state, 0, 2, 50.0)  # row sum 100
     state.M = 1
     expected_z = 0.5 + math.sqrt(math.log(2.0))
     assert abs(potential(state, 0, 1) - expected_z) <= 1e-9

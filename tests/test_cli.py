@@ -13,7 +13,7 @@ from tspmcts.cli import main
 from tspmcts.evalkit import RESULT_CSV_HEADER
 from tspmcts.heatmaps import load_prior
 from tspmcts.instances import distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
-from tspmcts.knn_stats import EmpiricalDistribution, write_distribution_csv
+from tspmcts.knn_stats import PriorVector, write_distribution_csv
 from tspmcts.tours import exact_solve, two_opt, make_tour, write_tour
 
 from conftest import circle_instance, dm_and_ranks
@@ -619,7 +619,7 @@ def test_analyze_knn_matches_the_rank_inverse(tmp_path):
     inverse = nearest_neighbor_ranks(distance_matrix(inst)).inverse
     succ = np.roll(order, -1)
     counts = np.bincount(np.concatenate((inverse[order, succ], inverse[succ, order])) - 1, minlength=n - 1)
-    support = int(np.flatnonzero(counts)[-1]) + 1
-    expected = EmpiricalDistribution(masses=counts[:support] / counts.sum(), sample_count=1)
+    truncation = int(np.flatnonzero(counts)[-1]) + 1
+    expected = PriorVector(masses=counts[:truncation] / counts.sum())
     write_distribution_csv(expected, tmp_path / "expected.csv")
     assert (tmp_path / "knn.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from tspmcts import evalkit
+from tspmcts import evalkit, instances, mcts
 from tspmcts.evalkit import (
     RANK_TABLE_WIDTH,
     Budget,
@@ -17,8 +17,9 @@ from tspmcts.evalkit import (
     run_benchmark,
 )
 from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource, ZeroSource
-from tspmcts.instances import Metric, generate_uniform
-from tspmcts.mcts import MctsParams, solve
+from tspmcts.instances import Metric, generate_uniform, nearest_neighbor_ranks
+from tspmcts.knn_stats import PriorVector
+from tspmcts.mcts import MctsParams, init_state, solve
 from tspmcts.tours import exact_solve
 
 from conftest import dm_and_ranks
@@ -184,6 +185,38 @@ def test_prepare_and_solve_take_o_nk_memory():
     # 12 MB at n=2000 (about 9.4 MB measured): one full int32 rank table
     # (16 MB) or the dense float64 distances (32 MB) would exceed it.
     assert peak <= 200 * n * RANK_TABLE_WIDTH
+
+
+def test_a_wide_prior_gets_the_one_rank_table(monkeypatch):
+    """A prior wider than ``RANK_TABLE_WIDTH`` gets one rank table, as wide as the prior:
+    ``prepare`` ranks once, the heatmap source ranks nothing, and at mcn <= width
+    ``init_state`` ranks no row against all cities. Its state is byte-identical to the
+    one built from the 30-wide table, whose rows ``init_state`` must rank in full."""
+    n, width = 2000, RANK_TABLE_WIDTH + 10
+    masses = 1.0 / np.arange(1, width + 1)
+    prior = PriorVector(masses / masses.sum())
+    calls = {"prepare": 0, "rankings": 0, "full_rows": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evalkit, "nearest_neighbor_ranks", counted(evalkit.nearest_neighbor_ranks, "prepare"))
+    # Every truncated ranking, whoever asks for it, starts from the grid.
+    monkeypatch.setattr(instances, "_grid_ranks", counted(instances._grid_ranks, "rankings"))
+    monkeypatch.setattr(mcts, "nearest_in_rows", counted(mcts.nearest_in_rows, "full_rows"))
+    prep = prepare(generate_uniform(n, 7), np.arange(n), PriorSource(prior))
+    assert prep.ranks.width == width
+    params = MctsParams(max_candidate_num=20)
+    state = init_state(prep.inst, prep.dm, prep.ranks, prep.heatmap, params, 0)
+    assert calls == {"prepare": 1, "rankings": 1, "full_rows": 0}
+    narrow = init_state(prep.inst, prep.dm, nearest_neighbor_ranks(prep.dm, RANK_TABLE_WIDTH), prep.heatmap, params, 0)
+    assert calls["full_rows"] > 0
+    for name in ("candidates", "cand_exp", "weights", "counts", "qinv", "omega"):
+        ours, theirs = getattr(state, name), getattr(narrow, name)
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes()), name
 
 
 def test_oracle_reference_builds_no_dense_distances():

@@ -8,7 +8,6 @@ from tspmcts.heatmaps import (
     Heatmap,
     HeatmapFormatError,
     PriorVector,
-    build_gt_prior,
     load_heatmap,
     load_prior,
     prior_to_heatmap,
@@ -17,6 +16,7 @@ from tspmcts.heatmaps import (
     zero_heatmap,
 )
 from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform
+from tspmcts.knn_stats import build_gt_prior
 from tspmcts.tours import exact_solve, make_tour
 
 from conftest import circle_instance, dm_and_ranks, heatmap_from_rows, write_heatmap

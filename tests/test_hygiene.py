@@ -35,16 +35,48 @@ def private_definitions(source: str) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.endswith("__")]
 
 
+#: Nodes that open a scope of their own, whose locals shadow module-level names.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(scope) -> set[str]:
+    """Names a function or lambda binds in its own scope: parameters, assignment
+    targets, imports and nested definitions (whose bodies are scopes of their own)."""
+    args = scope.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (*SCOPES, ast.ClassDef)):  # a nested scope binds only its name here
+            if not isinstance(node, ast.Lambda):
+                names.add(node.name)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def references(source: str) -> set[str]:
-    """Names a module reads: as a name, an attribute or an imported name."""
+    """Names a module reads where they can resolve to a module-level definition: as an
+    imported name, an attribute, or a name no enclosing function binds locally."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+
+    def visit(node, local: frozenset) -> None:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store) and node.id not in local:
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
+        if isinstance(node, SCOPES):
+            local = local | local_names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(ast.parse(source), frozenset())
     return found
 
 
@@ -70,6 +102,16 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+#: The package's definitions that only tests read, each with the reason it stays.
+READ_ONLY_BY_TESTS = {
+    "visits": "a scalar accessor of the search state; the state tests read Q through it",
+    "weight": "a scalar accessor of the search state; the state tests and acceptance check c09 read W through it",
+    "potential": "a scalar accessor of the search state that acceptance check c09 pins",
+    "weight_update": "a scalar accessor of the search state that acceptance check c09 pins",
+    "Heatmap.row": "the shared reader of one CSR row, so tests need not slice indptr themselves",
+}
+
+
 def test_dead_private_detector():
     module = (
         "_LIMIT = 3\n_SCALE: float = 2.0\n__all__ = ['f']\n"
@@ -81,13 +123,18 @@ def test_dead_private_detector():
     other = "import m\nfrom m import _Row\nprint(m._LIMIT)\n"
     assert dead_private_names([module], []) == ["_LIMIT", "_Row", "_union_rows"]
     assert dead_private_names([module], [other]) == ["_union_rows"]
+    # A local of the same name, in the function or around a nested one, does not read ``_union_rows``.
+    shadowed = module + "def g(x):\n    _union_rows = x\n    return lambda: _union_rows\n"
+    assert dead_private_names([shadowed], [other]) == ["_union_rows"]
+    assert dead_private_names([shadowed + "def h():\n    return _union_rows\n"], [other]) == []
 
 
 def test_no_dead_private_code():
-    """Every private module-level name in the package is used in src, tests or bench."""
+    """Every private module-level name in the package is used in src or bench: a writer
+    or reader only tests use lives in ``tests/conftest.py``, or has a reason below."""
     modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    others = [path.read_text() for folder in ("tests", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
-    assert dead_private_names(modules, others) == []
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert sorted(set(dead_private_names(modules, bench)) - set(READ_ONLY_BY_TESTS)) == []
 
 
 def attribute_readers(source: str, attr: str) -> list[str]:
@@ -117,15 +164,6 @@ def test_dense_tables_stay_out_of_the_package(module):
     source = (SRC / module).read_text()
     assert attribute_readers(source, "inverse") == []
     assert attribute_readers(source, "entries") == (["two_opt"] if module == "tours.py" else [])
-
-
-#: The package's public definitions that only tests read, each with the reason it stays.
-READ_ONLY_BY_TESTS = {
-    "visits": "a scalar accessor of the search state; the state tests read Q through it",
-    "potential": "a scalar accessor of the search state that acceptance check c09 pins",
-    "weight_update": "a scalar accessor of the search state that acceptance check c09 pins",
-    "Heatmap.row": "the shared reader of one CSR row, so tests need not slice indptr themselves",
-}
 
 
 def public_definitions(source: str) -> list[tuple[str, str]]:
@@ -162,6 +200,13 @@ def test_test_only_detector():
     )
     assert definitions_only_tests_read([module], "from .tours import Tour\n", []) == ["helper", "per_mask"]
     assert definitions_only_tests_read([module], "", ["from m import helper\n"]) == ["Tour", "per_mask"]
+    # Only a read that resolves to the function counts: here ``per_mask`` is a parameter and
+    # ``helper`` a local, and the function reading ``exact`` binds it only in a nested scope.
+    shadowing = module + (
+        "def attributions(per_mask):\n    helper = per_mask\n    return helper\n"
+        "def outer(d):\n    def inner(exact):\n        return exact\n    return exact(inner(d))\n"
+    )
+    assert definitions_only_tests_read([shadowing], "", []) == ["Tour", "attributions", "helper", "outer", "per_mask"]
 
 
 def test_test_only_member_detector():

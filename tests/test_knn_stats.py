@@ -5,41 +5,30 @@ from hypothesis import strategies as st
 
 from tspmcts.heatmaps import BUILTIN_PRIORS
 from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform, nearest_in_rows
-from tspmcts.knn_stats import (
-    EmpiricalDistribution,
-    aggregate,
-    cumulative_mass,
-    per_instance_distribution,
-    rank_counts,
-    write_distribution_csv,
-)
+from tspmcts.knn_stats import build_gt_prior, cumulative_mass, rank_counts, write_distribution_csv
 from tspmcts.tours import InvalidTourError, exact_solve, make_tour
 
 from conftest import circle_instance, dm_and_ranks
 
 
-def builtin_as_distribution(name):
-    return EmpiricalDistribution(masses=BUILTIN_PRIORS[name].masses, sample_count=1)
-
-
 class TestPerInstanceDistribution:
     def test_square_mass_within_two_ranks(self, unit_square):
         dm = distance_matrix(unit_square)
-        dist = per_instance_distribution(dm, make_tour(np.array([0, 1, 2, 3]), dm))
-        assert dist.support <= 2
+        dist = build_gt_prior([dm], [make_tour(np.array([0, 1, 2, 3]), dm)])
+        assert dist.truncation <= 2
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_masses_sum_to_one(self):
         dm = distance_matrix(generate_uniform(15, 21))
         rng = np.random.default_rng(0)
-        dist = per_instance_distribution(dm, make_tour(rng.permutation(15), dm))
+        dist = build_gt_prior([dm], [make_tour(rng.permutation(15), dm)])
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_directed_step_enumeration(self):
         inst = generate_uniform(10, 33)
         dm, ranks = dm_and_ranks(inst)
         tour = exact_solve(dm)
-        dist = per_instance_distribution(dm, tour)
+        dist = build_gt_prior([dm], [tour])
         # Walk the 20 directed steps by hand and tally ranks from the table's rows.
         rank = [{int(j): k for k, j in enumerate(ranks.rows[i], start=1)} for i in range(10)]
         counts = {}
@@ -112,79 +101,96 @@ def test_rank_counts_match_nearest_in_rows(case, metric, scale):
     assert np.array_equal(rank_counts(dm, order), expected)
 
 
+def corpus(sizes, seed):
+    """Distance matrices and random tours of uniform instances: wide, differing supports."""
+    rng = np.random.default_rng(seed)
+    dms = [distance_matrix(generate_uniform(n, seed + n)) for n in sizes]
+    return dms, [make_tour(rng.permutation(dm.n), dm) for dm in dms]
+
+
+def tour_masses(dm, tour):
+    """One tour's rank distribution: its counts over the 2n selections, up to the last observed rank."""
+    counts = rank_counts(dm, tour.order)
+    return counts[: np.flatnonzero(counts)[-1] + 1] / counts.sum()
+
+
 class TestAggregate:
+    """``build_gt_prior`` over several tours: the mean of their distributions."""
+
     def test_single_identity(self):
-        d = EmpiricalDistribution(masses=np.array([0.5, 0.5]), sample_count=1)
-        agg = aggregate([d])
-        assert np.array_equal(agg.masses, d.masses)
-        assert agg.sample_count == 1
+        dms, tours = corpus([9], 1)
+        prior = build_gt_prior(dms, tours)
+        assert np.array_equal(prior.masses, tour_masses(dms[0], tours[0]))
 
     def test_disjoint_support_halves(self):
-        a = EmpiricalDistribution(masses=np.array([1.0]), sample_count=1)
-        b = EmpiricalDistribution(masses=np.array([0.0, 1.0]), sample_count=1)
-        agg = aggregate([a, b])
-        assert np.allclose(agg.masses, [0.5, 0.5])
-        assert agg.support == 2
+        """A circle tour keeps to ranks 1-2 and a random tour reaches far beyond them:
+        every rank gets half of each tour's mass, zero where a tour has none."""
+        circle = distance_matrix(circle_instance(8))
+        rank_one = make_tour(np.arange(8), circle)
+        dms, tours = corpus([40], 2)
+        wide = tour_masses(dms[0], tours[0])
+        prior = build_gt_prior([circle, dms[0]], [rank_one, tours[0]])
+        assert prior.truncation == wide.size > 2
+        narrow = tour_masses(circle, rank_one)
+        assert narrow.size <= 2
+        narrow = np.pad(narrow, (0, wide.size - narrow.size))
+        assert np.allclose(prior.masses, (narrow + wide) / 2, atol=1e-15)
 
     def test_matches_direct_mean(self):
-        rng = np.random.default_rng(3)
-        dists = []
-        for _ in range(3):
-            raw = rng.random(4)
-            dists.append(EmpiricalDistribution(masses=raw / raw.sum(), sample_count=1))
-        agg = aggregate(dists)
-        expected = np.mean([d.masses for d in dists], axis=0)
-        assert np.allclose(agg.masses, expected, atol=1e-12)
-        assert agg.sample_count == 3
+        dms, tours = corpus([10, 25, 60], 3)
+        each = [tour_masses(dm, t) for dm, t in zip(dms, tours)]
+        assert len({m.size for m in each}) == 3
+        prior = build_gt_prior(dms, tours)
+        expected = np.mean([np.pad(m, (0, prior.truncation - m.size)) for m in each], axis=0)
+        assert prior.truncation == max(m.size for m in each)
+        assert np.allclose(prior.masses, expected, atol=1e-12)
+        assert prior.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            build_gt_prior([], [])
 
     def test_permutation_invariant(self):
-        rng = np.random.default_rng(9)
-        dists = []
-        for _ in range(4):
-            raw = rng.random(3)
-            dists.append(EmpiricalDistribution(masses=raw / raw.sum(), sample_count=1))
-        a = aggregate(dists)
-        b = aggregate(dists[::-1])
+        dms, tours = corpus([7, 13, 21, 30], 9)
+        a = build_gt_prior(dms, tours)
+        b = build_gt_prior(dms[::-1], tours[::-1])
+        assert a.truncation == b.truncation
         assert np.allclose(a.masses, b.masses, atol=1e-15)
 
 
 class TestCumulativeMass:
     def test_published_first_mass(self):
-        assert cumulative_mass(builtin_as_distribution("tsp500"), 1) == 0.440078125
+        assert cumulative_mass(BUILTIN_PRIORS["tsp500"], 1) == 0.440078125
 
     def test_full_support_reaches_one(self):
         for name in ("tsp500", "tsp1000", "tsp10000"):
-            dist = builtin_as_distribution(name)
-            assert cumulative_mass(dist, dist.support) == pytest.approx(1.0, abs=1e-6)
+            prior = BUILTIN_PRIORS[name]
+            assert cumulative_mass(prior, prior.truncation) == pytest.approx(1.0, abs=1e-6)
 
     def test_published_top_five(self):
         masses = BUILTIN_PRIORS["tsp500"].masses
         expected = float(masses[:5].sum())
-        assert cumulative_mass(builtin_as_distribution("tsp500"), 5) == pytest.approx(expected, abs=1e-15)
+        assert cumulative_mass(BUILTIN_PRIORS["tsp500"], 5) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.9432, abs=5e-4)
 
     def test_monotone_in_k(self):
-        dist = builtin_as_distribution("tsp10000")
-        values = [cumulative_mass(dist, k) for k in range(1, dist.support + 3)]
+        prior = BUILTIN_PRIORS["tsp10000"]
+        values = [cumulative_mass(prior, k) for k in range(1, prior.truncation + 3)]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_circle_cumulative_two_is_one(self):
         dm = distance_matrix(circle_instance(9))
-        dist = per_instance_distribution(dm, exact_solve(dm))
-        assert cumulative_mass(dist, 2) == pytest.approx(1.0, abs=1e-12)
+        prior = build_gt_prior([dm], [exact_solve(dm)])
+        assert cumulative_mass(prior, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_csv_export_schema(tmp_path):
-    dist = builtin_as_distribution("tsp500")
+    prior = BUILTIN_PRIORS["tsp500"]
     path = tmp_path / "knn.csv"
-    write_distribution_csv(dist, path)
+    write_distribution_csv(prior, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rank,mass,cumulative"
-    assert len(lines) == dist.support + 1
+    assert len(lines) == prior.truncation + 1
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == 0.440078125

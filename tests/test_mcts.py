@@ -21,7 +21,6 @@ from tspmcts.mcts import (
     _omega,
     _sample_chain,
     _target_picker,
-    _set_weight,
     accept_or_restart,
     generate_kopt_move,
     init_state,
@@ -34,7 +33,7 @@ from tspmcts.mcts import (
 )
 from tspmcts.tours import exact_solve, make_tour, tour_length
 
-from conftest import dm_and_ranks, heatmap_from_rows, union_neighbors
+from conftest import dm_and_ranks, heatmap_from_rows, set_weight, union_neighbors
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -53,7 +52,7 @@ def randomize_weights_and_visits(state, rng, weight_values=None, max_visits=50):
     """Symmetric random W and Q on every union edge, through the mutators."""
     for i, j in union_edges(state):
         w = rng.random() if weight_values is None else float(rng.choice(weight_values))
-        _set_weight(state, i, j, w)
+        set_weight(state, i, j, w)
         for _ in range(int(rng.integers(0, max_visits))):
             _bump_access(state, i, j)
 
@@ -186,7 +185,7 @@ class TestLayout:
     def test_one_way_edge_writes_its_one_slot(self, one_way):
         state, i, j, t = one_way
         weights, counts, omega = state.weights.copy(), state.counts.copy(), state.omega.copy()
-        _set_weight(state, j, i, 2.5)
+        set_weight(state, j, i, 2.5)
         change = 2.5 - weights[i, t]
         assert np.argwhere(state.weights != weights).tolist() == [[i, t]] and state.weights[i, t] == 2.5
         assert np.flatnonzero(state.omega != omega).tolist() == sorted((i, j))
@@ -202,7 +201,7 @@ class TestLayout:
                     and b not in state.candidates[a].tolist() and a not in state.candidates[b].tolist())
         before = [x.copy() for x in (state.weights, state.counts, state.qinv, state.omega)]
         assert weight(state, a, b) == 0.0 and visits(state, b, a) == 0
-        _set_weight(state, a, b, 3.0)
+        set_weight(state, a, b, 3.0)
         _bump_access(state, b, a)
         weight_update(state, a, b, 10.0, 9.0)
         assert all(np.array_equal(x, y) for x, y in zip(before, (state.weights, state.counts, state.qinv, state.omega)))
@@ -269,9 +268,9 @@ class TestPotential:
         inst = generate_uniform(5, 0)
         _, _, state = build_state(inst, MctsParams(alpha=1.0))
         for i, j in union_edges(state):
-            _set_weight(state, i, j, 0.0)
-        _set_weight(state, 0, 1, 50.0)
-        _set_weight(state, 0, 2, 50.0)  # row sum 100
+            set_weight(state, i, j, 0.0)
+        set_weight(state, 0, 1, 50.0)
+        set_weight(state, 0, 2, 50.0)  # row sum 100
         state.M = 1
         expected = 0.5 + math.sqrt(math.log(2.0))
         assert potential(state, 0, 1) == pytest.approx(expected, abs=1e-9)
