@@ -113,7 +113,7 @@ def _params_from_args(args) -> MctsParams:
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heatmap", required=True, help="zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH")
     p.add_argument("--time-factor", dest="time_factor", type=float, help="wall seconds per city")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="k-opt simulation cap (deterministic)")
+    p.add_argument("--max-iters", dest="max_iters", type=int_at_least(1), help="k-opt simulation cap (deterministic)")
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--jobs", type=int_at_least(1), default=1)
     p.add_argument("--metric", choices=["real", "int"], default="real")

@@ -38,10 +38,6 @@ from .tours import SolveResult, Tour, canonical_order, tour_length
 
 #: Lower bound kept on every candidate-edge weight so row sums stay positive.
 W_FLOOR = 1e-6
-#: Rows with more own candidates than this are scanned with numpy, shorter ones as
-#: Python lists. On a 2-CPU host a numpy scan took ~9-14 us at any width, a list
-#: scan ~1.5 us + ~0.15-0.2 us per entry: they cross at 60-80 entries.
-WIDE_ROW = 64
 #: A move is accepted only if it shortens the tour by more than this share of its length:
 #: a smaller change is floating-point noise in the accumulated deltas.
 IMPROVE_REL = 1e-12
@@ -123,9 +119,9 @@ class MctsState:
 
     @cached_property
     def views(self) -> tuple[memoryview, ...]:
-        """Flat views of candidates, weights, qinv, omega and counts for scalar
-        loops, whose items are Python numbers: faster than numpy scalars."""
-        arrays = (self.candidates, self.weights, self.qinv, self.omega, self.counts)
+        """Flat views of weights, qinv, omega and counts for scalar loops, whose
+        items are Python numbers: faster than numpy scalars."""
+        arrays = (self.weights, self.qinv, self.omega, self.counts)
         return tuple(memoryview(a.reshape(-1)) for a in arrays)
 
 
@@ -262,41 +258,29 @@ def init_state(
     )
 
 
-def _find(state: MctsState, i: int, j: int) -> int:
-    """The flat index of j among i's own candidates, or -1 if i does not hold j."""
+def _slots_of(state: MctsState, edges) -> list[tuple[int, ...]]:
+    """Each edge's flat slots, in one pass: (row i's, row j's) if (i, j) is mutual, one if one-way,
+    none off the candidate union."""
     mcn = state.candidates.shape[1]
-    if mcn > WIDE_ROW:
-        t = int(np.argmax(state.candidates[i] == j))  # the first hit, or 0 for none
-        return i * mcn + t if state.candidates[i, t] == j else -1
-    own = state.views[0][i * mcn : i * mcn + mcn].tolist()
-    own.append(j)  # a sentinel: one scan finds j, at index mcn if i does not hold it
-    return i * mcn + t if (t := own.index(j)) < mcn else -1
-
-
-def _slots(state: MctsState, i: int, j: int) -> tuple[int, ...]:
-    """Edge (i, j)'s flat indices in rows i and j: two if mutual, one if one-way, none off the union."""
-    slots = (_find(state, i, j), _find(state, j, i))
-    return slots if -1 not in slots else tuple(t for t in slots if t >= 0)
-
-
-def _edge(state: MctsState, i: int, j: int) -> int:
-    """The flat index of one slot of edge (i, j), or -1 off the candidate union."""
-    return t if (t := _find(state, i, j)) >= 0 else _find(state, j, i)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    hit = state.candidates[ends] == ends[:, ::-1, None]  # [e, 0]: row i holds j; [e, 1]: row j holds i
+    flat = np.where(hit.any(axis=2), ends * mcn + hit.argmax(axis=2), -1).tolist()  # a row holds a city once
+    return [(s, t) if s >= 0 and t >= 0 else (s,) if s >= 0 else (t,) if t >= 0 else () for s, t in flat]
 
 
 def weight(state: MctsState, i: int, j: int) -> float:
     """W_ij; zero off the candidate union."""
-    return 0.0 if (t := _edge(state, i, j)) < 0 else state.views[1][t]
+    return state.views[0][slots[0]] if (slots := _slots_of(state, [(i, j)])[0]) else 0.0
 
 
 def visits(state: MctsState, i: int, j: int) -> int:
     """Q_ij; zero off the candidate union."""
-    return 0 if (t := _edge(state, i, j)) < 0 else state.views[4][t]
+    return state.views[3][slots[0]] if (slots := _slots_of(state, [(i, j)])[0]) else 0
 
 
 def _write_weight(views, i: int, j: int, slots: tuple[int, ...], w: float) -> None:
     """W = w at the slots of edge (i, j), keeping omega in sync at both ends."""
-    weights, omega = views[1], views[3]
+    weights, omega = views[0], views[2]
     change = w - weights[slots[0]]
     for t in slots:
         weights[t] = w
@@ -306,15 +290,9 @@ def _write_weight(views, i: int, j: int, slots: tuple[int, ...], w: float) -> No
 
 def _count_access(views, slots: tuple[int, ...]) -> None:
     """One more access at the slots of an edge: Q and 1/sqrt(Q+1)."""
-    q = views[4][slots[0]] + 1
+    q = views[3][slots[0]] + 1
     for t in slots:
-        views[4][t], views[2][t] = q, 1.0 / math.sqrt(q + 1.0)
-
-
-def _bump_access(state: MctsState, i: int, j: int) -> None:
-    """Count one more access of edge (i, j); no-op off the candidate union."""
-    if slots := _slots(state, i, j):
-        _count_access(state.views, slots)
+        views[3][t], views[1][t] = q, 1.0 / math.sqrt(q + 1.0)
 
 
 def _explore_scale(state: MctsState) -> float:
@@ -331,34 +309,36 @@ def _z(w, omega: float, sl: float, qinv):
 
 def potential(state: MctsState, i: int, j: int) -> float:
     """The UCB-style edge potential Z_ij of a union edge, as chains score it."""
-    if (t := _edge(state, i, j)) < 0:
+    if not (slots := _slots_of(state, [(i, j)])[0]):
         raise KeyError(f"({i}, {j}) is not a candidate-union edge")
-    return _z(state.views[1][t], state.views[3][i], _explore_scale(state), state.views[2][t])
+    weights, qinv, omega, _ = state.views
+    return _z(weights[slots[0]], omega[i], _explore_scale(state), qinv[slots[0]])
 
 
 def _target_picker(state: MctsState) -> Callable[[int, int, int], int]:
     """``pick(head, a, p1)``: head's own candidate of highest potential other than ``a`` and ``p1``
-    (the first in candidate order among ties; -1 if none), for the chains of one decision, with W, Q, M fixed."""
-    mcn = state.candidates.shape[1]
+    (the first in candidate order among ties; -1 if none), for the chains of one decision, with W, Q, M fixed.
+
+    Each head's row is scored once. Its best candidates, in (Z descending, candidate order), are
+    taken from the scores as picks need them: with at most two cities excluded, never more than three."""
     sl = _explore_scale(state)
-    cands, omega = state.views[0], state.views[3]
-    scored: dict[int, list[tuple[int, float]]] = {}
+    omega = state.views[2]
+    rows: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     def pick(head: int, a: int, p1: int) -> int:
-        lo, hi = head * mcn, head * mcn + mcn
-        if (row := scored.get(head)) is None:
-            z = _z(state.weights[head], omega[head], sl, state.qinv[head])
-            if mcn > WIDE_ROW:
-                own = state.candidates[head]
-                z[(own == a) | (own == p1)] = -math.inf
-                return int(own[np.argmax(z)])  # a wide row always keeps a candidate
-            # Numpy's per-call cost dominates short rows: keep their scores as Python floats.
-            row = scored[head] = list(zip(cands[lo:hi].tolist(), z.tolist()))
-        best_z, target = -math.inf, -1
-        for j, z in row:
-            if z > best_z and j != a and j != p1:
-                best_z, target = z, j
-        return target
+        if (row := rows.get(head)) is None:
+            row = rows[head] = _z(state.weights[head], omega[head], sl, state.qinv[head]), []  # a fresh array
+        z, best = row
+        for j in best:
+            if j != a and j != p1:
+                return j
+        while len(best) < z.size:
+            t = int(z.argmax())  # the first of tied maxima
+            z[t] = -math.inf
+            best.append(j := int(state.candidates[head, t]))
+            if j != a and j != p1:
+                return j
+        return -1
 
     return pick
 
@@ -484,13 +464,13 @@ def _increment(state: MctsState, l_old: float, l_new: float) -> float:
 
 def _reinforce(views, i: int, j: int, slots: tuple[int, ...], increment: float) -> None:
     """W = max(W + increment, W_FLOOR) at the slots of edge (i, j)."""
-    _write_weight(views, i, j, slots, max(views[1][slots[0]] + increment, W_FLOOR))
+    _write_weight(views, i, j, slots, max(views[0][slots[0]] + increment, W_FLOOR))
 
 
 def weight_update(state: MctsState, i: int, j: int, l_old: float, l_new: float) -> None:
     """Reinforce edge (i, j) by beta * (exp((L - L') / L) - 1), floored; no-op off the union."""
     increment = _increment(state, l_old, l_new)
-    if slots := _slots(state, i, j):
+    if slots := _slots_of(state, [(i, j)])[0]:
         _reinforce(state.views, i, j, slots, increment)
 
 
@@ -502,12 +482,16 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
         new_length = tour.length + move.delta
         state.M += 1
         increment, views = _increment(state, tour.length, new_length), state.views
-        for i, j in move.removed:
-            _bump_access(state, i, j)
-        for i, j in move.added:  # one slot lookup serves the count and the weight (separate arrays)
-            if slots := _slots(state, i, j):
-                _count_access(views, slots)
-                _reinforce(views, i, j, slots, increment)
+        # Slots are fixed; values are not: edges are applied one by one, so an edge both
+        # removed and added (a chain may undo its own step) is counted twice, in order.
+        slots = _slots_of(state, move.removed + move.added)
+        for edge_slots in slots[: len(move.removed)]:
+            if edge_slots:
+                _count_access(views, edge_slots)
+        for (i, j), edge_slots in zip(move.added, slots[len(move.removed) :]):
+            if edge_slots:
+                _count_access(views, edge_slots)
+                _reinforce(views, i, j, edge_slots, increment)
         new_tour = Tour(order=move.new_order, length=new_length)
         if new_length < state.best_length:
             state.best_order = np.array(move.new_order)

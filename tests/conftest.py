@@ -7,7 +7,7 @@ import pytest
 
 from tspmcts.heatmaps import Heatmap, _from_entries, entry_rows
 from tspmcts.instances import DistanceMatrix, Instance, Metric, distance_matrix, nearest_neighbor_ranks
-from tspmcts.mcts import MctsState, _slots, _write_weight
+from tspmcts.mcts import MctsState, _count_access, _slots_of, _write_weight
 from tspmcts.tours import SizeLimitError, Tour, make_tour
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -42,8 +42,14 @@ def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
 
 def set_weight(state: MctsState, i: int, j: int, w: float) -> None:
     """Symmetric weight write that keeps omega in sync; no-op off the candidate union."""
-    if slots := _slots(state, i, j):
+    if slots := _slots_of(state, [(i, j)])[0]:
         _write_weight(state.views, i, j, slots, w)
+
+
+def bump_access(state: MctsState, i: int, j: int) -> None:
+    """One more access of edge (i, j), as an accepted move counts it; no-op off the candidate union."""
+    if slots := _slots_of(state, [(i, j)])[0]:
+        _count_access(state.views, slots)
 
 
 def heatmap_from_rows(n: int, rows) -> Heatmap:

@@ -217,6 +217,15 @@ class TestSolve:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_max_iters_below_one_usage_error(self, instance_dir, tmp_path, capsys, iters):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", iters,
+                "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "--max-iters" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_jobs_two_writes_the_serial_csv(self, instance_dir, tmp_path, monkeypatch):
         """The workers prepare the instances: under --jobs 2 this process builds no ``Prepared``."""
         built, init = [], evalkit.Prepared.__init__

@@ -12,14 +12,14 @@ from tspmcts.evalkit import RANK_TABLE_WIDTH, prepare, run_benchmark
 from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import (
     IMPROVE_REL,
-    WIDE_ROW,
     Budget,
     MctsParams,
     MctsState,
+    Move,
     W_FLOOR,
-    _bump_access,
     _omega,
     _sample_chain,
+    _slots_of,
     _target_picker,
     accept_or_restart,
     generate_kopt_move,
@@ -31,9 +31,9 @@ from tspmcts.mcts import (
     weight,
     weight_update,
 )
-from tspmcts.tours import exact_solve, make_tour, tour_length
+from tspmcts.tours import Tour, exact_solve, make_tour, tour_length
 
-from conftest import dm_and_ranks, heatmap_from_rows, set_weight, union_neighbors
+from conftest import bump_access, dm_and_ranks, heatmap_from_rows, set_weight, union_neighbors
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -54,7 +54,7 @@ def randomize_weights_and_visits(state, rng, weight_values=None, max_visits=50):
         w = rng.random() if weight_values is None else float(rng.choice(weight_values))
         set_weight(state, i, j, w)
         for _ in range(int(rng.integers(0, max_visits))):
-            _bump_access(state, i, j)
+            bump_access(state, i, j)
 
 
 class TestInitState:
@@ -190,7 +190,7 @@ class TestLayout:
         assert np.argwhere(state.weights != weights).tolist() == [[i, t]] and state.weights[i, t] == 2.5
         assert np.flatnonzero(state.omega != omega).tolist() == sorted((i, j))
         assert state.omega[i] == omega[i] + change and state.omega[j] == omega[j] + change
-        _bump_access(state, j, i)
+        bump_access(state, j, i)
         assert np.argwhere(state.counts != counts).tolist() == [[i, t]]
         assert state.counts[i, t] == counts[i, t] + 1
         assert state.qinv[i, t] == 1.0 / math.sqrt(counts[i, t] + 2.0)
@@ -202,7 +202,7 @@ class TestLayout:
         before = [x.copy() for x in (state.weights, state.counts, state.qinv, state.omega)]
         assert weight(state, a, b) == 0.0 and visits(state, b, a) == 0
         set_weight(state, a, b, 3.0)
-        _bump_access(state, b, a)
+        bump_access(state, b, a)
         weight_update(state, a, b, 10.0, 9.0)
         assert all(np.array_equal(x, y) for x, y in zip(before, (state.weights, state.counts, state.qinv, state.omega)))
         with pytest.raises(KeyError):
@@ -490,19 +490,19 @@ def test_golden_trajectory(case, expected):
 def test_chain_picks_potential_argmax(seed, kind):
     """A depth-1 chain reconnects to the argmax of potential() over the head's
     own candidates, skipping ``a`` and the path successor; ties go to the
-    first in candidate order. The first 25 trials (n < 40) take the list scan;
-    the last three have rows wider than WIDE_ROW, which take the numpy scan."""
+    first in candidate order. The first 25 trials have n < 40; the last three
+    have rows of 66 to 82 candidates."""
     rng = np.random.default_rng(seed)
     for trial in range(28):
         wide = trial >= 25
-        n = int(rng.integers(WIDE_ROW + 3, WIDE_ROW + 20)) if wide else int(rng.integers(5, 40))
+        n = int(rng.integers(67, 84)) if wide else int(rng.integers(5, 40))
         inst = generate_uniform(n, 900 + trial)
         _, ranks = dm_and_ranks(inst)
         hm = zero_heatmap(n) if kind == "tied" else prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks)
         mcn = 1000 if wide else int(rng.choice([2, 5, 1000]))
         params = MctsParams(alpha=0.0 if kind == "alpha0" else 1.0, max_depth=1, max_candidate_num=mcn)
         _, _, state = build_state(inst, params, hm=hm, seed=trial)
-        assert (state.candidates.shape[1] > WIDE_ROW) == wide
+        assert (state.candidates.shape[1] >= 66) == wide
         # Fewer visits on the wide rows' many edges keep the trials short.
         max_visits = 5 if wide else 50
         if kind == "alpha0":
@@ -529,7 +529,7 @@ def test_chain_picks_potential_argmax(seed, kind):
             assert chain[2][0] == (head, expected)
 
 
-@pytest.mark.parametrize("n, mcn", [(30, 5), (WIDE_ROW + 16, 1000)], ids=["list-scan", "numpy-scan"])
+@pytest.mark.parametrize("n, mcn", [(30, 5), (80, 1000)], ids=["narrow", "wide"])
 def test_tied_potentials_pick_the_first_candidate(n, mcn):
     """With the Zero heatmap at M = 0 every potential in a row ties: the chain takes the first
     candidate in row order (the nearest city) that it may take, not the smallest city index."""
@@ -543,6 +543,110 @@ def test_tied_potentials_pick_the_first_candidate(n, mcn):
         assert pick(head, -1, row[0]) == row[1]
         index_rule_differs += row[2] != min(row[2:])
     assert index_rule_differs > n // 2
+
+
+@pytest.mark.parametrize("width", [3, 20, 499])
+def test_picker_takes_the_best_of_three(width):
+    """Picks follow (Z descending, candidate order): when the two best are ``a`` and ``p1`` the
+    pick is the third, and a tie for third goes to the first of the two in candidate order."""
+    rng = np.random.default_rng(width)
+    _, _, state = build_state(generate_uniform(width + 1, 4), MctsParams(alpha=0.0, max_candidate_num=width))
+    row = state.candidates[0].tolist()
+    for t, w in enumerate(rng.permutation(width) + 1.0):
+        set_weight(state, 0, row[t], float(w))
+    first, second, third = sorted(row, key=lambda j: -potential(state, 0, j))[:3]
+    pick = _target_picker(state)
+    assert pick(0, first, second) == pick(0, second, first) == third
+    if width < 4:
+        return
+    top, tied = np.split(rng.choice(width, 4, replace=False), 2)
+    for t in range(width):
+        set_weight(state, 0, row[t], 10.0 if t in top else 5.0 if t in tied else 1.0)
+    pick = _target_picker(state)
+    assert pick(0, row[top[0]], row[top[1]]) == row[min(tied)]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_picker_returns_minus_one_when_every_candidate_is_excluded(width):
+    _, _, state = build_state(generate_uniform(6, 5), MctsParams(max_candidate_num=width))
+    row = state.candidates[0].tolist()
+    excluded = (row + [-1])[:2]
+    pick = _target_picker(state)
+    assert pick(0, *excluded) == pick(0, *excluded[::-1]) == -1
+
+
+def reference_accept(state, move, l_old):
+    """W, Q, 1/sqrt(Q+1) and Omega after a move, applied one edge at a time on copies:
+    bump every removed edge, then count and reinforce every added edge."""
+    w, q, omega = state.weights.copy(), state.counts.copy(), state.omega.copy()
+    increment = state.params.beta * math.expm1((l_old - (l_old + move.delta)) / l_old)
+
+    def slots(i, j):
+        return [(r, int(t)) for r, c in ((i, j), (j, i)) for t in np.flatnonzero(state.candidates[r] == c)]
+
+    for i, j in move.removed:
+        for s in slots(i, j):
+            q[s] += 1
+    for i, j in move.added:
+        if held := slots(i, j):
+            new = max(w[held[0]] + increment, W_FLOOR)
+            change = new - w[held[0]]
+            for s in held:
+                q[s] += 1
+                w[s] = new
+            omega[i] += change
+            omega[j] += change
+    return w, q, 1.0 / np.sqrt(q + 1.0), omega
+
+
+def test_accept_applies_a_step_the_chain_undid():
+    """A chain step may pick the previous target again and so remove the edge it just added:
+    accepting such a move counts that edge once as removed and once as added, in order."""
+    rng = np.random.default_rng(11)
+    inst = generate_uniform(14, 6)
+    dm, _, state = build_state(inst, MctsParams(max_candidate_num=5, max_depth=10))
+    randomize_weights_and_visits(state, rng, max_visits=5)
+    state.M = 9
+    pick = _target_picker(state)
+
+    def undone_moves():
+        for _ in range(50):
+            order = [int(v) for v in rng.permutation(inst.n)]
+            length = tour_length(np.array(order), dm)
+            for ia in range(inst.n):
+                for break_succ in (True, False):
+                    chain = _sample_chain(state, pick, order, ia, order[ia], break_succ)
+                    if chain is None or chain[0] >= -IMPROVE_REL * length:
+                        continue
+                    delta, new_order, added, removed = chain
+                    if {frozenset(e) for e in added} & {frozenset(e) for e in removed}:
+                        yield Tour(np.array(order), length), Move(np.array(new_order, dtype=np.int32),
+                                                                    delta, tuple(added), tuple(removed))
+
+    tour, move = next(undone_moves())
+    expected = reference_accept(state, move, tour.length)
+    accept_or_restart(state, tour, move)
+    for got, want in zip((state.weights, state.counts, state.qinv, state.omega), expected):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(3, 30), mcn=st.integers(1, 8), seed=st.integers(0, 20))
+def test_slots_of_matches_a_scan(data, n, mcn, seed):
+    """One batch of mutual, one-way, off-union and repeated edges gets, per edge, the slots a
+    scan of both rows finds: row i's first, then row j's."""
+    _, _, state = build_state(generate_uniform(n, seed), MctsParams(max_candidate_num=mcn, use_heatmap=False))
+    cands = state.candidates.tolist()
+    width = len(cands[0])
+    city = st.integers(0, n - 1)
+    own = st.tuples(city, st.integers(0, width - 1)).map(lambda it: (it[0], cands[it[0]][it[1]]))
+    pair = st.tuples(city, city).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(st.one_of(own, own.map(lambda e: e[::-1]), pair), max_size=24))
+    if edges:
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=6))
+    expected = [tuple(r * width + t for r, c in ((i, j), (j, i)) for t in range(width) if cands[r][t] == c)
+                for i, j in edges]
+    assert _slots_of(state, edges) == expected
 
 
 def test_accepts_only_real_improvements():
