@@ -74,26 +74,37 @@ def int_at_least(low: int):
     return parse
 
 
-def _instance_files(path: str) -> list[Path]:
-    """Instance files (.txt/.tsp) in ``path``, sorted by name."""
-    files = sorted(p for p in Path(path).iterdir() if p.suffix in (".txt", ".tsp"))
+def positive_float(text: str) -> float:
+    """An argparse type: a finite float above 0; anything else is a usage error on its flag."""
+    if not 0 < (value := float(text)) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instances.Instance, np.ndarray | None]]:
+    """Each instance file (.txt/.tsp) in ``inst_dir``, sorted by name, with the order read
+    from its ``<stem>.tour`` file in ``tour_dir``, or None without a ``tour_dir``."""
+    files = sorted(p for p in Path(inst_dir).iterdir() if p.suffix in (".txt", ".tsp"))
     if not files:
-        raise FileNotFoundError(f"no instance files (.txt/.tsp) in {path}")
-    return files
+        raise FileNotFoundError(f"no instance files (.txt/.tsp) in {inst_dir}")
+    pairs = []
+    for path in files:
+        inst, order = instances.load_instance(path), None
+        if tour_dir is not None:
+            tour_path = Path(tour_dir) / (path.stem + ".tour")
+            if not tour_path.exists():
+                raise FileNotFoundError(f"missing tour file: {tour_path}")
+            order = tours.parse_tour(tour_path.read_text())
+        pairs.append((inst, order))
+    return pairs
 
 
-def load_instance_dir(path: str) -> list[instances.Instance]:
-    return [instances.load_instance(p) for p in _instance_files(path)]
-
-
-def load_reference_tours(ref_dir: str, inst_dir: str) -> list[np.ndarray]:
-    refs = []
-    for p in _instance_files(inst_dir):
-        tour_path = Path(ref_dir) / (p.stem + ".tour")
-        if not tour_path.exists():
-            raise FileNotFoundError(f"missing reference tour: {tour_path}")
-        refs.append(tours.parse_tour(tour_path.read_text()))
-    return refs
+def _tasks_from_args(args) -> tuple[list[tuple], str]:
+    """``prepare``'s arguments ``(inst, reference_tour, heatmap_source, metric)`` for each
+    instance (a None reference means the exact oracle's), and the heatmap's id."""
+    source, heatmap_id = parse_heatmap_spec(args.heatmap)
+    metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
+    return [(inst, ref, source, metric) for inst, ref in load_instance_dir(args.instances, args.refs)], heatmap_id
 
 
 def _budget_from_args(args) -> Budget:
@@ -111,8 +122,11 @@ def _params_from_args(args) -> MctsParams:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
+    """The inputs, budget and seeding that ``solve`` and ``tune`` share."""
+    p.add_argument("--instances", required=True)
+    p.add_argument("--refs", help="directory of <instance>.tour reference files (default: the exact oracle, n <= 18)")
     p.add_argument("--heatmap", required=True, help="zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH")
-    p.add_argument("--time-factor", dest="time_factor", type=float, help="wall seconds per city")
+    p.add_argument("--time-factor", dest="time_factor", type=positive_float, help="wall seconds per city")
     p.add_argument("--max-iters", dest="max_iters", type=int_at_least(1), help="k-opt simulation cap (deterministic)")
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--jobs", type=int_at_least(1), default=1)
@@ -159,13 +173,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     budget = _budget_from_args(args)
-    source, heatmap_id = parse_heatmap_spec(args.heatmap)
     params = _params_from_args(args)
-    insts = load_instance_dir(args.instances)
-    refs = load_reference_tours(args.refs, args.instances) if args.refs else [None] * len(insts)
-    metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
     # prepare()'s arguments, not Prepared instances: each is prepared where it is solved.
-    tasks = ((inst, ref, source, metric) for inst, ref in zip(insts, refs, strict=True))
+    tasks, heatmap_id = _tasks_from_args(args)
     table = run_benchmark(
         tasks, params, budget, seed=args.seed, jobs=args.jobs,
         config_id=tuner.config_id(params), heatmap_id=heatmap_id,
@@ -188,11 +198,9 @@ def _space_from_args(args) -> tuner.SearchSpace:
 
 def cmd_tune(args) -> int:
     budget = _budget_from_args(args)
-    source, heatmap_id = parse_heatmap_spec(args.heatmap)
-    insts = load_instance_dir(args.instances)
-    metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
+    tasks, heatmap_id = _tasks_from_args(args)
     space = _space_from_args(args)
-    evaluator = tuner.make_benchmark_evaluator(insts, source, budget, args.seed, jobs=args.jobs, metric=metric)
+    evaluator = tuner.make_benchmark_evaluator(tasks, budget, args.seed, jobs=args.jobs)
     if args.subset is not None:
         print("warning: --subset evaluates a sample of the grid; shapley output is skipped", file=sys.stderr)
     report = tuner.tune(space, evaluator, subset=args.subset, subset_seed=args.seed)
@@ -208,21 +216,13 @@ def cmd_tune(args) -> int:
 
 
 def cmd_analyze_knn(args) -> int:
+    if not (args.tours or args.oracle):
+        raise UsageError("provide --tours DIR or --oracle")
     dms, tour_list = [], []
-    for path in _instance_files(args.instances):
-        inst = instances.load_instance(path)
+    for inst, order in load_instance_dir(args.instances, None if args.oracle else args.tours):
         dm = instances.distance_matrix(inst)
-        if args.oracle:
-            tour = tours.exact_solve(dm)
-        else:
-            if not args.tours:
-                raise UsageError("provide --tours DIR or --oracle")
-            tour_path = Path(args.tours) / (path.stem + ".tour")
-            if not tour_path.exists():
-                raise FileNotFoundError(f"missing tour file: {tour_path}")
-            tour = tours.make_tour(tours.parse_tour(tour_path.read_text()), dm)
         dms.append(dm)
-        tour_list.append(tour)
+        tour_list.append(tours.exact_solve(dm) if order is None else tours.make_tour(order, dm))
     prior = knn_stats.build_gt_prior(dms, tour_list)
     knn_stats.write_distribution_csv(prior, args.out)
     if args.emit_prior:
@@ -290,20 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve an instance directory, emit a results CSV")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--refs", help="directory of <instance>.tour reference files")
-    p.add_argument("--out", required=True)
     _add_common_args(p)
+    p.add_argument("--out", required=True)
     _add_param_args(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tune", help="grid-search solver hyperparameters")
-    p.add_argument("--instances", required=True)
+    _add_common_args(p)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--subset", type=int_at_least(1), help="evaluate a random config sample (skips shapley)")
     for flag in GRID_FLAGS.values():
         p.add_argument(flag, help="comma-separated grid values")
-    _add_common_args(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("analyze-knn", help="neighbor-rank distribution of (near-)optimal tours")

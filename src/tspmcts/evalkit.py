@@ -83,14 +83,16 @@ def reference_length_for(
     dm: DistanceMatrix,
     reference_tour: Optional[np.ndarray],
 ) -> float:
-    """Length of the supplied reference tour, or of the exact oracle tour."""
+    """Length of the supplied reference tour, or of the exact oracle tour; it must be positive."""
     if reference_tour is not None:
-        return tour_length(reference_tour, dm)
-    if inst.n <= EXACT_SOLVE_MAX_N:
-        return exact_solve(dm).length
-    raise MissingReferenceError(
-        f"{inst.id}: no reference tour and n={inst.n} exceeds the exact oracle cap"
-    )
+        length = tour_length(reference_tour, dm)
+    elif inst.n <= EXACT_SOLVE_MAX_N:
+        length = exact_solve(dm).length
+    else:
+        raise MissingReferenceError(f"{inst.id}: no reference tour and n={inst.n} exceeds the exact oracle cap")
+    if not length > 0:
+        raise ValueError(f"{inst.id}: reference length must be positive, got {length}")
+    return length
 
 
 @dataclass(frozen=True)

@@ -478,7 +478,6 @@ def accept_or_restart(state: MctsState, tour: Tour, move: Optional[Move]) -> Tou
     """Apply a move that shortens the tour by more than ``IMPROVE_REL`` of its length (with
     bookkeeping), or restart from a sample; a smaller gain counts as a noise reject."""
     if move is not None and move.delta < -IMPROVE_REL * tour.length:
-        assert len(set(move.new_order.tolist())) == state.n, "move broke the permutation"
         new_length = tour.length + move.delta
         state.M += 1
         increment, views = _increment(state, tour.length, new_length), state.views

@@ -14,12 +14,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .evalkit import Budget, HeatmapSource, prepare, run_benchmark
-from .instances import Instance, Metric
+from .evalkit import Budget, prepare, run_benchmark
 from .mcts import MctsParams
 
 
@@ -124,16 +123,10 @@ class TuningReport:
 ConfigEvaluator = Callable[[MctsParams], float]
 
 
-def make_benchmark_evaluator(
-    instances: Sequence[Instance],
-    heatmap_source: HeatmapSource,
-    budget: Budget,
-    seed: int,
-    jobs: int = 1,
-    metric: Metric = Metric.EUC2D_REAL,
-) -> ConfigEvaluator:
-    """Prepare each instance once; the evaluator then only solves, per config."""
-    prepared = [prepare(inst, None, heatmap_source, metric) for inst in instances]
+def make_benchmark_evaluator(tasks: Iterable[tuple], budget: Budget, seed: int, jobs: int = 1) -> ConfigEvaluator:
+    """Prepare each task, ``prepare``'s arguments ``(inst, reference_tour, heatmap_source,
+    metric)``, once; the evaluator then only solves, per config."""
+    prepared = [prepare(*task) for task in tasks]
 
     def evaluate(params: MctsParams) -> float:
         table = run_benchmark(prepared, params, budget, seed=seed, jobs=jobs, config_id=config_id(params))

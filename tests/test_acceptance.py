@@ -132,7 +132,7 @@ def test_c04_tuning_dominance(oracle_corpus, held_out_set):
     )
     assert config_key(DEFAULT_PARAMS) in {config_key(c) for c in grid_configs(space)}
     evaluator = make_benchmark_evaluator(
-        instances, PriorSource(prior), Budget("iters", 5_000), seed=0,
+        [(inst, None, PriorSource(prior)) for inst in instances], Budget("iters", 5_000), seed=0,
     )
     rpt = tune(space, evaluator)
     elapsed = time.monotonic() - start

@@ -226,6 +226,26 @@ class TestSolve:
         assert "--max-iters" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("factor", [0, -1, "nan", "inf"])
+    def test_time_factor_not_finite_positive_usage_error(self, instance_dir, tmp_path, capsys, factor):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--time-factor", factor,
+                "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "argument --time-factor: must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_reference_length_names_the_instance(self, tmp_path, capsys):
+        """Three coincident cities: the oracle's tour has length 0, and the error says whose."""
+        inst_dir = tmp_path / "insts"
+        inst_dir.mkdir()
+        (inst_dir / "dot.txt").write_text("n 3\n0.5 0.5\n0.5 0.5\n0.5 0.5\n")
+        code = run("solve", "--instances", inst_dir, "--heatmap", "zero", "--max-iters", 10,
+                   "--out", tmp_path / "x.csv")
+        assert code == 4
+        assert capsys.readouterr().err == "config error: dot: reference length must be positive, got 0.0\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_jobs_two_writes_the_serial_csv(self, instance_dir, tmp_path, monkeypatch):
         """The workers prepare the instances: under --jobs 2 this process builds no ``Prepared``."""
         built, init = [], evalkit.Prepared.__init__
@@ -311,6 +331,31 @@ class TestTune:
         grand = sum(gaps.values()) / len(gaps)
         for cid, total in by_config.items():
             assert total == pytest.approx(gaps[cid] - grand, abs=1e-9)
+
+    def test_refs_gaps_equal_solve_gaps(self, tmp_path):
+        """``tune --refs`` evaluates the tasks ``solve --refs`` builds: at n=40, beyond the exact
+        oracle, each config's mean gap is the mean of ``solve``'s gaps under that config and seed,
+        to within the two CSVs' 9-decimal rounding."""
+        inst_dir, ref_dir = tmp_path / "insts", tmp_path / "refs"
+        assert run("gen", "--n", 40, "--count", 2, "--seed", 3, "--out", inst_dir) == 0
+        ref_dir.mkdir()
+        for f in sorted(inst_dir.glob("*.txt")):
+            dm = distance_matrix(load_instance(f))
+            (ref_dir / f"{f.stem}.tour").write_text(write_tour(two_opt(make_tour(np.arange(40), dm), dm).order))
+        common = ("--instances", inst_dir, "--refs", ref_dir, "--heatmap", "zero", "--max-iters", 200, "--seed", 5)
+        assert run("tune", *common, "--out-dir", tmp_path / "tune", "--alpha-values", "0,1", "--beta-values", "10",
+                   "--max-depth-values", "10,50", "--mcn-values", "5", "--param-h-values", "2",
+                   "--use-heatmap-values", "false") == 0
+        rows = list(csv.DictReader(open(tmp_path / "tune" / "tuning.csv")))
+        assert len(rows) == 4
+        for row in rows:
+            out = tmp_path / f"{row['config_id']}.csv"
+            assert run("solve", *common, "--alpha", row["alpha"], "--beta", row["beta"],
+                       "--max-depth", row["max_depth"], "--max-candidate-num", row["mcn"],
+                       "--param-h", row["param_h"], "--use-heatmap", row["use_heatmap"], "--out", out) == 0
+            solved = list(csv.DictReader(open(out)))
+            assert {r["config"] for r in solved} == {row["config_id"]}
+            assert float(row["mean_gap"]) == pytest.approx(np.mean([float(r["gap_pct"]) for r in solved]), abs=1e-9)
 
     @pytest.mark.parametrize("flag, values", [
         ("--alpha-values", "1,x"), ("--beta-values", "10,1O0"), ("--max-depth-values", "10,1.5"),
@@ -445,6 +490,11 @@ class TestAnalyzeKnn:
         code = run("analyze-knn", "--instances", instance_dir, "--out", tmp_path / "x.csv")
         assert code == 2
 
+    def test_usage_error_before_reading_files(self, tmp_path, capsys):
+        """Without --tours or --oracle nothing is read, so a missing instance directory goes unreported."""
+        assert run("analyze-knn", "--instances", tmp_path / "nope", "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "error: provide --tours DIR or --oracle\n"
+
     def test_tour_dir_mode(self, tmp_path, instance_dir):
         tour_dir = tmp_path / "tours"
         tour_dir.mkdir()
@@ -508,6 +558,25 @@ def child_env() -> dict[str, str]:
     """This environment with the package's source directory first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("command, tour_flag, rest", [
+    ("solve", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out", "x.csv")),
+    ("tune", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out-dir", "x.csv")),
+    ("analyze-knn", "--tours", ("--out", "x.csv")),
+])
+def test_missing_tour_file_is_one_error(instance_dir, tmp_path, capsys, command, tour_flag, rest):
+    """``solve --refs``, ``tune --refs`` and ``analyze-knn --tours`` read tours through one loader:
+    the last instance's missing tour is the same I/O error (exit 3) from each, and nothing is written."""
+    tour_dir = tmp_path / "tours"
+    tour_dir.mkdir()
+    *present, missing = sorted(instance_dir.glob("*.txt"))
+    for f in present:
+        (tour_dir / f"{f.stem}.tour").write_text(write_tour(np.arange(10)))
+    argv = [tmp_path / a if a == "x.csv" else a for a in rest]
+    assert run(command, "--instances", instance_dir, tour_flag, tour_dir, *argv) == 3
+    assert capsys.readouterr().err == f"I/O error: missing tour file: {tour_dir / missing.stem}.tour\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

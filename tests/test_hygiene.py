@@ -102,6 +102,14 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def test_no_assert_statements():
+    """The package checks its input by raising, and tests check its results: an ``assert``
+    in ``src`` vanishes under ``python -O`` and costs the solver time otherwise."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 #: The package's definitions that only tests read, each with the reason it stays.
 READ_ONLY_BY_TESTS = {
     "visits": "a scalar accessor of the search state; the state tests read Q through it",

@@ -281,7 +281,7 @@ class TestBenchmarkEvaluator:
     def test_each_instance_prepared_once(self, pair, monkeypatch):
         distances = counting(monkeypatch, evalkit, "distance_matrix")
         oracle = counting(monkeypatch, evalkit, "exact_solve")
-        evaluator = make_benchmark_evaluator(pair, ZeroSource(), Budget("iters", 50), seed=3)
+        evaluator = make_benchmark_evaluator([(inst, None, ZeroSource()) for inst in pair], Budget("iters", 50), seed=3)
         rpt = tune(SMALL_GRID, evaluator)
         assert len(rpt.mean_gaps) == 8
         assert len(distances) == 2
@@ -291,13 +291,13 @@ class TestBenchmarkEvaluator:
         path = tmp_path / "hm.txt"
         write_heatmap(softdist_heatmap(distance_matrix(pair[0]), 0.1, 5), path)
         loads = counting(monkeypatch, heatmaps, "load_heatmap")
-        evaluator = make_benchmark_evaluator(pair, FileSource(str(path)), Budget("iters", 50), seed=3)
+        evaluator = make_benchmark_evaluator([(inst, None, FileSource(str(path))) for inst in pair], Budget("iters", 50), seed=3)
         tune(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)), evaluator)
         assert len(loads) == 2
 
     def test_golden_mean_gaps(self, pair):
         """Pinned bit for bit; preparing once must not change any result."""
-        evaluator = make_benchmark_evaluator(pair, ZeroSource(), Budget("iters", 200), seed=3)
+        evaluator = make_benchmark_evaluator([(inst, None, ZeroSource()) for inst in pair], Budget("iters", 200), seed=3)
         rpt = tune(SMALL_GRID, evaluator)
         assert [float.hex(g) for g in rpt.mean_gaps] == [
             "0x1.fb5c0fedc6fb0p-2", "0x1.2ce008668fe95p+1", "0x1.fb5c0fedc6fb0p-2", "0x1.2ce008668fe95p+1",
