@@ -6,9 +6,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# Set before numpy loads: the CLI makes no BLAS call, and OpenBLAS would start a thread per
+# CPU (50-70 ms per process on a busy 2-CPU host). A value set by the caller is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -309,11 +309,19 @@ def nearest_in_rows(dist: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
     Row r holds the distances from city ``own[r]`` and is overwritten. Below
     k = n-1 only entries up to each row's (k+1)-th smallest value are sorted,
     so ties at the k-th place go to the smaller index, as in a full sort.
+    Full float rows are sorted unstably, which orders a row with no tie the
+    same way, and only rows with a tie are sorted again stably.
     """
     m, n = dist.shape
     dist[np.arange(m), own] = -1  # the own city sorts before every other
     if k + 1 >= n:
-        return np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
+        if dist.dtype.kind != "f":  # integer distances tie often, and sort stably about as fast
+            return np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
+        near = np.argsort(dist, axis=1)
+        ranked = np.take_along_axis(dist, near, axis=1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        near[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        return near[:, 1 : k + 1]
     kth = np.partition(dist, k, axis=1)[:, k, None].copy()  # a view would keep the partitioned copy alive
     r, c = np.nonzero(dist <= kth)  # row-major, so r is sorted
     order = np.lexsort((dist[r, c], r))  # stable: ties keep ascending c

@@ -586,6 +586,49 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def env_without_blas_threads(**extra) -> dict[str, str]:
+    """``child_env()`` with no ``OPENBLAS_NUM_THREADS`` unless given (importing the CLI here set it)."""
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return {**env, **extra}
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """``import tspmcts`` loads its modules on first use, so the CLI can set numpy's threads before numpy loads."""
+    code = "import sys, tspmcts; print('numpy' in sys.modules, tspmcts.generate_uniform(5, 0).n, 'numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env_without_blas_threads(), capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False 5 True\n"
+
+
+#: Prints the BLAS thread setting after the CLI loaded numpy, and the process's thread count on Linux.
+BLAS_THREADS = ("import os, sys, tspmcts.cli\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else 1)\n")
+
+
+def test_cli_loads_numpy_with_one_blas_thread():
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env_without_blas_threads(), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "1 1\n"
+
+
+def test_cli_keeps_a_blas_thread_count_the_caller_set():
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env_without_blas_threads(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[0] == "2"
+
+
+def test_readme_library_example_runs():
+    """The README's library example, unchanged, in a fresh interpreter: the package's names
+    and its submodules (``tm.heatmaps``, ``tm.tuner``) load on first use."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and float(lines[-1]) >= 0.0
+
+
 def test_serial_solve_leaves_the_process_pool_unloaded(instance_dir, tmp_path):
     """``solve --jobs 1`` prepares and solves in the main process without loading the pool."""
     code = ("import sys\nfrom tspmcts.cli import main\n"

@@ -110,6 +110,51 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_lazy_package_names_every_module():
+    """``tspmcts.__getattr__`` imports a submodule only if ``_MODULES`` names it."""
+    import tspmcts
+
+    assert sorted(tspmcts._MODULES) == [name[:-3] for name in MODULES]
+
+
+#: numpy calls that run through BLAS. The CLI starts numpy with one BLAS thread, which
+#: would slow any of these without notice.
+BLAS_CALLS = {"dot", "matmul", "einsum", "linalg", "inner", "outer", "tensordot", "vdot"}
+
+
+def blas_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every BLAS call in a module, in line order: an attribute, import or imported module
+    named in ``BLAS_CALLS``, or the ``@`` operator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+            names += (node.module or "").split(".") if isinstance(node, ast.ImportFrom) else []
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            names = ["@"]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names if name in BLAS_CALLS or name == "@")
+    return sorted(found)
+
+
+def test_blas_detector():
+    source = (
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import einsum\nfrom numpy.linalg import norm\n"
+        "def f(a, b):\n    c = a @ b\n    c @= b\n    return np.dot(a, b) + a.dot(b) + np.add.outer(a, b) + c\n"
+        "def g(a, inner):\n    dot = np.add(a, inner)\n    return np.sum(dot) + np.linalg.norm(a)\n"
+    )
+    assert blas_calls(source) == [(2, "linalg"), (3, "einsum"), (4, "linalg"), (6, "@"), (7, "@"),
+                                  (8, "dot"), (8, "dot"), (8, "outer"), (11, "linalg")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_blas_calls(module):
+    assert blas_calls((SRC / module).read_text()) == []
+
+
 #: The package's definitions that only tests read, each with the reason it stays.
 READ_ONLY_BY_TESTS = {
     "visits": "a scalar accessor of the search state; the state tests read Q through it",

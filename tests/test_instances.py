@@ -389,6 +389,39 @@ def test_nearest_in_rows_frees_its_partition_early():
     assert peak <= 2.5 * dist.nbytes
 
 
+@st.composite
+def full_rows(draw):
+    """(dist, own): rows of distances from cities ``own`` (any index, repeats allowed) to all n,
+    on points whose distances never tie, tie often, or tie almost everywhere."""
+    n = draw(st.integers(3, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "grid", "three", "duplicates"]))
+    if kind == "uniform":
+        points = rng.random((n, 2)) * 1000
+    elif kind == "grid":  # a small integer grid
+        points = np.floor(rng.random((n, 2)) * draw(st.integers(1, 6)))
+    elif kind == "three":  # every city on at most 3 points
+        points = rng.random((3, 2))[rng.integers(0, 3, n)]
+    else:  # uniform points, some of them repeated
+        points = rng.random((n, 2))
+        points[rng.integers(0, n, n // 2)] = points[rng.integers(0, n, n // 2)]
+    own = rng.integers(0, n, draw(st.integers(1, 2 * n)))
+    dm = distance_matrix(Instance(id="t", points=points), draw(st.sampled_from(list(Metric))))
+    return dm.edges(own[:, None], np.arange(n)), own
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rows())
+def test_full_rows_are_a_stable_sort(case):
+    """Full width sorts float rows unstably and re-sorts those with a tie: every row is
+    still ordered by (distance, index), as a stable sort orders it."""
+    dist, own = case
+    expected = dist.copy()
+    expected[np.arange(len(own)), own] = -1
+    expected = np.argsort(expected, axis=1, kind="stable")[:, 1:]
+    assert np.array_equal(nearest_in_rows(dist, own, dist.shape[1] - 1), expected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=3, max_value=60), seed=st.integers(min_value=0, max_value=10**6))
 def test_generation_is_pure_and_bounded(n, seed):
