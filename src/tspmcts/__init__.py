@@ -3,11 +3,7 @@
 The public names load on first use (PEP 562 ``__getattr__``), so ``import tspmcts``
 loads no numpy: ``tspmcts.cli`` can set numpy's thread settings before it loads.
 """
-import importlib
-
 __version__ = "0.1.0"
-
-_MODULES = ("cli", "evalkit", "heatmaps", "instances", "knn_stats", "mcts", "tours", "tuner")
 
 
 def _public_names() -> dict:
@@ -24,11 +20,10 @@ def _public_names() -> dict:
 
 
 def __getattr__(name: str):
-    """A submodule, or one of the public names (which ``__all__`` lists exactly)."""
-    if name in _MODULES:
-        return importlib.import_module(f".{name}", __name__)
+    """One of the public names (which ``__all__`` lists exactly), or a submodule their imports bound."""
     names = _public_names()
     globals().update(names, __all__=sorted(names))
-    if name in names or name == "__all__":
+    try:
         return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

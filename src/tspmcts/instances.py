@@ -310,17 +310,18 @@ def nearest_in_rows(dist: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
     k = n-1 only entries up to each row's (k+1)-th smallest value are sorted,
     so ties at the k-th place go to the smaller index, as in a full sort.
     Full float rows are sorted unstably, which orders a row with no tie the
-    same way, and only rows with a tie are sorted again stably.
+    same way; in a row with a tie, each run of equal distances is then put in
+    index order.
     """
     m, n = dist.shape
     dist[np.arange(m), own] = -1  # the own city sorts before every other
     if k + 1 >= n:
-        if dist.dtype.kind != "f":  # integer distances tie often, and sort stably about as fast
+        if dist.dtype.kind != "f":  # integer rows almost always tie, and there the repair costs more
             return np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
         near = np.argsort(dist, axis=1)
-        ranked = np.take_along_axis(dist, near, axis=1)
-        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-        near[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        dist.sort(axis=1)  # in place: each row's values in near's order
+        tied = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
+        near[tied] = np.take_along_axis(near[tied], np.lexsort((near[tied], dist[tied])), axis=1)
         return near[:, 1 : k + 1]
     kth = np.partition(dist, k, axis=1)[:, k, None].copy()  # a view would keep the partitioned copy alive
     r, c = np.nonzero(dist <= kth)  # row-major, so r is sorted
@@ -353,7 +354,7 @@ def _ranked(dm: DistanceMatrix, cities: np.ndarray, cands: np.ndarray, k: int):
         own = cities[lo : lo + step]
         dist = dm.edges(own[:, None], cands)
         near = nearest_in_rows(dist, np.searchsorted(cands, own), k)
-        yield own, cands[near], dist[np.arange(len(own)), near[:, -1]]
+        yield own, cands[near], dm.edges(own, cands[near[:, -1]])  # ``dist`` may be reordered
 
 
 def _grid_ranks(dm: DistanceMatrix, k: int, rows: np.ndarray) -> np.ndarray:

@@ -125,17 +125,10 @@ class MctsState:
         return tuple(memoryview(a.reshape(-1)) for a in arrays)
 
 
-def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, vals) -> tuple[np.ndarray, np.ndarray]:
-    """Write the CSR entries of rows lo..hi-1 into ``block``, row lo at index 0; return where."""
+def _scatter_rows(block: np.ndarray, lo: int, hi: int, indptr, row_of, cols, vals) -> None:
+    """Write the CSR entries of rows lo..hi-1 into ``block``, row lo at index 0."""
     a, b = indptr[lo], indptr[hi]
-    at = (row_of[a:b] - lo, cols[a:b])
-    block[at] = vals[a:b]
-    return at
-
-
-def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``np.take_along_axis(a, idx, axis=1)`` for a contiguous ``a``, as one flat take: faster."""
-    return np.take(a.ravel(), idx + np.arange(0, a.size, a.shape[1])[:, None])
+    block[row_of[a:b] - lo, cols[a:b]] = vals[a:b]
 
 
 def _omega(chosen: np.ndarray, own_w: np.ndarray) -> np.ndarray:
@@ -172,6 +165,7 @@ def _candidate_rows(dm: DistanceMatrix, ranks: RankTable, hm: Heatmap, params: M
     forward = (hm.indptr, hm_rows, hm.cols, hm.probs)  # P[i, j] in row i
     transposed = (row_pointers(np.bincount(hm.cols, minlength=n)), hm.cols[by_col], hm_rows[by_col],
                   hm.probs[by_col])  # P[j, i] in row i
+    row_starts = np.arange(0, scratch.size, n)[:, None]
     positives = np.bincount(hm_rows[hm.probs > 0.0], minlength=n)
     chosen = np.empty((n, mcn), dtype=np.int32)
     own_w = np.empty((n, mcn))
@@ -181,31 +175,30 @@ def _candidate_rows(dm: DistanceMatrix, ranks: RankTable, hm: Heatmap, params: M
         by_distance = ranks.rows[lo:hi]
         if ranks.width < n - 1:
             # Positive heatmap entries per row that the truncated table holds.
-            held = (_take_rows(block, by_distance) > 0.0).sum(axis=1)
+            held = (np.take(block.ravel(), by_distance + row_starts[: hi - lo]) > 0.0).sum(axis=1)
             if mcn > ranks.width or params.use_heatmap and (held < positives[lo:hi]).any():
                 by_distance = nearest_in_rows(dm.rows(lo, hi), np.arange(lo, hi), n - 1)
         if not params.use_heatmap:
             return by_distance[:, :mcn]
-        p_ranked = _take_rows(block, by_distance)
-        by_p = np.argsort(np.negative(p_ranked, out=p_ranked), axis=1, kind="stable")[:, :mcn]  # -P, in place
-        return np.take_along_axis(by_distance, by_p, axis=1)
+        # block[r, by_distance[r]] as one flat take, about twice as fast as take_along_axis.
+        p_ranked = np.take(block.ravel(), by_distance + row_starts[: hi - lo])
+        return np.take_along_axis(by_distance, np.argsort(-p_ranked, axis=1, kind="stable")[:, :mcn], axis=1)
 
     def fill(lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 of ``chosen`` and ``own_w``; returns their exp(P) up to the last P != 0.
         ``choose`` and ``fill`` are functions so that their temporaries are freed on return."""
         block = scratch[: hi - lo]
-        at = _scatter_rows(block, lo, hi, *forward)
+        _scatter_rows(block, lo, hi, *forward)
         chosen[lo:hi] = choose(block, lo, hi)
-        p_own = _take_rows(block, chosen[lo:hi])
-        block[at] = 0.0
-        at = _scatter_rows(block, lo, hi, *transposed)
-        p_edge = _take_rows(block, chosen[lo:hi])
-        block[at] = 0.0
+        p_own = np.take_along_axis(block, chosen[lo:hi], axis=1)
+        block.fill(0.0)
+        _scatter_rows(block, lo, hi, *transposed)
+        p_edge = np.take_along_axis(block, chosen[lo:hi], axis=1)
+        block.fill(0.0)
         np.maximum(p_own, p_edge, out=p_edge)
-        np.multiply(p_edge, 100.0, out=own_w[lo:hi])
-        np.copyto(own_w[lo:hi], 1.0, where=~(p_edge > 0.0))
-        width = int(np.flatnonzero(p_own.any(axis=0)).max(initial=-1)) + 1  # columns up to the last P != 0
-        return np.exp(p_own[:, :width])
+        own_w[lo:hi] = np.where(p_edge > 0.0, 100.0 * p_edge, 1.0)
+        width = int(np.nonzero(p_own)[1].max(initial=-1)) + 1  # columns up to the last P != 0
+        return np.exp(p_own)[:, :width]
 
     cand_exp = np.ones((n, 0))
     for lo in range(0, n, step):
@@ -357,26 +350,27 @@ def sample_initial_tour(state: MctsState) -> Tour:
     which guarantees completion.
     """
     n = state.n
-    unvisited = np.ones(n, dtype=bool)
+    visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int32)
     row_exp = np.ones(state.candidates.shape[1])  # exp(P) of one row: its stored head, then 1.0
     head = row_exp[: state.cand_exp.shape[1]]
     current = state.rng.randrange(n)
     order[0] = current
-    unvisited[current] = False
+    visited[current] = True
     for t in range(1, n):
         cands = state.candidates[current]
-        open_at = unvisited[cands].nonzero()[0]  # positions of the open candidates
-        head[...] = state.cand_exp[current]
-        cum = row_exp[open_at].cumsum()
-        if cum.size:
-            nxt = int(cands[open_at[cum.searchsorted(state.rng.random() * cum[-1], side="right")]])
+        open_mask = ~visited[cands]
+        if open_mask.any():
+            choices = cands[open_mask]
+            head[...] = state.cand_exp[current]
+            cum = np.cumsum(row_exp[open_mask])
+            nxt = int(choices[np.searchsorted(cum, state.rng.random() * cum[-1], side="right")])
         else:
             # The nearest unvisited city; argmin takes the first, smallest-index, of ties.
-            open_cities = np.flatnonzero(unvisited)
+            open_cities = np.flatnonzero(~visited)
             nxt = int(open_cities[np.argmin(state.dm.edges(current, open_cities))])
         order[t] = nxt
-        unvisited[nxt] = False
+        visited[nxt] = True
         current = nxt
     length = float(state.dm.edges(order, np.roll(order, -1)).sum())
     tour = Tour(order=order, length=length)

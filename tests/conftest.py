@@ -99,40 +99,6 @@ def start_weights(state) -> np.ndarray:
     return full
 
 
-def sample_initial_tour_oracle(state: MctsState) -> Tour:
-    """``mcts.sample_initial_tour`` before its per-step numpy calls were trimmed (a separate
-    ``any``, the ``~visited`` gather, the ``np.cumsum`` and ``np.searchsorted`` functions),
-    kept as its oracle: the two must return the same tours and leave the same RNG state."""
-    n = state.n
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int32)
-    row_exp = np.ones(state.candidates.shape[1])
-    head = row_exp[: state.cand_exp.shape[1]]
-    current = state.rng.randrange(n)
-    order[0] = current
-    visited[current] = True
-    for t in range(1, n):
-        cands = state.candidates[current]
-        open_mask = ~visited[cands]
-        if open_mask.any():
-            choices = cands[open_mask]
-            head[...] = state.cand_exp[current]
-            cum = np.cumsum(row_exp[open_mask])
-            nxt = int(choices[np.searchsorted(cum, state.rng.random() * cum[-1], side="right")])
-        else:
-            open_cities = np.flatnonzero(~visited)
-            nxt = int(open_cities[np.argmin(state.dm.edges(current, open_cities))])
-        order[t] = nxt
-        visited[nxt] = True
-        current = nxt
-    length = float(state.dm.edges(order, np.roll(order, -1)).sum())
-    tour = Tour(order=order, length=length)
-    if length < state.best_length:
-        state.best_order = np.array(order)
-        state.best_length = length
-    return tour
-
-
 def brute_force_solve(dm: DistanceMatrix) -> Tour:
     """Exhaustive enumeration, for cross-checking exact_solve on tiny n."""
     n = dm.n

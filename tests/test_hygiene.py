@@ -110,13 +110,6 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_lazy_package_names_every_module():
-    """``tspmcts.__getattr__`` imports a submodule only if ``_MODULES`` names it."""
-    import tspmcts
-
-    assert sorted(tspmcts._MODULES) == [name[:-3] for name in MODULES]
-
-
 #: numpy calls that run through BLAS. The CLI starts numpy with one BLAS thread, which
 #: would slow any of these without notice.
 BLAS_CALLS = {"dot", "matmul", "einsum", "linalg", "inner", "outer", "tensordot", "vdot"}

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import BUILTIN_PRIORS, prior_to_heatmap, softdist_heatmap, zero_heatmap
+from tspmcts.heatmaps import BUILTIN_PRIORS, prior_to_heatmap, zero_heatmap
 from tspmcts.evalkit import RANK_TABLE_WIDTH, prepare, run_benchmark
 from tspmcts.instances import BLOCK_ELEMS, Instance, Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import (
@@ -34,14 +33,7 @@ from tspmcts.mcts import (
 )
 from tspmcts.tours import Tour, exact_solve, make_tour, tour_length
 
-from conftest import (
-    bump_access,
-    dm_and_ranks,
-    heatmap_from_rows,
-    sample_initial_tour_oracle,
-    set_weight,
-    union_neighbors,
-)
+from conftest import bump_access, dm_and_ranks, heatmap_from_rows, set_weight, union_neighbors
 
 
 def build_state(inst, params=None, hm=None, seed=0):
@@ -261,39 +253,6 @@ class TestSampleInitialTour:
             tour = sample_initial_tour(state)
             assert sorted(tour.order) == list(range(100))
             assert math.isfinite(tour.length) and tour.length > 0
-
-
-def successor_draws(state, seed: int) -> int:
-    """How many successors the state's RNG has drawn since ``init_state`` seeded it with
-    ``seed`` and the first tour drew its start city (n - 1 per tour without a fallback step)."""
-    replay = random.Random(seed)
-    replay.randrange(state.n)
-    for draws in range(state.n):
-        if replay.getstate() == state.rng.getstate():
-            return draws
-        replay.random()
-    raise AssertionError("the state's RNG is more than n - 1 draws ahead")
-
-
-@pytest.mark.parametrize("kind", ["zero", "prior", "softdist"])
-@pytest.mark.parametrize("mcn", [1, 5, 20, 59])
-def test_sampler_matches_its_oracle(kind, mcn):
-    """Three tours in a row are the oracle's, to the bit, with the same RNG state after each.
-    Below mcn n - 1 some steps find no open candidate and take the nearest unvisited city."""
-    n, seed = 60, 3
-    inst = Instance(id="t", points=np.floor(np.random.default_rng(7).random((n, 2)) * 12))  # tied distances
-    dm, ranks = dm_and_ranks(inst)
-    hm = {"zero": zero_heatmap(n), "prior": prior_to_heatmap(BUILTIN_PRIORS["tsp500"], ranks),
-          "softdist": softdist_heatmap(dm, tau=0.5, k_keep=12)}[kind]
-    states = [init_state(inst, dm, ranks, hm, MctsParams(max_candidate_num=mcn), seed) for _ in range(2)]
-    for t in range(3):
-        tour, expected = sample_initial_tour(states[0]), sample_initial_tour_oracle(states[1])
-        assert tour.order.tobytes() == expected.order.tobytes()
-        assert tour.length.hex() == expected.length.hex()
-        assert states[0].rng.getstate() == states[1].rng.getstate()
-        if t == 0:  # every step that draws no successor took the fallback
-            assert (successor_draws(states[0], seed) < n - 1) == (mcn < n - 1)
-    assert states[0].best_length == states[1].best_length
 
 
 class TestPotential:
