@@ -142,13 +142,10 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_param_args(p: argparse.ArgumentParser) -> None:
+    """``--params FILE`` and one override flag per solver parameter, ``--max-depth`` for ``max_depth``."""
     p.add_argument("--params", help="key=value solver config file")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--max-candidate-num", dest="max_candidate_num", type=int)
-    p.add_argument("--param-h", dest="param_h", type=int)
-    p.add_argument("--use-heatmap", dest="use_heatmap", type=tuner.boolean, help="true/false")
+    for name, parse in tuner.FIELD_PARSERS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=parse)
 
 
 def cmd_gen(args) -> int:
@@ -209,14 +206,11 @@ def cmd_tune(args) -> int:
     tasks, heatmap_id = _tasks_from_args(args)
     space = _space_from_args(args)
     evaluator = tuner.make_benchmark_evaluator(tasks, budget, args.seed, jobs=args.jobs)
-    if args.subset is not None:
-        print("warning: --subset evaluates a sample of the grid; shapley output is skipped", file=sys.stderr)
-    report = tuner.tune(space, evaluator, subset=args.subset, subset_seed=args.seed)
+    report = tuner.tune(space, evaluator)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "tuning.csv")
-    if report.shapley is not None:
-        report.write_shapley_csv(out / "shapley.csv")
+    report.write_shapley_csv(out / "shapley.csv")
     tuner.write_params_file(report.best_config, out / "best_config.txt")
     print(f"best config {tuner.config_id(report.best_config)} "
           f"mean gap {report.best_gap:.4f}% ({heatmap_id}) -> {out}")
@@ -255,12 +249,15 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            missing = sorted(set(REPORT_COLUMNS) - set(reader.fieldnames or ()))
-            if missing:
-                raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-            for row in reader:
-                numbers = _report_numbers(path, reader.line_num, row)
-                groups.setdefault((row["heatmap"], row["config"]), []).append(numbers)
+            try:
+                missing = sorted(set(REPORT_COLUMNS) - set(reader.fieldnames or ()))
+                if missing:
+                    raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+                for row in reader:
+                    numbers = _report_numbers(path, reader.line_num, row)
+                    groups.setdefault((row["heatmap"], row["config"]), []).append(numbers)
+            except csv.Error as exc:  # e.g. a field past the csv module's size limit, in the record after line_num
+                raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
     lines = [
         "| Heatmap | Config | Instances | Mean Length | Mean Gap | Mean Time |",
         "|---|---|---|---|---|---|",
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid-search solver hyperparameters")
     _add_common_args(p)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--subset", type=int_at_least(1), help="evaluate a random config sample (skips shapley)")
     for flag in GRID_FLAGS.values():
         p.add_argument(flag, help="comma-separated grid values")
     p.set_defaults(func=cmd_tune)

@@ -47,6 +47,8 @@ class Heatmap:
             raise ValueError(
                 f"row pointers do not fit n={self.n}, {cols.size} neighbors, {probs.size} probabilities"
             )
+        if not (inside := (probs >= 0) & (probs <= 1)).all():  # NaN is outside too
+            raise ValueError(f"heatmap probability {probs[~inside][0]} is outside [0, 1]")
         for name, arr in (("indptr", indptr), ("cols", cols), ("probs", probs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -169,8 +171,9 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
                    probs=np.concatenate(probs))
 
 
-def load_heatmap(path) -> Heatmap:
-    """Read the ``n m`` / ``i j p`` text format, validating every entry."""
+def load_heatmap(path, instance_n: int | None = None) -> Heatmap:
+    """Read the ``n m`` / ``i j p`` text format, validating every entry; a header n other
+    than ``instance_n``, when given, is rejected before anything is sized by it."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -181,6 +184,8 @@ def load_heatmap(path) -> Heatmap:
             raise ValueError
     except ValueError:
         raise HeatmapFormatError(f"expected 'n m' header, got {lines[0]!r}", line_no=1) from None
+    if instance_n is not None and n != instance_n:
+        raise ValueError(f"heatmap file is for n={n}, instance has n={instance_n}")
     entries: dict[tuple[int, int], float] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -241,10 +246,7 @@ class FileSource:
     path: str
 
     def __call__(self, inst, dm, ranks) -> Heatmap:
-        hm = load_heatmap(self.path)
-        if hm.n != inst.n:
-            raise ValueError(f"heatmap file is for n={hm.n}, instance has n={inst.n}")
-        return hm
+        return load_heatmap(self.path, inst.n)
 
 
 def save_prior(prior: PriorVector, path) -> None:

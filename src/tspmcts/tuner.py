@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -93,8 +92,8 @@ class TuningReport:
     mean_gaps: tuple[float, ...]
     best_config: MctsParams
     default_gap: Optional[float]
-    #: Every config's attribution (field -> phi), in ``configs`` order; None without a full grid.
-    shapley: Optional[tuple[dict[str, float], ...]] = None
+    #: Every config's attribution (field -> phi), in ``configs`` order.
+    shapley: tuple[dict[str, float], ...]
 
     @property
     def best_gap(self) -> float:
@@ -135,20 +134,12 @@ def make_benchmark_evaluator(tasks: Iterable[tuple], budget: Budget, seed: int, 
     return evaluate
 
 
-def tune(space: SearchSpace, evaluator: ConfigEvaluator, subset: int | None = None,
-         subset_seed: int = 0) -> TuningReport:
+def tune(space: SearchSpace, evaluator: ConfigEvaluator) -> TuningReport:
     """Evaluate the grid, pick the best configuration and attribute every config's gap.
 
-    Ties are broken by grid order (lexicographic in the canonical field
-    order). ``subset`` evaluates a random sample of configurations for smoke
-    runs; Shapley attribution then has no full grid and is skipped.
+    Ties are broken by grid order (lexicographic in the canonical field order).
     """
     configs = grid_configs(space)
-    if subset is not None:
-        if subset < 1:
-            raise ValueError("subset must be >= 1")
-        picks = random.Random(subset_seed).sample(range(len(configs)), min(subset, len(configs)))
-        configs = [configs[i] for i in sorted(picks)]
     gaps = [evaluator(cfg) for cfg in configs]
     best_idx = min(range(len(configs)), key=gaps.__getitem__)
     default_key = config_key(DEFAULT_PARAMS)
@@ -158,7 +149,7 @@ def tune(space: SearchSpace, evaluator: ConfigEvaluator, subset: int | None = No
         mean_gaps=tuple(gaps),
         best_config=configs[best_idx],
         default_gap=None if default_idx is None else gaps[default_idx],
-        shapley=None if subset is not None else tuple(shapley_for_all_configs(space, gaps)),
+        shapley=tuple(shapley_for_all_configs(space, gaps)),
     )
 
 
@@ -216,7 +207,7 @@ def write_params_file(params: MctsParams, path) -> None:
 
 
 def read_params_file(path) -> MctsParams:
-    """Read a ``key=value`` config; the retired ``time_limit_factor`` key is ignored."""
+    """Read a ``key=value`` config; an unknown key is a ValueError."""
     kwargs = {}
     with open(path) as f:
         for raw in f:
@@ -226,8 +217,6 @@ def read_params_file(path) -> MctsParams:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key == "time_limit_factor":
-                continue
             if key not in FIELD_PARSERS:
                 raise ValueError(f"unknown solver parameter: {key!r}")
             try:

@@ -269,7 +269,8 @@ class TestSolve:
         ("4 1\n0 1 0.5\n", 4, "config error: heatmap file is for n=4, instance has n=10\n"),
         ("10 1\n0 x 0.5\n", 4, "config error: line 2: expected 'i j p', got '0 x 0.5'\n"),
         (None, 3, "I/O error: [Errno 2] No such file or directory: "),
-    ], ids=["wrong-n", "malformed-line", "missing-file"])
+        ("1000000000000 0\n", 4, "config error: heatmap file is for n=1000000000000, instance has n=10\n"),
+    ], ids=["wrong-n", "malformed-line", "missing-file", "huge-n"])
     def test_worker_errors_keep_their_exit_codes(self, instance_dir, tmp_path, text, code, message):
         """Instances are prepared inside the workers under --jobs 2: their errors reach the
         CLI's exit codes and messages, and stderr shows no traceback."""
@@ -283,6 +284,20 @@ class TestSolve:
         )
         assert proc.returncode == code
         assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_softdist_tau_too_small_config_error(self, instance_dir, tmp_path, jobs):
+        """d / tau overflows for a tau of 1e-320, and the NaN probabilities it gives are
+        rejected where the heatmap is built, in this process or in a worker."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", str(instance_dir), "--heatmap",
+             "softdist:1e-320", "--max-iters", "10", "--jobs", str(jobs), "--out", str(tmp_path / "x.csv")],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.endswith("\nconfig error: heatmap probability nan is outside [0, 1]\n")  # after numpy's warnings
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
@@ -398,19 +413,6 @@ class TestTune:
         rows = list(csv.DictReader(open(res)))
         assert rows and rows[0]["config"].startswith("a")
 
-    def test_subset_skips_shapley(self, tmp_path, instance_dir, capsys):
-        out = tmp_path / "tune"
-        code = run("tune", "--instances", instance_dir, "--heatmap", "zero",
-                   "--max-iters", 50, "--out-dir", out, "--subset", 3,
-                   "--alpha-values", "0,1", "--beta-values", "10,100",
-                   "--max-depth-values", "10,50", "--mcn-values", "5",
-                   "--param-h-values", "2", "--use-heatmap-values", "false")
-        assert code == 0
-        rows = list(csv.DictReader(open(out / "tuning.csv")))
-        assert len(rows) == 3
-        assert not (out / "shapley.csv").exists()
-        assert "subset" in capsys.readouterr().err
-
     def test_attribution_pass_runs_once(self, tmp_path, instance_dir, monkeypatch):
         passes = []
         original = tuner._attributions
@@ -421,9 +423,6 @@ class TestTune:
         assert run(*args, "--out-dir", tmp_path / "full") == 0
         assert len(passes) == 1
         assert len(list(csv.DictReader(open(tmp_path / "full" / "shapley.csv")))) == 24
-        assert run(*args, "--subset", 2, "--out-dir", tmp_path / "subset") == 0
-        assert len(passes) == 1
-        assert not (tmp_path / "subset" / "shapley.csv").exists()
 
     def test_jobs_below_one_usage_error(self, tmp_path, instance_dir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -439,15 +438,6 @@ class TestTune:
                 "--out-dir", tmp_path / "tune", "--seed", -3)
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
-        assert not (tmp_path / "tune").exists()
-
-    def test_subset_below_one_usage_error(self, tmp_path, instance_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
-                "--out-dir", tmp_path / "tune", "--subset", 0)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--subset" in err and "warning" not in err
         assert not (tmp_path / "tune").exists()
 
 
@@ -548,6 +538,19 @@ class TestReport:
         assert run("report", path) == 4
         assert capsys.readouterr().err == f"config error: {path}: line 3: missing {missing}\n"
 
+    @pytest.mark.parametrize("field, message", [
+        ("x" * 131073, "field larger than field limit (131072)"),
+        ("1.5\0", None),  # the csv module rejects a NUL byte before Python 3.11; float() does after
+    ], ids=["long-field", "nul-byte"])
+    def test_unreadable_csv_config_error(self, tmp_path, field, message):
+        """A row the csv module cannot read is a config error on its file and line, with no traceback."""
+        path = self.results_csv(tmp_path, f"u1,c,zero,{field},1.0,50.0,0.1,0")
+        proc = subprocess.run([sys.executable, "-m", "tspmcts.cli", "report", str(path)],
+                              env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith(f"config error: {path}: line 3: {message or ''}")
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_number_config_error(self, tmp_path, capsys):
         path = self.results_csv(tmp_path, "u1,c,zero,abc,1.0,50.0,0.1,0")
         assert run("report", path) == 4
@@ -640,19 +643,18 @@ def test_serial_solve_leaves_the_process_pool_unloaded(instance_dir, tmp_path):
 
 
 def test_solve_and_tune_leave_numpy_random_unloaded(tmp_path, instance_dir):
-    """The solver draws from ``random.Random``: a ``solve``, a full-grid ``tune`` and a ``--subset``
-    ``tune`` run without loading ``numpy.random`` (about 5.6 MB of RSS and 15 ms of start-up)."""
+    """The solver draws from ``random.Random``: a ``solve`` and a ``tune`` run without loading
+    ``numpy.random`` (about 5.6 MB of RSS and 15 ms of start-up)."""
     common = ("--instances", instance_dir, "--heatmap", "gtprior:tsp500", "--max-iters", 50)
     grid = ("--alpha-values", "0,1", "--beta-values", "10", "--max-depth-values", "10", "--mcn-values", "5,1000",
             "--param-h-values", "2", "--use-heatmap-values", "true")
-    runs = [("solve", *common, "--out", tmp_path / "s.csv"), ("tune", *common, *grid, "--out-dir", tmp_path / "full"),
-            ("tune", *common, "--subset", 2, "--out-dir", tmp_path / "subset")]
+    runs = [("solve", *common, "--out", tmp_path / "s.csv"), ("tune", *common, *grid, "--out-dir", tmp_path / "full")]
     code = ("import sys\nfrom tspmcts.cli import main\n"
             f"for argv in {[[str(a) for a in r] for r in runs]!r}:\n"
             "    print('exit', main(argv), 'numpy.random' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
-    assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == ["exit 0 False"] * 3
-    assert (tmp_path / "full" / "shapley.csv").exists() and not (tmp_path / "subset" / "shapley.csv").exists()
+    assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == ["exit 0 False"] * 2
+    assert (tmp_path / "full" / "shapley.csv").exists()
 
 
 #: Starts the CLI on its arguments and prints the CLI's exit code and its own max RSS (KiB on

@@ -5,6 +5,7 @@ import pytest
 
 from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
+    FileSource,
     Heatmap,
     HeatmapFormatError,
     PriorVector,
@@ -146,6 +147,11 @@ class TestHeatmapArrays:
         with pytest.raises(ValueError, match="row pointers"):
             Heatmap(n=2, indptr=np.array([0, 1, 2]), cols=np.array([1]), probs=np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5, np.inf])
+    def test_rejects_probabilities_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Heatmap(n=2, indptr=np.array([0, 1, 2]), cols=np.array([1, 0]), probs=np.array([0.5, bad]))
+
 
 class TestZeroHeatmap:
     def test_empty_rows(self):
@@ -218,6 +224,12 @@ class TestSoftDist:
         with pytest.raises(ValueError, match="tau"):
             softdist_heatmap(dm, tau=np.nan, k_keep=3)
 
+    def test_tau_too_small_for_the_distances(self):
+        """-d / tau overflows to -inf in every entry of a row, which makes its softmax NaN."""
+        dm, _ = dm_and_ranks(generate_uniform(5, 0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=r"nan is outside \[0, 1\]"):
+            softdist_heatmap(dm, tau=1e-320, k_keep=3)
+
 
 class TestHeatmapIO:
     def test_round_trip(self, tmp_path):
@@ -245,6 +257,14 @@ class TestHeatmapIO:
         path.write_text("3 1\n0 3 0.5\n")
         with pytest.raises(HeatmapFormatError):
             load_heatmap(path)
+
+    def test_header_n_is_checked_before_anything_is_sized(self, tmp_path):
+        """A header n of 10^12 against a 5-city instance fails on the count, not on allocating
+        arrays of that size."""
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000000 0\n")
+        with pytest.raises(ValueError, match="heatmap file is for n=1000000000000, instance has n=5"):
+            FileSource(str(path))(generate_uniform(5, 0), None, None)
 
     def test_prior_round_trip(self, tmp_path):
         path = tmp_path / "prior.txt"

@@ -392,12 +392,14 @@ def test_nearest_in_rows_frees_its_partition_early():
 @st.composite
 def full_rows(draw):
     """(dist, own): rows of distances from cities ``own`` (any index, repeats allowed) to all n,
-    on points whose distances never tie, tie often, or tie almost everywhere."""
+    on points whose distances never tie, tie now and then, tie often, or tie almost everywhere."""
     n = draw(st.integers(3, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["uniform", "grid", "three", "duplicates"]))
+    kind = draw(st.sampled_from(["uniform", "scaled", "grid", "three", "duplicates"]))
     if kind == "uniform":
         points = rng.random((n, 2)) * 1000
+    elif kind == "scaled":  # integer coordinates up to 10^2..10^5, as in TSPLIB files: few integer ties
+        points = np.floor(rng.random((n, 2)) * 10.0 ** draw(st.integers(2, 5)))
     elif kind == "grid":  # a small integer grid
         points = np.floor(rng.random((n, 2)) * draw(st.integers(1, 6)))
     elif kind == "three":  # every city on at most 3 points
@@ -413,8 +415,8 @@ def full_rows(draw):
 @settings(max_examples=150, deadline=None)
 @given(full_rows())
 def test_full_rows_are_a_stable_sort(case):
-    """Full width sorts float rows unstably and re-sorts those with a tie: every row is
-    still ordered by (distance, index), as a stable sort orders it."""
+    """Full width sorts rows unstably and re-sorts the runs of equal distances in rows with a
+    tie: every row is still ordered by (distance, index), as a stable sort orders it."""
     dist, own = case
     expected = dist.copy()
     expected[np.arange(len(own)), own] = -1

@@ -85,11 +85,6 @@ class TestTune:
         report = tune(SearchSpace(), lambda p: 1.0)
         assert config_key(report.best_config) == (0.0, 10.0, 10, 5, 2, True)
 
-    def test_subset_skips_shapley(self):
-        report = tune(SearchSpace(), stub_gap, subset=10)
-        assert len(report.configs) == 10
-        assert report.shapley is None
-
     def test_csv_schema(self, tmp_path):
         space = SearchSpace(
             alpha=(0.0, 1.0), beta=(10.0,), max_depth=(10,),
@@ -313,10 +308,12 @@ def test_params_file_round_trip(tmp_path):
     assert read_params_file(path) == params
 
 
-def test_params_file_ignores_retired_time_limit_factor(tmp_path):
+def test_params_file_rejects_time_limit_factor(tmp_path):
+    """The budget comes from --time-factor or --max-iters; a ``time_limit_factor`` line is an unknown key."""
     path = tmp_path / "config.txt"
     path.write_text("alpha=2.0\ntime_limit_factor=0.05\n")
-    assert read_params_file(path) == MctsParams(alpha=2.0)
+    with pytest.raises(ValueError, match="time_limit_factor"):
+        read_params_file(path)
 
 
 def test_params_file_rejects_unknown_keys(tmp_path):
