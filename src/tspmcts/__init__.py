@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 
 
 def _public_names() -> dict:
-    from .instances import (DistanceMatrix, Instance, Metric, RankTable, StructuredParams, distance_matrix,
-                            generate_structured, generate_uniform, nearest_neighbor_ranks, parse_tsplib)
+    from .instances import (DistanceMatrix, Instance, Metric, RankTable, distance_matrix, generate_structured,
+                            generate_uniform, nearest_neighbor_ranks, parse_tsplib)
     from .tours import Tour, SolveResult, exact_solve, tour_length, two_opt
     from .heatmaps import BUILTIN_PRIORS, Heatmap, prior_to_heatmap, softdist_heatmap, zero_heatmap
     from .knn_stats import PriorVector, build_gt_prior, cumulative_mass

@@ -150,19 +150,14 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    params = instances.StructuredParams(
-        n_clusters=args.clusters,
-        spread=args.spread,
-        center=(args.center_x, args.center_y),
-        radius=args.radius,
-    )
     manifest_rows = []
     for i in range(args.count):
         seed_i = args.seed + i
         if args.dist == "uniform":
             inst = instances.generate_uniform(args.n, seed_i)
         else:
-            inst = instances.generate_structured(args.n, seed_i, args.dist, params)
+            inst = instances.generate_structured(args.n, seed_i, args.dist, n_clusters=args.clusters, spread=args.spread,
+                                                 center=(args.center_x, args.center_y), radius=args.radius)
         if i == 0:  # only once an instance is built: a bad parameter leaves no --out behind
             out.mkdir(parents=True, exist_ok=True)
         fname = f"{i:04d}-{inst.id}.txt"
@@ -334,7 +329,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size too large to allocate, e.g. gen --n 10**13
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

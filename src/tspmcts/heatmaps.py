@@ -8,11 +8,12 @@ from i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix, RankTable
+from .instances import BLOCK_ELEMS, DistanceMatrix, Metric, RankTable
 from .knn_stats import PriorVector
 
 
@@ -145,10 +146,16 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     probable entries without renormalizing. The exponential form with a
     temperature flag is this artifact's own definition of a distance-based
     heatmap; tau has no canonical default and is exposed as a CLI flag.
-    Rows are computed in blocks of about ``BLOCK_ELEMS`` entries.
+    Rows are computed in blocks of about ``BLOCK_ELEMS`` entries. A tau that
+    is not finite, or so small that d / tau can overflow, is rejected first.
     """
-    if not tau > 0:  # also rejects NaN
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:  # also rejects NaN
+        raise ValueError(f"softdist tau must be finite and positive, got {tau}")
+    (x0, y0), (x1, y1) = dm.points.min(axis=0).tolist(), dm.points.max(axis=0).tolist()
+    # The bounding box's diagonal bounds every distance, with slack for rounding and for nint's +0.5.
+    longest = math.hypot(x1 - x0, y1 - y0) * (1 + 1e-12) + (0.5 if dm.metric is Metric.EUC2D_INT else 0.0)
+    if longest / tau == math.inf:
+        raise ValueError(f"softdist tau {tau} is too small: distances up to {longest:.6g} overflow d / tau")
     if k_keep < 1:
         raise ValueError(f"k_keep must be >= 1, got {k_keep}")
     n = dm.n

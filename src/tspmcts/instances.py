@@ -41,7 +41,6 @@ class Instance:
 
     id: str
     points: np.ndarray  # shape (n, 2), float64
-    source: str = "unknown"
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=np.float64)
@@ -152,103 +151,92 @@ class RankTable:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class StructuredParams:
-    """Parameters for the non-uniform generators.
-
-    cluster uses (n_clusters, spread); explosion/implosion use (center, radius).
-    """
-
-    n_clusters: int = 5
-    spread: float = 0.05
-    center: tuple[float, float] = (0.5, 0.5)
-    radius: float = 0.2
-
-
 def generate_uniform(n: int, seed: int) -> Instance:
     """n i.i.d. points uniform on the unit square."""
     if n < 3:
         raise ValueError(f"instance needs at least 3 cities, got {n}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
-    return Instance(id=f"uniform-n{n}-s{seed}", points=pts, source=f"generated(uniform, seed={seed})")
+    return Instance(id=f"uniform-n{n}-s{seed}", points=pts)
 
 
-def generate_structured(n: int, seed: int, kind: str, params: StructuredParams | None = None) -> Instance:
+def generate_structured(n: int, seed: int, kind: str, *, n_clusters: int = 5, spread: float = 0.05,
+                        center: tuple[float, float] = (0.5, 0.5), radius: float = 0.2) -> Instance:
     """Clustered, explosion or implosion points, clipped to the unit square.
 
     cluster: uniform centers, round-robin assignment, isotropic Gaussian
     noise with std ``spread``. explosion: uniform points strictly inside
     ``radius`` of ``center`` are pushed radially to the circle. implosion:
     the same points are contracted halfway toward the center instead.
+    cluster reads only (n_clusters, spread), the other two only (center, radius).
     """
     if n < 3:
         raise ValueError(f"instance needs at least 3 cities, got {n}")
-    params = params or StructuredParams()
     rng = np.random.default_rng(seed)
     if kind == "cluster":
-        if params.n_clusters < 1:
+        if n_clusters < 1:
             raise ValueError("cluster generator needs n_clusters >= 1")
-        if params.spread <= 0:
+        if spread <= 0:
             raise ValueError("cluster generator needs spread > 0")
-        centers = rng.random((params.n_clusters, 2))
-        assignment = np.arange(n) % params.n_clusters
-        pts = centers[assignment] + rng.normal(0.0, params.spread, size=(n, 2))
+        centers = rng.random((n_clusters, 2))
+        assignment = np.arange(n) % n_clusters
+        pts = centers[assignment] + rng.normal(0.0, spread, size=(n, 2))
     elif kind in ("explosion", "implosion"):
-        cx, cy = params.center
+        cx, cy = center
         if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
             raise ValueError("center must lie in the unit square")
-        if not (0.0 < params.radius <= 0.5):
+        if not (0.0 < radius <= 0.5):
             raise ValueError("radius must lie in (0, 0.5]")
         pts = rng.random((n, 2))
         center = np.array([cx, cy])
         offset = pts - center
         dist = np.hypot(offset[:, 0], offset[:, 1])
-        inside = dist < params.radius
+        inside = dist < radius
         if inside.any():
             # Points sitting exactly on the center get an arbitrary fixed direction.
             direction = offset[inside]
             norms = dist[inside][:, None]
             direction = np.divide(direction, norms, out=np.tile([1.0, 0.0], (int(inside.sum()), 1)), where=norms > 0)
             if kind == "explosion":
-                pts[inside] = center + params.radius * direction
+                pts[inside] = center + radius * direction
             else:
                 pts[inside] = center + 0.5 * offset[inside]
     else:
         raise ValueError(f"unknown distribution kind: {kind!r}")
     pts = np.clip(pts, 0.0, 1.0)
-    return Instance(id=f"{kind}-n{n}-s{seed}", points=pts, source=f"generated({kind}, seed={seed})")
+    return Instance(id=f"{kind}-n{n}-s{seed}", points=pts)
 
 
-def _tsplib_fields(text: str) -> tuple[dict[str, str], list[str]]:
-    """Split a TSPLIB file into header key/values and data-section lines."""
+def _tsplib_fields(text: str, section: str) -> tuple[dict[str, str], list[str]]:
+    """Split a TSPLIB file into header key/values and the lines of its data ``section``
+    (``NODE_COORD_SECTION`` or ``TOUR_SECTION``), which runs to ``EOF`` or the end."""
     header: dict[str, str] = {}
     data: list[str] = []
-    in_coords = False
+    in_data = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        if line.upper() == "NODE_COORD_SECTION":
-            in_coords = True
+        if line.upper() == section:
+            in_data = True
             continue
         if line.upper() == "EOF":
             break
-        if in_coords:
+        if in_data:
             data.append(line)
         elif ":" in line:
             key, _, value = line.partition(":")
             header[key.strip().upper()] = value.strip()
         else:
             header[line.upper()] = ""
-    if not in_coords:
-        raise ParseError("missing NODE_COORD_SECTION")
+    if not in_data:
+        raise ParseError(f"missing {section}")
     return header, data
 
 
 def parse_tsplib(text: str) -> Instance:
     """Parse a EUC_2D TSPLIB instance; coordinates are kept verbatim."""
-    header, data = _tsplib_fields(text)
+    header, data = _tsplib_fields(text, "NODE_COORD_SECTION")
     if "DIMENSION" not in header:
         raise ParseError("missing DIMENSION")
     try:
@@ -271,8 +259,7 @@ def parse_tsplib(text: str) -> Instance:
             raise ParseError(f"bad or repeated city index on line: {line!r}")
         seen[idx] = True
         pts[idx] = (float(parts[1]), float(parts[2]))
-    name = header.get("NAME", "unnamed")
-    return Instance(id=name, points=pts, source=f"tsplib({name})")
+    return Instance(id=header.get("NAME", "unnamed"), points=pts)
 
 
 def parse_native(text: str, id: str = "native") -> Instance:
@@ -289,7 +276,7 @@ def parse_native(text: str, id: str = "native") -> Instance:
     pts = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
     if pts.shape != (n, 2):
         raise ParseError("coordinate lines must hold exactly two values")
-    return Instance(id=id, points=pts, source="native")
+    return Instance(id=id, points=pts)
 
 
 def write_native(inst: Instance) -> str:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix
+from .instances import BLOCK_ELEMS, DistanceMatrix, _tsplib_fields
 
 #: Largest instance the Held-Karp oracle accepts (2^(n-1) * (n-1) table).
 EXACT_SOLVE_MAX_N = 18
@@ -150,39 +150,21 @@ def two_opt(start: Tour, dm: DistanceMatrix, max_passes: int = 50) -> Tour:
 
 
 def parse_tour(text: str) -> np.ndarray:
-    """Read a tour file: native ``n`` + 0-based indices, or TSPLIB TOUR_SECTION."""
+    """Read a tour file: native ``n`` + 0-based indices, or a TSPLIB TOUR_SECTION of 1-based
+    indices up to ``-1``, whose DIMENSION (default: the index count) the indices must fill."""
     if "TOUR_SECTION" in text:
-        return _parse_tsplib_tour(text)
-    tokens = text.split()
-    if not tokens:
-        raise InvalidTourError("empty tour file")
-    n = int(tokens[0])
-    values = [int(t) for t in tokens[1:]]
-    if len(values) != n:
-        raise InvalidTourError(f"expected {n} indices, found {len(values)}")
-    return _check_permutation(np.array(values), n).astype(np.int32)
-
-
-def _parse_tsplib_tour(text: str) -> np.ndarray:
-    values: list[int] = []
-    in_section = False
-    n = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.upper().startswith("DIMENSION"):
-            n = int(line.split(":")[-1])
-        elif line.upper() == "TOUR_SECTION":
-            in_section = True
-        elif in_section:
-            for tok in line.split():
-                if tok == "-1" or tok.upper() == "EOF":
-                    in_section = False
-                    break
-                values.append(int(tok) - 1)  # TSPLIB tours are 1-based
-    if n is None:
-        n = len(values)
+        header, data = _tsplib_fields(text, "TOUR_SECTION")
+        tokens = " ".join(data).split() + ["-1"]
+        values = [int(t) - 1 for t in tokens[: tokens.index("-1")]]
+        n = int(header.get("DIMENSION", len(values)))
+    else:
+        tokens = text.split()
+        if not tokens:
+            raise InvalidTourError("empty tour file")
+        n = int(tokens[0])
+        values = [int(t) for t in tokens[1:]]
+        if len(values) != n:
+            raise InvalidTourError(f"expected {n} indices, found {len(values)}")
     return _check_permutation(np.array(values), n).astype(np.int32)
 
 

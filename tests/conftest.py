@@ -74,6 +74,15 @@ def tsplib_text(inst: Instance) -> str:
     return "\n".join(lines + ["EOF"]) + "\n"
 
 
+def tsplib_tour_text(order, *, dimension: bool = True, tail=("-1", "EOF"), per_line: int = 1) -> str:
+    """The 0-based ``order`` as a TSPLIB tour: 1-based TOUR_SECTION indices, ``per_line`` to a
+    line, with or without the DIMENSION line, then the ``tail`` lines (any of ``-1`` and ``EOF``)."""
+    lines = ["NAME : t", "TYPE : TOUR"] + ([f"DIMENSION : {len(order)}"] if dimension else []) + ["TOUR_SECTION"]
+    cities = [str(city + 1) for city in order]
+    lines += [" ".join(cities[i : i + per_line]) for i in range(0, len(cities), per_line)]
+    return "\n".join([*lines, *tail]) + "\n"
+
+
 #: (state, holders, pointers) of the last state ``union_neighbors`` read: the cities holding
 #: each city as a candidate, ascending, grouped by city; computed once per state.
 _holders: list = [None, None, None]

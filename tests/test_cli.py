@@ -86,6 +86,16 @@ class TestGen:
         assert run("gen", "--n", 8, "--count", 1, "--dist", dist, flag, value, "--out", tmp_path / "d") == 4
         assert not (tmp_path / "d").exists()
 
+    # 10**13 points (or cluster centers) need 146 TiB, which numpy refuses at once; a size the
+    # kernel might grant (about 10**10 elements or less) would be filled and could exhaust the host.
+    @pytest.mark.parametrize("args", [("--n", 10**13), ("--n", 5, "--dist", "cluster", "--clusters", 10**13)],
+                             ids=["n", "clusters"])
+    def test_size_too_large_to_allocate_config_error(self, tmp_path, capsys, args):
+        assert run("gen", *args, "--count", 1, "--out", tmp_path / "d") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate ") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
 
 class TestSolve:
     def test_zero_heatmap_run(self, instance_dir, tmp_path):
@@ -180,7 +190,8 @@ class TestSolve:
         assert err.startswith(f"config error: line {line}: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 4)])
+    # softdist:inf would tie every probability of a row and keep the lowest indices, not the nearest cities.
+    @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 4), ("softdist:inf", 4)])
     def test_softdist_temperature(self, instance_dir, tmp_path, capsys, spec, code):
         assert run("solve", "--instances", instance_dir, "--heatmap", spec,
                    "--max-iters", 10, "--out", tmp_path / "x.csv") == code
@@ -188,7 +199,7 @@ class TestSolve:
         if code == 2:
             assert err.startswith("error:") and "--heatmap" in err
         else:
-            assert err.startswith("config error:")
+            assert err.startswith("config error:") and "tau" in err and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_malformed_use_heatmap_usage_error(self, instance_dir, tmp_path, capsys):
@@ -289,15 +300,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_softdist_tau_too_small_config_error(self, instance_dir, tmp_path, jobs):
-        """d / tau overflows for a tau of 1e-320, and the NaN probabilities it gives are
-        rejected where the heatmap is built, in this process or in a worker."""
+        """d / tau can overflow for a tau of 1e-320: the heatmap builder rejects it before it
+        computes a row, in this process or in a worker, so no numpy warning precedes the error."""
         proc = subprocess.run(
             [sys.executable, "-m", "tspmcts.cli", "solve", "--instances", str(instance_dir), "--heatmap",
              "softdist:1e-320", "--max-iters", "10", "--jobs", str(jobs), "--out", str(tmp_path / "x.csv")],
             env=child_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 4
-        assert proc.stderr.endswith("\nconfig error: heatmap probability nan is outside [0, 1]\n")  # after numpy's warnings
+        assert proc.stderr.startswith("config error: softdist tau 1e-320 is too small: distances up to ")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 

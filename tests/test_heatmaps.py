@@ -223,11 +223,14 @@ class TestSoftDist:
             softdist_heatmap(dm, tau=0.0, k_keep=3)
         with pytest.raises(ValueError, match="tau"):
             softdist_heatmap(dm, tau=np.nan, k_keep=3)
+        with pytest.raises(ValueError, match="tau must be finite"):  # every probability of a row would tie
+            softdist_heatmap(dm, tau=np.inf, k_keep=3)
 
     def test_tau_too_small_for_the_distances(self):
-        """-d / tau overflows to -inf in every entry of a row, which makes its softmax NaN."""
+        """-d / tau would overflow to -inf in every entry of a row, which makes its softmax NaN:
+        the tau is rejected before any row is computed, so numpy raises no floating-point error."""
         dm, _ = dm_and_ranks(generate_uniform(5, 0))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=r"nan is outside \[0, 1\]"):
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(ValueError, match="tau 1e-320 is too small"):
             softdist_heatmap(dm, tau=1e-320, k_keep=3)
 
 

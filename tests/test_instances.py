@@ -13,7 +13,6 @@ from tspmcts.instances import (
     Instance,
     Metric,
     ParseError,
-    StructuredParams,
     UnsupportedMetricError,
     distance_matrix,
     generate_structured,
@@ -62,31 +61,31 @@ def test_instance_rejects_non_finite_points(bad):
 
 class TestGenerateStructured:
     def test_cluster_points_near_centers(self):
-        params = StructuredParams(n_clusters=5, spread=0.05)
-        inst = generate_structured(100, 0, "cluster", params)
+        spread = 0.05
+        inst = generate_structured(100, 0, "cluster", n_clusters=5, spread=spread)
         # Recompute the centers the generator drew, then check proximity.
         rng = np.random.default_rng(0)
         centers = rng.random((5, 2))
         nearest = np.min(
             np.linalg.norm(inst.points[:, None, :] - centers[None, :, :], axis=2), axis=1
         )
-        assert (nearest <= 3 * params.spread).mean() >= 0.60
+        assert (nearest <= 3 * spread).mean() >= 0.60
 
     def test_explosion_clears_exclusion_zone(self):
-        params = StructuredParams(center=(0.5, 0.5), radius=0.2)
-        inst = generate_structured(100, 0, "explosion", params)
+        radius = 0.2
+        inst = generate_structured(100, 0, "explosion", center=(0.5, 0.5), radius=radius)
         dist = np.linalg.norm(inst.points - np.array([0.5, 0.5]), axis=1)
-        assert (dist >= params.radius - 1e-12).all()
+        assert (dist >= radius - 1e-12).all()
 
     def test_implosion_contracts(self):
-        params = StructuredParams(center=(0.5, 0.5), radius=0.3)
-        inst = generate_structured(200, 3, "implosion", params)
+        radius = 0.3
+        inst = generate_structured(200, 3, "implosion", center=(0.5, 0.5), radius=radius)
         plain = generate_uniform(200, 3)
         # Points outside the radius are untouched; inside ones move halfway in.
         dist = np.linalg.norm(plain.points - np.array([0.5, 0.5]), axis=1)
-        outside = dist >= params.radius
+        outside = dist >= radius
         assert np.array_equal(inst.points[outside], plain.points[outside])
-        assert (np.linalg.norm(inst.points[~outside] - np.array([0.5, 0.5]), axis=1) < params.radius).all()
+        assert (np.linalg.norm(inst.points[~outside] - np.array([0.5, 0.5]), axis=1) < radius).all()
 
     @pytest.mark.parametrize("kind", ["cluster", "explosion", "implosion"])
     def test_deterministic(self, kind):
@@ -96,11 +95,11 @@ class TestGenerateStructured:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            generate_structured(10, 0, "cluster", StructuredParams(spread=0.0))
+            generate_structured(10, 0, "cluster", spread=0.0)
         with pytest.raises(ValueError):
-            generate_structured(10, 0, "explosion", StructuredParams(radius=0.9))
+            generate_structured(10, 0, "explosion", radius=0.9)
         with pytest.raises(ValueError):
-            generate_structured(10, 0, "implosion", StructuredParams(center=(1.5, 0.5)))
+            generate_structured(10, 0, "implosion", center=(1.5, 0.5))
         with pytest.raises(ValueError):
             generate_structured(10, 0, "spiral")
 
@@ -115,7 +114,6 @@ class TestParseTsplib:
         inst = parse_tsplib(eil51_text)
         assert inst.n == 51
         assert inst.id == "eil51"
-        assert inst.source == "tsplib(eil51)"
 
     def test_explicit_weights_rejected(self):
         text = "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n3 1 0\nEOF\n"

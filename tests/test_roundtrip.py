@@ -4,14 +4,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspmcts.heatmaps import PriorVector, load_heatmap, load_prior, save_prior
 from tspmcts.instances import Instance, parse_native, parse_tsplib, write_native
-from tspmcts.tours import parse_tour, write_tour
+from tspmcts.tours import InvalidTourError, parse_tour, write_tour
 
-from conftest import heatmap_from_rows, tsplib_text, write_heatmap
+from conftest import heatmap_from_rows, tsplib_text, tsplib_tour_text, write_heatmap
 
 #: Probabilities: a few exact values (so rows have ties) or any float in [0, 1].
 probabilities = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -103,3 +104,21 @@ def test_tour_round_trip(order):
     parsed = parse_tour(write_tour(np.array(order)))
     assert parsed.dtype == np.int32
     assert parsed.tolist() == list(order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))), st.booleans(),
+       st.sampled_from([(), ("-1",), ("EOF",), ("-1", "EOF")]), st.integers(1, 8))
+def test_tsplib_tour_round_trip(order, dimension, tail, per_line):
+    parsed = parse_tour(tsplib_tour_text(order, dimension=dimension, tail=tail, per_line=per_line))
+    assert parsed.dtype == np.int32
+    assert parsed.tolist() == list(order)
+
+
+@pytest.mark.parametrize("text", [
+    tsplib_tour_text([0, 2, 1, 3]).replace("DIMENSION : 4", "DIMENSION : 5"),
+    tsplib_tour_text([0, 2, 1, 2]),
+], ids=["wrong-dimension", "duplicate-city"])
+def test_malformed_tsplib_tour_rejected(text):
+    with pytest.raises(InvalidTourError):  # a ValueError, which the CLI reports as a config error (exit 4)
+        parse_tour(text)
