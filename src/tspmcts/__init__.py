@@ -10,8 +10,8 @@ def _public_names() -> dict:
     from .instances import (DistanceMatrix, Instance, Metric, RankTable, distance_matrix, generate_structured,
                             generate_uniform, nearest_neighbor_ranks, parse_tsplib)
     from .tours import Tour, SolveResult, exact_solve, tour_length, two_opt
-    from .heatmaps import BUILTIN_PRIORS, Heatmap, prior_to_heatmap, softdist_heatmap, zero_heatmap
-    from .knn_stats import PriorVector, build_gt_prior, cumulative_mass
+    from .heatmaps import (BUILTIN_PRIORS, Heatmap, PriorVector, build_gt_prior, cumulative_mass, prior_to_heatmap,
+                           softdist_heatmap, zero_heatmap)
     from .mcts import Budget, MctsParams, MctsState, init_state, sample_initial_tour, solve
     from .evalkit import GapReport, Prepared, ResultTable, optimality_gap, prepare, run_benchmark
     from .tuner import SearchSpace, TuningReport, grid_configs, shapley_importance, tune

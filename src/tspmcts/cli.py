@@ -12,7 +12,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import heatmaps, instances, knn_stats, tours, tuner
+from . import heatmaps, instances, tours, tuner
 from .evalkit import Budget, run_benchmark
 from .mcts import MctsParams
 
@@ -52,10 +52,9 @@ def parse_heatmap_spec(spec: str) -> tuple[heatmaps.ZeroSource | heatmaps.PriorS
         return heatmaps.SoftDistSource(tau=_flag_value("--heatmap softdist", arg, float)), f"softdist:{arg}"
     if kind == "gtprior":
         if not arg:
-            raise UsageError("gtprior needs a builtin name or prior file")
-        if arg in heatmaps.BUILTIN_PRIORS:
-            return heatmaps.PriorSource(heatmaps.BUILTIN_PRIORS[arg]), f"gtprior:{arg}"
-        return heatmaps.PriorSource(heatmaps.load_prior(arg)), f"gtprior:{Path(arg).name}"
+            raise UsageError("gtprior needs a builtin name or an analyze-knn CSV")
+        prior = heatmaps.BUILTIN_PRIORS[arg] if arg in heatmaps.BUILTIN_PRIORS else heatmaps.load_prior(arg)
+        return heatmaps.PriorSource(prior), f"gtprior:{Path(arg).name}"  # a builtin's name is its own
     if kind == "file":
         if not arg:
             raise UsageError("file needs a path, e.g. file:heatmap.txt")
@@ -97,12 +96,16 @@ def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instanc
         raise FileNotFoundError(f"no instance files (.txt/.tsp) in {inst_dir}")
     pairs = []
     for path in files:
-        inst, order = instances.load_instance(path), None
-        if tour_dir is not None:
-            tour_path = Path(tour_dir) / (path.stem + ".tour")
-            if not tour_path.exists():
-                raise FileNotFoundError(f"missing tour file: {tour_path}")
-            order = tours.parse_tour(tour_path.read_text())
+        at, order = path, None
+        try:
+            inst = instances.load_instance(path)
+            if tour_dir is not None:
+                at = Path(tour_dir) / (path.stem + ".tour")
+                if not at.exists():
+                    raise FileNotFoundError(f"missing tour file: {at}")
+                order = tours.parse_tour(at.read_text())
+        except ValueError as exc:  # named by the file at fault, in its own type (a decode error's needs 5 fields)
+            raise (ValueError if isinstance(exc, UnicodeError) else type(exc))(f"{at}: {exc}") from None
         pairs.append((inst, order))
     return pairs
 
@@ -220,11 +223,9 @@ def cmd_analyze_knn(args) -> int:
         dm = instances.distance_matrix(inst)
         dms.append(dm)
         tour_list.append(tours.exact_solve(dm) if order is None else tours.make_tour(order, dm))
-    prior = knn_stats.build_gt_prior(dms, tour_list)
-    knn_stats.write_distribution_csv(prior, args.out)
-    if args.emit_prior:
-        heatmaps.save_prior(prior, args.emit_prior)
-    top5 = knn_stats.cumulative_mass(prior, 5)
+    prior = heatmaps.build_gt_prior(dms, tour_list)
+    heatmaps.write_distribution_csv(prior, args.out)
+    top5 = heatmaps.cumulative_mass(prior, 5)
     print(f"{len(dms)} instances, truncation {prior.truncation}, top-5 mass {top5:.4f} -> {args.out}")
     return EXIT_OK
 
@@ -306,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--tours", help="directory of <instance>.tour files")
     p.add_argument("--oracle", action="store_true", help="exact-solve instances (n <= 18)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-prior", dest="emit_prior", help="also write a prior vector file")
+    p.add_argument("--out", required=True, help="rank,mass,cumulative CSV; gtprior:FILE reads it")
     p.set_defaults(func=cmd_analyze_knn)
 
     p = sub.add_parser("report", help="merge results CSVs into a Markdown summary")

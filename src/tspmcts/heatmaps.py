@@ -1,30 +1,26 @@
-"""Edge-probability heatmaps, and the builtin neighbor-rank priors that feed them.
+"""Edge-probability heatmaps, and the neighbor-rank prior behind the GT-Prior heatmap.
 
-A heatmap stores, per city, a sparse row of (neighbor, probability) entries
-in compressed-row arrays; absent entries are implicit zeros. The GT-Prior
-assigns each edge (i, j) the empirical probability that optimal tours
-connect a city to its k-th nearest neighbor, where k is j's distance rank
-from i.
+A heatmap stores, per city, a sparse row of (neighbor, probability) entries in compressed-row
+arrays; absent entries are implicit zeros. The GT-Prior assigns each edge (i, j) the empirical
+probability that optimal tours connect a city to its k-th nearest neighbor, where k is j's distance
+rank from i: the rank distribution of each city's two tour neighbors, averaged over (near-)optimal
+tours.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .instances import BLOCK_ELEMS, DistanceMatrix, Metric, RankTable
-from .knn_stats import PriorVector
+from .tours import Tour, _check_permutation
 
 
 class HeatmapFormatError(ValueError):
-    """Raised for malformed heatmap files; carries the offending line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    """Raised for malformed heatmap files; the message names the file and the line at fault."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +80,117 @@ def _from_entries(n: int, row_of: np.ndarray, cols: np.ndarray, probs: np.ndarra
                    probs=probs[order])
 
 
+@dataclass(frozen=True)
+class PriorVector:
+    """Edge probability by neighbor rank; ranks beyond the truncation are 0."""
+
+    masses: np.ndarray  # masses[k-1] = probability at rank k
+
+    def __post_init__(self) -> None:
+        masses = np.array(self.masses, dtype=np.float64)
+        if masses.ndim != 1 or masses.size == 0:
+            raise ValueError("prior needs a non-empty 1-d mass vector")
+        if not ((masses >= 0) & (masses <= 1)).all():  # also rejects NaN
+            raise ValueError("prior masses must lie in [0, 1]")
+        if masses.sum() > 1 + 1e-9:
+            raise ValueError(f"prior masses sum to {masses.sum()}, exceeding 1")
+        masses.setflags(write=False)
+        object.__setattr__(self, "masses", masses)
+
+    @property
+    def truncation(self) -> int:
+        return self.masses.shape[0]
+
+
+def rank_counts(dm: DistanceMatrix, order: np.ndarray) -> np.ndarray:
+    """Count successor ranks over both traversal directions of a tour.
+
+    The rank of j from i is one plus the number of other cities ahead of j
+    under (distance, index), the order of the rank table; it is counted for
+    each city's tour successor and predecessor from blocks of ``BLOCK_ELEMS``
+    distances, so no row is sorted and no table is kept.
+    """
+    n = dm.n
+    order = _check_permutation(np.asarray(order), n)
+    succ = np.empty(n, dtype=np.int64)
+    succ[order] = np.roll(order, -1)
+    pred = np.empty(n, dtype=np.int64)
+    pred[order] = np.roll(order, 1)
+    counts = np.zeros(n - 1, dtype=np.int64)
+    cities = np.arange(n)
+    step = max(1, BLOCK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        dist = dm.rows(lo, hi)
+        block = np.arange(hi - lo)
+        dist[block, cities[lo:hi]] = -1  # the own city is ahead of all, so it stands for the rank's 1
+        for nbr in (succ[lo:hi], pred[lo:hi]):
+            d = dist[block, nbr][:, None]
+            ahead = ((dist < d) | (dist == d) & (cities < nbr[:, None])).sum(axis=1)
+            counts += np.bincount(ahead - 1, minlength=n - 1)
+    return counts
+
+
+def build_gt_prior(dms: Sequence[DistanceMatrix], tours: Sequence[Tour]) -> PriorVector:
+    """The mean of the tours' rank distributions, each normalized by its 2n selections.
+
+    The result sums to 1 and is truncated at the largest rank observed
+    anywhere in the corpus; a tour whose ranks stop short adds zeros beyond them.
+    """
+    if len(dms) != len(tours):
+        raise ValueError(f"{len(dms)} distance matrices vs {len(tours)} tours")
+    if not tours:
+        raise ValueError("need at least one (distance matrix, tour) pair")
+    dists = []
+    for dm, tour in zip(dms, tours):
+        counts = rank_counts(dm, tour.order)
+        dists.append(counts[: np.flatnonzero(counts)[-1] + 1] / counts.sum())
+    total = np.zeros(max(d.size for d in dists))
+    for d in dists:
+        total[: d.size] += d
+    return PriorVector(masses=total / len(dists))
+
+
+def cumulative_mass(prior: PriorVector, k: int) -> float:
+    """Total mass at ranks 1..k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return float(prior.masses[:k].sum())
+
+
+def write_distribution_csv(prior: PriorVector, path) -> None:
+    """Emit ``rank,mass,cumulative`` rows, the one prior file: each mass is written as the
+    shortest text that reads back exactly, so ``load_prior`` returns the same prior."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["rank", "mass", "cumulative"])
+        running = 0.0
+        for k, mass in enumerate(prior.masses, start=1):
+            running += float(mass)
+            writer.writerow([k, repr(float(mass)), f"{running:.12g}"])
+
+
+def load_prior(path) -> PriorVector:
+    """The prior in a ``write_distribution_csv`` file, whose ``rank`` column runs 1, 2, ... in order. Any
+    other file is a ValueError that names it, and the line at fault."""
+    with open(path, newline="") as f:
+        reader, masses, where = csv.DictReader(f), [], ""
+        try:
+            if not {"rank", "mass"} <= set(reader.fieldnames or ()):
+                raise ValueError("expected the rank,mass,cumulative CSV that analyze-knn writes")
+            for row in reader:
+                where, rank, mass = f" line {reader.line_num}:", row["rank"], row["mass"]
+                if rank != str(len(masses) + 1) or not 0 <= float(mass or "nan") <= 1:  # NaN is outside too
+                    raise ValueError(f"expected rank {len(masses) + 1} with a mass in [0, 1], got {rank!r}, {mass!r}")
+                masses.append(float(mass))
+            where = ""
+            return PriorVector(masses=np.array(masses))  # rejects no rows, or masses summing past 1
+        except csv.Error as exc:  # e.g. a field past the csv module's size limit, in the record after line_num
+            raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{where} {exc}") from None
+
+
 #: Published rank-prior vectors, derived from Concorde/LKH-3 solutions of
 #: uniform instances at the three reference scales.
 BUILTIN_PRIORS: dict[str, PriorVector] = {
@@ -139,6 +246,10 @@ def zero_heatmap(n: int) -> Heatmap:
                    probs=np.empty(0))
 
 
+#: How many of its most probable entries each row of a ``softdist:TAU`` heatmap keeps.
+SOFTDIST_KEEP = 24
+
+
 def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     """Distance softmax rows: p_ij proportional to exp(-d_ij / tau).
 
@@ -182,17 +293,15 @@ def load_heatmap(path, instance_n: int | None = None) -> Heatmap:
     """Read the ``n m`` / ``i j p`` text format, validating every entry; a header n other
     than ``instance_n``, when given, is rejected before anything is sized by it."""
     with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise HeatmapFormatError("empty heatmap file")
+        lines = f.read().splitlines() or [""]  # an empty file has an empty header
     try:
         n, m = (int(tok) for tok in lines[0].split())
         if n < 0 or m < 0:
             raise ValueError
     except ValueError:
-        raise HeatmapFormatError(f"expected 'n m' header, got {lines[0]!r}", line_no=1) from None
+        raise HeatmapFormatError(f"{path}: line 1: expected 'n m' header, got {lines[0]!r}") from None
     if instance_n is not None and n != instance_n:
-        raise ValueError(f"heatmap file is for n={n}, instance has n={instance_n}")
+        raise ValueError(f"{path}: heatmap file is for n={n}, instance has n={instance_n}")
     entries: dict[tuple[int, int], float] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -201,18 +310,18 @@ def load_heatmap(path, instance_n: int | None = None) -> Heatmap:
             i, j, p = line.split()
             i, j, p = int(i), int(j), float(p)
         except ValueError:
-            raise HeatmapFormatError(f"expected 'i j p', got {line!r}", line_no=line_no) from None
+            raise HeatmapFormatError(f"{path}: line {line_no}: expected 'i j p', got {line!r}") from None
         if not 0 <= i < n or not 0 <= j < n:
-            raise HeatmapFormatError(f"index out of range for n={n}: {line!r}", line_no=line_no)
+            raise HeatmapFormatError(f"{path}: line {line_no}: index out of range for n={n}: {line!r}")
         if i == j:
-            raise HeatmapFormatError(f"self-edge: {line!r}", line_no=line_no)
+            raise HeatmapFormatError(f"{path}: line {line_no}: self-edge: {line!r}")
         if not 0.0 <= p <= 1.0:
-            raise HeatmapFormatError(f"probability outside [0, 1]: {line!r}", line_no=line_no)
+            raise HeatmapFormatError(f"{path}: line {line_no}: probability outside [0, 1]: {line!r}")
         if (i, j) in entries:
-            raise HeatmapFormatError(f"duplicate entry ({i}, {j}): {line!r}", line_no=line_no)
+            raise HeatmapFormatError(f"{path}: line {line_no}: duplicate entry ({i}, {j}): {line!r}")
         entries[i, j] = p
     if len(entries) != m:
-        raise HeatmapFormatError(f"header declared {m} entries, found {len(entries)}")
+        raise HeatmapFormatError(f"{path}: header declared {m} entries, found {len(entries)}")
     ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
     return _from_entries(n, ij[:, 0], ij[:, 1].astype(np.int32), np.array(list(entries.values())))
 
@@ -237,13 +346,12 @@ class PriorSource:
 
 @dataclass(frozen=True)
 class SoftDistSource:
-    """Per-instance factory for the distance-softmax heatmap."""
+    """Per-instance factory for the distance-softmax heatmap, keeping ``SOFTDIST_KEEP`` entries a row."""
 
     tau: float
-    k_keep: int = 24
 
     def __call__(self, inst, dm, ranks) -> Heatmap:
-        return softdist_heatmap(dm, self.tau, self.k_keep)
+        return softdist_heatmap(dm, self.tau, SOFTDIST_KEEP)
 
 
 @dataclass(frozen=True)
@@ -256,15 +364,3 @@ class FileSource:
         return load_heatmap(self.path, inst.n)
 
 
-def save_prior(prior: PriorVector, path) -> None:
-    with open(path, "w") as f:
-        for mass in prior.masses:
-            f.write(f"{mass:.17g}\n")
-
-
-def load_prior(path) -> PriorVector:
-    with open(path) as f:
-        values = [float(tok) for tok in f.read().split()]
-    if not values:
-        raise ValueError(f"no prior masses found in {path}")
-    return PriorVector(masses=np.array(values))

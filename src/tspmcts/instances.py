@@ -176,8 +176,8 @@ def generate_structured(n: int, seed: int, kind: str, *, n_clusters: int = 5, sp
     if kind == "cluster":
         if n_clusters < 1:
             raise ValueError("cluster generator needs n_clusters >= 1")
-        if spread <= 0:
-            raise ValueError("cluster generator needs spread > 0")
+        if not 0 < spread < math.inf:  # also rejects NaN; noise of spread inf would clip every city to a corner
+            raise ValueError(f"cluster generator needs a finite spread > 0, got {spread}")
         centers = rng.random((n_clusters, 2))
         assignment = np.arange(n) % n_clusters
         pts = centers[assignment] + rng.normal(0.0, spread, size=(n, 2))
@@ -234,15 +234,20 @@ def _tsplib_fields(text: str, section: str) -> tuple[dict[str, str], list[str]]:
     return header, data
 
 
+def _int(token: str, what: str, error: type[ValueError] = ParseError) -> int:
+    """``int(token)``; a malformed token raises ``error`` naming ``what`` and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"bad {what}: {token!r}") from None
+
+
 def parse_tsplib(text: str) -> Instance:
     """Parse a EUC_2D TSPLIB instance; coordinates are kept verbatim."""
     header, data = _tsplib_fields(text, "NODE_COORD_SECTION")
     if "DIMENSION" not in header:
         raise ParseError("missing DIMENSION")
-    try:
-        n = int(header["DIMENSION"])
-    except ValueError as exc:
-        raise ParseError(f"bad DIMENSION: {header['DIMENSION']!r}") from exc
+    n = _int(header["DIMENSION"], "DIMENSION")
     weight_type = header.get("EDGE_WEIGHT_TYPE", "")
     if weight_type.upper() != "EUC_2D":
         raise UnsupportedMetricError(f"unsupported EDGE_WEIGHT_TYPE: {weight_type or 'missing'!r}")
@@ -254,7 +259,7 @@ def parse_tsplib(text: str) -> Instance:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"bad coordinate line: {line!r}")
-        idx = int(parts[0]) - 1
+        idx = _int(parts[0], "city index") - 1
         if not 0 <= idx < n or seen[idx]:
             raise ParseError(f"bad or repeated city index on line: {line!r}")
         seen[idx] = True
@@ -267,10 +272,7 @@ def parse_native(text: str, id: str = "native") -> Instance:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("n "):
         raise ParseError("missing 'n <count>' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad header: {lines[0]!r}") from exc
+    n = _int(lines[0].split()[1], "city count")  # the stripped header "n " has a second token
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} coordinate lines, found {len(lines) - 1}")
     pts = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix, _tsplib_fields
+from .instances import BLOCK_ELEMS, DistanceMatrix, _int, _tsplib_fields
 
 #: Largest instance the Held-Karp oracle accepts (2^(n-1) * (n-1) table).
 EXACT_SOLVE_MAX_N = 18
@@ -155,14 +155,14 @@ def parse_tour(text: str) -> np.ndarray:
     if "TOUR_SECTION" in text:
         header, data = _tsplib_fields(text, "TOUR_SECTION")
         tokens = " ".join(data).split() + ["-1"]
-        values = [int(t) - 1 for t in tokens[: tokens.index("-1")]]
-        n = int(header.get("DIMENSION", len(values)))
+        values = [_int(t, "tour index", InvalidTourError) - 1 for t in tokens[: tokens.index("-1")]]
+        n = _int(header["DIMENSION"], "DIMENSION", InvalidTourError) if "DIMENSION" in header else len(values)
     else:
         tokens = text.split()
         if not tokens:
             raise InvalidTourError("empty tour file")
-        n = int(tokens[0])
-        values = [int(t) for t in tokens[1:]]
+        n = _int(tokens[0], "tour size", InvalidTourError)
+        values = [_int(t, "tour index", InvalidTourError) for t in tokens[1:]]
         if len(values) != n:
             raise InvalidTourError(f"expected {n} indices, found {len(values)}")
     return _check_permutation(np.array(values), n).astype(np.int32)

@@ -14,11 +14,12 @@ from tspmcts.evalkit import Budget, optimality_gap, prepare, run_benchmark
 from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
     PriorSource,
+    build_gt_prior,
+    cumulative_mass,
     prior_to_heatmap,
     zero_heatmap,
 )
 from tspmcts.instances import Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
-from tspmcts.knn_stats import build_gt_prior, cumulative_mass
 from tspmcts.mcts import MctsParams, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
 from tspmcts.tours import exact_solve, parse_tour, tour_length
 from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, grid_configs, make_benchmark_evaluator, shapley_for_all_configs, tune

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,12 +10,11 @@ import numpy as np
 import pytest
 
 from tspmcts import evalkit, tuner
-from tspmcts.cli import main
+from tspmcts.cli import load_instance_dir, main
 from tspmcts.evalkit import RESULT_CSV_HEADER
-from tspmcts.heatmaps import load_prior
-from tspmcts.instances import distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
-from tspmcts.knn_stats import PriorVector, write_distribution_csv
-from tspmcts.tours import exact_solve, two_opt, make_tour, write_tour
+from tspmcts.heatmaps import PriorVector, load_prior, write_distribution_csv
+from tspmcts.instances import ParseError, distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
+from tspmcts.tours import InvalidTourError, exact_solve, two_opt, make_tour, write_tour
 
 from conftest import circle_instance, dm_and_ranks
 
@@ -84,6 +84,13 @@ class TestGen:
                                                    ("explosion", "--radius", 0.6)])
     def test_bad_structured_parameter_creates_nothing(self, tmp_path, dist, flag, value):
         assert run("gen", "--n", 8, "--count", 1, "--dist", dist, flag, value, "--out", tmp_path / "d") == 4
+        assert not (tmp_path / "d").exists()
+
+    def test_spread_not_finite_config_error(self, tmp_path, capsys):
+        """Noise of spread inf would clip every city to a corner of the unit square."""
+        assert run("gen", "--n", 6, "--count", 1, "--dist", "cluster", "--spread", "inf", "--out", tmp_path / "d") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "spread" in err and err.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
     # 10**13 points (or cluster centers) need 146 TiB, which numpy refuses at once; a size the
@@ -187,7 +194,7 @@ class TestSolve:
                    "--max-iters", 10, "--out", tmp_path / "x.csv")
         err = capsys.readouterr().err
         assert code == 4
-        assert err.startswith(f"config error: line {line}: ")
+        assert err.startswith(f"config error: {hm_path}: line {line}: ")
         assert "Traceback" not in err
 
     # softdist:inf would tie every probability of a row and keep the lowest indices, not the nearest cities.
@@ -201,6 +208,36 @@ class TestSolve:
         else:
             assert err.startswith("config error:") and "tau" in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("inst_text, tour_text, at, message", [
+        ("n 3\n0 0\n1 1\n", None, "inst", "expected 3 coordinate lines, found 2"),
+        ("n 3\n0 0\n1 1\n0 1\n", "DIMENSION : x\nTOUR_SECTION\n1 2 3\n-1\n", "tour", "bad DIMENSION: 'x'"),
+        ("n 3\n0 0\n1 1\n0 1\n", "3\n0 x 2\n", "tour", "bad tour index: 'x'"),
+        (b"\xff\xfe n 3\n", None, "inst", "'utf-8' codec can't decode"),
+    ], ids=["short-instance", "tour-dimension", "tour-index", "undecodable-instance"])
+    def test_input_file_errors_name_the_file(self, tmp_path, capsys, inst_text, tour_text, at, message):
+        inst_dir, ref_dir = tmp_path / "insts", tmp_path / "refs"
+        inst_dir.mkdir()
+        ref_dir.mkdir()
+        paths = {"inst": inst_dir / "a.txt", "tour": ref_dir / "a.tour"}
+        write = paths["inst"].write_bytes if isinstance(inst_text, bytes) else paths["inst"].write_text
+        write(inst_text)
+        paths["tour"].write_text(tour_text or "3\n0 1 2\n")
+        code = run("solve", "--instances", inst_dir, "--refs", ref_dir, "--heatmap", "zero",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"config error: {paths[at]}: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_input_file_errors_keep_their_type(self, tmp_path):
+        (tmp_path / "a.txt").write_text("n 3\n0 0\n1 1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path / 'a.txt'))}: expected 3"):
+            load_instance_dir(tmp_path, None)
+        (tmp_path / "a.txt").write_text("n 3\n0 0\n1 1\n0 1\n")
+        (tmp_path / "a.tour").write_text("3\n0 x 2\n")
+        with pytest.raises(InvalidTourError, match=f"^{re.escape(str(tmp_path / 'a.tour'))}: bad tour index"):
+            load_instance_dir(tmp_path, tmp_path)
 
     def test_malformed_use_heatmap_usage_error(self, instance_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,10 +314,10 @@ class TestSolve:
         assert strip(out_2) == strip(out_1)
 
     @pytest.mark.parametrize("text, code, message", [
-        ("4 1\n0 1 0.5\n", 4, "config error: heatmap file is for n=4, instance has n=10\n"),
-        ("10 1\n0 x 0.5\n", 4, "config error: line 2: expected 'i j p', got '0 x 0.5'\n"),
+        ("4 1\n0 1 0.5\n", 4, "config error: {path}: heatmap file is for n=4, instance has n=10\n"),
+        ("10 1\n0 x 0.5\n", 4, "config error: {path}: line 2: expected 'i j p', got '0 x 0.5'\n"),
         (None, 3, "I/O error: [Errno 2] No such file or directory: "),
-        ("1000000000000 0\n", 4, "config error: heatmap file is for n=1000000000000, instance has n=10\n"),
+        ("1000000000000 0\n", 4, "config error: {path}: heatmap file is for n=1000000000000, instance has n=10\n"),
     ], ids=["wrong-n", "malformed-line", "missing-file", "huge-n"])
     def test_worker_errors_keep_their_exit_codes(self, instance_dir, tmp_path, text, code, message):
         """Instances are prepared inside the workers under --jobs 2: their errors reach the
@@ -294,7 +331,7 @@ class TestSolve:
             env=child_env(), capture_output=True, text=True,
         )
         assert proc.returncode == code
-        assert proc.stderr.startswith(message)
+        assert proc.stderr.startswith(message.format(path=hm_path))
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
@@ -456,26 +493,50 @@ class TestTune:
 class TestAnalyzeKnn:
     def test_oracle_distribution(self, tmp_path, instance_dir):
         out = tmp_path / "knn.csv"
-        prior_path = tmp_path / "prior.txt"
-        code = run("analyze-knn", "--instances", instance_dir, "--oracle",
-                   "--out", out, "--emit-prior", prior_path)
+        code = run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", out)
         assert code == 0
         rows = list(csv.DictReader(open(out)))
         total = sum(float(r["mass"]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
         assert float(rows[-1]["cumulative"]) == pytest.approx(1.0, abs=1e-9)
-        prior = load_prior(prior_path)
+        prior = load_prior(out)
         assert prior.masses.sum() == pytest.approx(1.0, abs=1e-9)
+        assert prior.masses.tolist() == [float(r["mass"]) for r in rows]
 
     def test_emitted_prior_feeds_solve(self, tmp_path, instance_dir):
-        prior_path = tmp_path / "prior.txt"
-        assert run("analyze-knn", "--instances", instance_dir, "--oracle",
-                   "--out", tmp_path / "knn.csv", "--emit-prior", prior_path) == 0
+        prior_path = tmp_path / "knn.csv"
+        assert run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", prior_path) == 0
         out = tmp_path / "res.csv"
         code = run("solve", "--instances", instance_dir, "--heatmap", f"gtprior:{prior_path}",
                    "--max-iters", 300, "--out", out)
         assert code == 0
         assert len(list(csv.DictReader(open(out)))) == 4
+
+    def test_emit_prior_is_gone(self, tmp_path, instance_dir, capsys):
+        """The --out CSV is the one prior file; the one-float-per-line file and its flag are gone."""
+        with pytest.raises(SystemExit) as exc:
+            run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", tmp_path / "knn.csv",
+                "--emit-prior", tmp_path / "prior.txt")
+        assert exc.value.code == 2
+        assert "--emit-prior" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("0.5\n0.3\n0.2\n", ""),
+        ("rank,mass,cumulative\n2,0.5,0.5\n1,0.5,1\n", " line 2:"),
+        ("rank,cumulative\n1,0.5\n2,1\n", ""),
+        ("rank,mass,cumulative\n1,0.5,0.5\n2,nan,nan\n", " line 3:"),
+        ("", ""),
+    ], ids=["one-float-per-line", "ranks-out-of-order", "no-mass-column", "nan-mass", "empty"])
+    def test_malformed_prior_file_config_error(self, tmp_path, instance_dir, capsys, text, where):
+        path = tmp_path / "prior.csv"
+        path.write_text(text)
+        code = run("solve", "--instances", instance_dir, "--heatmap", f"gtprior:{path}",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"config error: {path}:{where} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_circle_instances_cumulative_two(self, tmp_path):
         inst_dir = tmp_path / "circles"

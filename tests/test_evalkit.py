@@ -16,9 +16,8 @@ from tspmcts.evalkit import (
     reference_length_for,
     run_benchmark,
 )
-from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource, ZeroSource
+from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource, PriorVector, ZeroSource
 from tspmcts.instances import Metric, generate_uniform, nearest_neighbor_ranks
-from tspmcts.knn_stats import PriorVector
 from tspmcts.mcts import MctsParams, init_state, solve
 from tspmcts.tours import exact_solve
 

@@ -9,15 +9,15 @@ from tspmcts.heatmaps import (
     Heatmap,
     HeatmapFormatError,
     PriorVector,
+    build_gt_prior,
     load_heatmap,
     load_prior,
     prior_to_heatmap,
-    save_prior,
     softdist_heatmap,
+    write_distribution_csv,
     zero_heatmap,
 )
 from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform
-from tspmcts.knn_stats import build_gt_prior
 from tspmcts.tours import exact_solve, make_tour
 
 from conftest import circle_instance, dm_and_ranks, heatmap_from_rows, write_heatmap
@@ -270,7 +270,7 @@ class TestHeatmapIO:
             FileSource(str(path))(generate_uniform(5, 0), None, None)
 
     def test_prior_round_trip(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        save_prior(BUILTIN_PRIORS["tsp500"], path)
+        path = tmp_path / "knn.csv"
+        write_distribution_csv(BUILTIN_PRIORS["tsp500"], path)
         again = load_prior(path)
         assert np.array_equal(again.masses, BUILTIN_PRIORS["tsp500"].masses)

@@ -96,6 +96,9 @@ class TestGenerateStructured:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             generate_structured(10, 0, "cluster", spread=0.0)
+        for spread in (math.inf, math.nan):  # inf noise would clip every city to a corner of the square
+            with pytest.raises(ValueError, match="spread"):
+                generate_structured(10, 0, "cluster", spread=spread)
         with pytest.raises(ValueError):
             generate_structured(10, 0, "explosion", radius=0.9)
         with pytest.raises(ValueError):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import BUILTIN_PRIORS
+from tspmcts.heatmaps import BUILTIN_PRIORS, build_gt_prior, cumulative_mass, rank_counts, write_distribution_csv
 from tspmcts.instances import Instance, Metric, distance_matrix, generate_uniform, nearest_in_rows
-from tspmcts.knn_stats import build_gt_prior, cumulative_mass, rank_counts, write_distribution_csv
 from tspmcts.tours import InvalidTourError, exact_solve, make_tour
 
 from conftest import circle_instance, dm_and_ranks

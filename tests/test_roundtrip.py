@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspmcts.heatmaps import PriorVector, load_heatmap, load_prior, save_prior
+from tspmcts.heatmaps import PriorVector, load_heatmap, load_prior, write_distribution_csv
 from tspmcts.instances import Instance, parse_native, parse_tsplib, write_native
 from tspmcts.tours import InvalidTourError, parse_tour, write_tour
 
@@ -74,8 +74,8 @@ def test_prior_file_round_trip(values):
     masses = np.array(values) / max(1.0, sum(values))
     prior = PriorVector(masses=masses)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "prior.txt"
-        save_prior(prior, path)
+        path = Path(tmp) / "knn.csv"
+        write_distribution_csv(prior, path)
         again = load_prior(path)
     assert again.masses.tobytes() == prior.masses.tobytes()
 

@@ -186,6 +186,17 @@ class TestTourFiles:
         text = "NAME : t\nTYPE : TOUR\nDIMENSION : 4\nTOUR_SECTION\n1\n3\n2\n4\n-1\nEOF\n"
         assert np.array_equal(parse_tour(text), np.array([0, 2, 1, 3]))
 
+    @pytest.mark.parametrize("text, message", [
+        ("DIMENSION : x\nTOUR_SECTION\n1 2 3\n-1\n", "bad DIMENSION: 'x'"),
+        ("DIMENSION : 3\nTOUR_SECTION\n1 x 3\n-1\n", "bad tour index: 'x'"),
+        ("3\n0 x 2\n", "bad tour index: 'x'"),
+        ("three\n0 1 2\n", "bad tour size: 'three'"),
+    ], ids=["tsplib-dimension", "tsplib-index", "native-index", "native-size"])
+    def test_non_integer_token_named(self, text, message):
+        with pytest.raises(InvalidTourError) as exc:
+            parse_tour(text)
+        assert str(exc.value) == message
+
 
 class TestCanonicalForm:
     def test_rotation_and_reversal_collapse(self):
