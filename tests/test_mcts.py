@@ -478,6 +478,9 @@ GOLDEN = [
      ("0x1.a37807229903bp+3", 390, 10, "9e393c9162f1e569")),
     (dict(n=200, seed=4, iters=8000, prior="tsp500", max_candidate_num=20),
      ("0x1.ccdf0f14995d2p+3", 752, 48, "fac0edaca0a840c3")),
+    # A prior on full-width rows (mcn 299), the shape of the default solve at n = 500.
+    (dict(n=300, seed=5, iters=3000, prior="tsp500"),
+     ("0x1.5fbe1f895945cp+4", 297, 3, "63c9e8b93c1710ca")),
 ]
 
 
