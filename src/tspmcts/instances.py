@@ -242,6 +242,14 @@ def _int(token: str, what: str, error: type[ValueError] = ParseError) -> int:
         raise error(f"bad {what}: {token!r}") from None
 
 
+def _coords(fields: list[str], line: str) -> list[float]:
+    """The floats of a coordinate line's fields; a non-numeric one raises ParseError naming the line."""
+    try:
+        return [float(v) for v in fields]
+    except ValueError:
+        raise ParseError(f"bad coordinate line: {line!r}") from None
+
+
 def parse_tsplib(text: str) -> Instance:
     """Parse a EUC_2D TSPLIB instance; coordinates are kept verbatim."""
     header, data = _tsplib_fields(text, "NODE_COORD_SECTION")
@@ -263,22 +271,22 @@ def parse_tsplib(text: str) -> Instance:
         if not 0 <= idx < n or seen[idx]:
             raise ParseError(f"bad or repeated city index on line: {line!r}")
         seen[idx] = True
-        pts[idx] = (float(parts[1]), float(parts[2]))
+        pts[idx] = _coords(parts[1:], line)
     return Instance(id=header.get("NAME", "unnamed"), points=pts)
 
 
 def parse_native(text: str, id: str = "native") -> Instance:
     """Parse the native format: header ``n <count>``, then one ``x y`` per city."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("n "):
+    if not lines or len(header := lines[0].split()) != 2 or header[0] != "n":
         raise ParseError("missing 'n <count>' header")
-    n = _int(lines[0].split()[1], "city count")  # the stripped header "n " has a second token
+    n = _int(header[1], "city count")
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} coordinate lines, found {len(lines) - 1}")
-    pts = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    if pts.shape != (n, 2):
+    rows = [_coords(ln.split(), ln) for ln in lines[1:]]
+    if not rows or any(len(row) != 2 for row in rows):
         raise ParseError("coordinate lines must hold exactly two values")
-    return Instance(id=id, points=pts)
+    return Instance(id=id, points=np.array(rows))
 
 
 def write_native(inst: Instance) -> str:

@@ -381,7 +381,7 @@ def sample_initial_tour(state: MctsState) -> Tour:
 
 
 def _sample_chain(
-    state: MctsState, pick: Callable[[int, int, int], int], order_list: list[int], ia: int, a: int, break_succ: bool
+    state: MctsState, pick: Callable[[int, int, int], int], order_list: list[int], a: int, break_succ: bool
 ) -> Optional[tuple[float, list[int], list[tuple[int, int]], list[tuple[int, int]]]]:
     """Run one greedy break/reconnect chain from city ``a``; ``pick`` chooses each reconnection.
 
@@ -390,20 +390,14 @@ def _sample_chain(
     making the step a prefix reversal), and evaluates closing the path back
     to ``a`` after every reconnection. Returns the best closing found as
     (delta, order, added, removed), or None if no valid reconnection exists.
+    Cities are found with ``list.index``: a scan in C costs less than keeping a table of positions.
     """
-    n = state.n
     dist = state.dm.pair
     # Path from the freed neighbor back to a, walking away from the cut.
-    if break_succ:
-        path = order_list[ia + 1 :] + order_list[: ia + 1]
-    else:
-        rev = order_list[::-1]
-        k = n - ia
-        path = rev[k:] + rev[:k]
+    seq = order_list if break_succ else order_list[::-1]
+    ia = seq.index(a)
+    path = seq[ia + 1 :] + seq[: ia + 1]
     b1 = path[0]
-    path_pos = [0] * n
-    for t, city in enumerate(path):
-        path_pos[city] = t
     removed: list[tuple[int, int]] = [(a, b1)]
     added: list[tuple[int, int]] = []
     removed_sum = dist(a, b1)
@@ -414,15 +408,13 @@ def _sample_chain(
         target = pick(head, a, path[1])
         if target < 0:
             break
-        idx = path_pos[target]
+        idx = path.index(target)  # at least 2: ``pick`` skips a and path[1]
         b_next = path[idx - 1]
         added.append((head, target))
         removed.append((target, b_next))
         added_sum += dist(head, target)
         removed_sum += dist(target, b_next)
         path[:idx] = path[idx - 1 :: -1]
-        for t in range(idx):
-            path_pos[path[t]] = t
         close_delta = added_sum + dist(path[0], a) - removed_sum
         if best is None or close_delta < best[0]:
             best = (close_delta, path.copy(), added + [(path[0], a)], removed.copy())
@@ -436,17 +428,14 @@ def generate_kopt_move(state: MctsState, tour: Tour) -> Optional[Move]:
     which of its two tour edges is broken first.
     """
     n = state.n
-    order_list = [int(v) for v in tour.order]
-    pos = [0] * n
-    for t, city in enumerate(order_list):
-        pos[city] = t
+    order_list = tour.order.tolist()
     pick = _target_picker(state)
     best: Optional[tuple[float, list[int], list, list]] = None
     for _ in range(state.params.param_h):
         state.simulations += 1
         draw = state.rng.randrange(2 * n)
         a = draw >> 1
-        chain = _sample_chain(state, pick, order_list, pos[a], a, bool(draw & 1))
+        chain = _sample_chain(state, pick, order_list, a, bool(draw & 1))
         if chain is not None and (best is None or chain[0] < best[0]):
             best = chain
     if best is None:

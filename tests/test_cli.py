@@ -214,7 +214,10 @@ class TestSolve:
         ("n 3\n0 0\n1 1\n0 1\n", "DIMENSION : x\nTOUR_SECTION\n1 2 3\n-1\n", "tour", "bad DIMENSION: 'x'"),
         ("n 3\n0 0\n1 1\n0 1\n", "3\n0 x 2\n", "tour", "bad tour index: 'x'"),
         (b"\xff\xfe n 3\n", None, "inst", "'utf-8' codec can't decode"),
-    ], ids=["short-instance", "tour-dimension", "tour-index", "undecodable-instance"])
+        ("n 3\n0 0\n1 y\n0 1\n", None, "inst", "bad coordinate line: '1 y'"),
+        ("n 3\n0 0\n1 1 1\n0 1\n", None, "inst", "coordinate lines must hold exactly two values"),
+    ], ids=["short-instance", "tour-dimension", "tour-index", "undecodable-instance", "instance-coordinate",
+            "ragged-instance"])
     def test_input_file_errors_name_the_file(self, tmp_path, capsys, inst_text, tour_text, at, message):
         inst_dir, ref_dir = tmp_path / "insts", tmp_path / "refs"
         inst_dir.mkdir()

@@ -141,6 +141,11 @@ class TestParseTsplib:
         with pytest.raises(ParseError, match="DIMENSION"):
             parse_tsplib("NAME : x\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n")
 
+    def test_non_numeric_coordinate(self):
+        text = "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 x 1\n3 1 0\nEOF\n"
+        with pytest.raises(ParseError, match="^bad coordinate line: '2 x 1'$"):
+            parse_tsplib(text)
+
     def test_coordinate_count_mismatch(self):
         text = "DIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n3 1 0\nEOF\n"
         with pytest.raises(ParseError, match="coordinate lines"):
@@ -154,8 +159,9 @@ class TestNativeFormat:
         assert np.array_equal(again.points, inst.points)
 
     def test_bad_header(self):
-        with pytest.raises(ParseError):
-            parse_native("3\n0 0\n0 1\n1 0\n")
+        for text in ("3\n0 0\n0 1\n1 0\n", "n 3 junk\n0 0\n1 1\n0 1\n"):
+            with pytest.raises(ParseError):
+                parse_native(text)
 
 
 class TestDistanceMatrix:

@@ -390,6 +390,16 @@ class TestSolve:
         result = solve(inst, dm, ranks, hm, MctsParams(), 0, Budget("iters", 1))
         assert sorted(result.best_tour.order) == list(range(10))
 
+    def test_wall_budget_runs_to_its_deadline(self):
+        inst = generate_uniform(12, 7)
+        dm, ranks = dm_and_ranks(inst)
+        result = solve(inst, dm, ranks, zero_heatmap(12), MctsParams(), 0, Budget("wall", 0.01))
+        order = result.best_tour.order
+        assert sorted(order.tolist()) == list(range(12))
+        assert result.best_tour.length == tour_length(order, dm)
+        assert result.simulations > 0
+        assert 0.12 <= result.wall_time < 5.12  # 0.01 s per city; the slack absorbs host load
+
     def test_deterministic_trajectory(self):
         inst = generate_uniform(25, 14)
         dm, ranks = dm_and_ranks(inst)
@@ -523,7 +533,7 @@ def test_chain_picks_potential_argmax(seed, kind):
             step = 1 if break_succ else -1
             head, p1 = order[(ia + step) % n], order[(ia + 2 * step) % n]
             eligible = [int(j) for j in state.candidates[head] if j not in (a, p1)]
-            chain = _sample_chain(state, _target_picker(state), order, ia, a, break_succ)
+            chain = _sample_chain(state, _target_picker(state), order, a, break_succ)
             if not eligible:
                 assert chain is None
                 continue
@@ -618,7 +628,7 @@ def test_accept_applies_a_step_the_chain_undid():
             length = tour_length(np.array(order), dm)
             for ia in range(inst.n):
                 for break_succ in (True, False):
-                    chain = _sample_chain(state, pick, order, ia, order[ia], break_succ)
+                    chain = _sample_chain(state, pick, order, order[ia], break_succ)
                     if chain is None or chain[0] >= -IMPROVE_REL * length:
                         continue
                     delta, new_order, added, removed = chain
