@@ -1,5 +1,6 @@
 """Command-line pipelines: gen, solve, tune, analyze-knn, report.
 
+An argument @FILE stands for the lines of FILE, one argument per line (solve @tuned/best_config.txt).
 Exit codes: 0 success, 2 usage, 3 I/O, 4 config/dimension errors.
 """
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .mcts import MctsParams
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 EXIT_OK = 0
@@ -104,6 +104,8 @@ def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instanc
                 if not at.exists():
                     raise FileNotFoundError(f"missing tour file: {at}")
                 order = tours.parse_tour(at.read_text())
+                if len(order) != inst.n:
+                    raise tours.InvalidTourError(f"tour has {len(order)} cities, the instance has {inst.n}")
         except ValueError as exc:  # named by the file at fault, in its own type (a decode error's needs 5 fields)
             raise (ValueError if isinstance(exc, UnicodeError) else type(exc))(f"{at}: {exc}") from None
         pairs.append((inst, order))
@@ -126,12 +128,6 @@ def _budget_from_args(args) -> Budget:
     return Budget(mode="wall", value=args.time_factor)
 
 
-def _params_from_args(args) -> MctsParams:
-    params = tuner.read_params_file(args.params) if args.params else MctsParams()
-    overrides = {name: value for name in tuner.PARAM_FIELDS if (value := getattr(args, name)) is not None}
-    return replace(params, **overrides) if overrides else params
-
-
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     """The inputs, budget and seeding that ``solve`` and ``tune`` share."""
     p.add_argument("--instances", required=True)
@@ -142,13 +138,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--jobs", type=int_at_least(1), default=1)
     p.add_argument("--metric", choices=["real", "int"], default="real")
-
-
-def _add_param_args(p: argparse.ArgumentParser) -> None:
-    """``--params FILE`` and one override flag per solver parameter, ``--max-depth`` for ``max_depth``."""
-    p.add_argument("--params", help="key=value solver config file")
-    for name, parse in tuner.FIELD_PARSERS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=parse)
 
 
 def cmd_gen(args) -> int:
@@ -176,7 +165,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     budget = _budget_from_args(args)
-    params = _params_from_args(args)
+    params = MctsParams(**{name: value for name in tuner.PARAM_FIELDS if (value := getattr(args, name)) is not None})
     # prepare()'s arguments, not Prepared instances: each is prepared where it is solved.
     tasks, heatmap_id = _tasks_from_args(args)
     table = run_benchmark(
@@ -220,6 +209,8 @@ def cmd_analyze_knn(args) -> int:
         raise UsageError("provide --tours DIR or --oracle")
     dms, tour_list = [], []
     for inst, order in load_instance_dir(args.instances, None if args.oracle else args.tours):
+        if order is None and inst.n > tours.EXACT_SOLVE_MAX_N:
+            raise tours.SizeLimitError(f"{inst.id}: n={inst.n} exceeds the exact oracle cap")
         dm = instances.distance_matrix(inst)
         dms.append(dm)
         tour_list.append(tours.exact_solve(dm) if order is None else tours.make_tour(order, dm))
@@ -231,13 +222,16 @@ def cmd_analyze_knn(args) -> int:
 
 
 def _report_numbers(path: str, line: int, row: dict) -> list[float]:
-    """A results row's length, gap_pct and time_s; a missing field or a malformed number is a config error."""
+    """A results row's length, gap_pct and time_s; a missing, malformed or non-finite number is a config error."""
     if missing := [col for col in REPORT_COLUMNS if row[col] is None]:
         raise ValueError(f"{path}: line {line}: missing {', '.join(missing)}")
     try:
-        return [float(row[col]) for col in REPORT_COLUMNS[2:]]
+        numbers = [float(row[col]) for col in REPORT_COLUMNS[2:]]
     except ValueError as exc:
         raise ValueError(f"{path}: line {line}: {exc}") from None
+    if bad := [col for col, x in zip(REPORT_COLUMNS[2:], numbers) if not np.isfinite(x)]:
+        raise ValueError(f"{path}: line {line}: not finite: {', '.join(bad)}")
+    return numbers
 
 
 def cmd_report(args) -> int:
@@ -293,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance directory, emit a results CSV")
     _add_common_args(p)
     p.add_argument("--out", required=True)
-    _add_param_args(p)
+    for name, parse in tuner.FIELD_PARSERS.items():
+        p.add_argument(tuner.FIELD_FLAGS[name], type=parse)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tune", help="grid-search solver hyperparameters")
@@ -318,10 +313,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def expand_flag_files(argv: list[str]) -> list[str]:
+    """``argv`` with each ``@FILE`` argument replaced by the lines of FILE, one argument per
+    line (blank and ``#`` lines skipped, an ``@`` line not expanded again)."""
+    expanded = []
+    for arg in argv:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
+        try:
+            text = Path(arg[1:]).read_text()
+        except UnicodeError as exc:  # a decode error's type needs 5 fields
+            raise ValueError(f"{arg[1:]}: {exc}") from None
+        expanded += [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+    return expanded
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(expand_flag_files(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,10 +29,12 @@ def boolean(text: str) -> bool:
     raise ValueError(f"{text!r} is not a boolean (1/true/yes or 0/false/no)")
 
 
-#: Value parser of each solver parameter, in grid order, for params files and tune's grid flags.
+#: Value parser of each solver parameter, in grid order, for solve's flags and tune's grid flags.
 FIELD_PARSERS = {"alpha": float, "beta": float, "max_depth": int, "max_candidate_num": int, "param_h": int,
                  "use_heatmap": boolean}
 PARAM_FIELDS = tuple(FIELD_PARSERS)
+#: ``solve``'s flag for each solver parameter, ``--max-depth`` for ``max_depth``.
+FIELD_FLAGS = {name: "--" + name.replace("_", "-") for name in PARAM_FIELDS}
 
 #: Default configuration the grid values are compared against.
 DEFAULT_PARAMS = MctsParams()
@@ -200,27 +202,7 @@ def shapley_for_all_configs(space: SearchSpace, gaps: Sequence[float]) -> list[d
 
 
 def write_params_file(params: MctsParams, path) -> None:
-    """Solver config file: one ``key=value`` line per parameter."""
+    """A solver config as ``solve``'s flags, one ``--name=value`` line per parameter: ``solve @FILE`` reads it."""
     with open(path, "w") as f:
-        for name in PARAM_FIELDS:
-            f.write(f"{name}={getattr(params, name)}\n")
-
-
-def read_params_file(path) -> MctsParams:
-    """Read a ``key=value`` config; an unknown key is a ValueError."""
-    kwargs = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in FIELD_PARSERS:
-                raise ValueError(f"unknown solver parameter: {key!r}")
-            try:
-                kwargs[key] = FIELD_PARSERS[key](value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {key}: {exc}") from None
-    return MctsParams(**kwargs)
+        for name, flag in FIELD_FLAGS.items():
+            f.write(f"{flag}={getattr(params, name)}\n")

@@ -4,12 +4,13 @@ import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tspmcts import evalkit, tuner
+from tspmcts import evalkit, mcts, tuner
 from tspmcts.cli import load_instance_dir, main
 from tspmcts.evalkit import RESULT_CSV_HEADER
 from tspmcts.heatmaps import PriorVector, load_prior, write_distribution_csv
@@ -250,14 +251,52 @@ class TestSolve:
         assert "--use-heatmap" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_malformed_params_file_boolean_config_error(self, instance_dir, tmp_path, capsys):
+    def test_malformed_params_file_boolean_usage_error(self, instance_dir, tmp_path, capsys):
+        """A value in an ``@FILE`` is parsed by its flag, as on the command line."""
         params = tmp_path / "params.txt"
-        params.write_text("alpha=1\nuse_heatmap=Ture\n")
-        code = run("solve", "--instances", instance_dir, "--heatmap", "zero", "--params", params,
-                   "--max-iters", 10, "--out", tmp_path / "x.csv")
+        params.write_text("--alpha=1\n--use-heatmap=Ture\n")
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instances", instance_dir, "--heatmap", "zero", f"@{params}",
+                "--max-iters", 10, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --use-heatmap: invalid boolean value: 'Ture'\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_flag_file_lines_follow_argument_order(self, instance_dir, tmp_path):
+        """``@FILE`` stands for its lines, blank and ``#`` lines skipped, where it appears: a flag
+        after it overrides the file, and the file overrides a flag before it."""
+        params = tmp_path / "params.txt"
+        params.write_text("# tuned\n\n--alpha=0\n  --max-depth=3  \n")
+        for order, config in [((f"@{params}", "--alpha", 2), "a2-b10-d3"), (("--alpha", 2, f"@{params}"), "a0-b10-d3")]:
+            assert run("solve", "--instances", instance_dir, "--heatmap", "zero", *order,
+                       "--max-iters", 10, "--out", tmp_path / "x.csv") == 0
+            assert {r["config"] for r in csv.DictReader(open(tmp_path / "x.csv"))} == {config + "-c1000-h10-u1"}
+
+    @pytest.mark.parametrize("name, code, message", [
+        ("missing.txt", 3, "I/O error: [Errno 2] No such file or directory: '{}'"),
+        ("params", 3, "I/O error: [Errno 21] Is a directory: '{}'"),
+        ("binary.txt", 4, "config error: {}: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["missing", "directory", "undecodable"])
+    def test_flag_file_read_errors_name_the_file(self, instance_dir, tmp_path, capsys, name, code, message):
+        (tmp_path / "params").mkdir()
+        (tmp_path / "binary.txt").write_bytes(b"\xff\xfe--alpha=1\n")
+        path = tmp_path / name
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", f"@{path}",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == code
         err = capsys.readouterr().err
-        assert code == 4
-        assert err.startswith("config error:") and "use_heatmap: 'Ture'" in err
+        assert err.startswith(message.format(path)) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_params_option_is_gone(self, instance_dir, tmp_path, capsys):
+        """A tuned config is passed as ``@FILE``; the ``--params FILE`` option is gone."""
+        params = tmp_path / "params.txt"
+        params.write_text("--alpha=1\n")
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--params", params,
+                "--max-iters", 10, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: --params {params}\n")
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_usage_error(self, instance_dir, tmp_path, capsys, jobs):
@@ -385,8 +424,9 @@ class TestTune:
         assert code == 0
         rows = list(csv.DictReader(open(out / "tuning.csv")))
         assert len(rows) == 4
-        best = (out / "best_config.txt").read_text()
-        assert "alpha=" in best and "use_heatmap=False" in best
+        best = (out / "best_config.txt").read_text().splitlines()
+        assert [line.partition("=")[0] for line in best] == list(tuner.FIELD_FLAGS.values())
+        assert best[-1] == "--use-heatmap=False"
         # shapley CSV covers the full (reduced) grid: 4 configs x 6 params
         shap_rows = list(csv.DictReader(open(out / "shapley.csv")))
         assert len(shap_rows) == 24
@@ -451,19 +491,25 @@ class TestTune:
         assert code == 4
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_best_config_feeds_solve(self, tmp_path, instance_dir):
+    def test_best_config_feeds_solve(self, tmp_path, instance_dir, monkeypatch):
+        """``solve @best_config.txt`` writes the results CSV that the best row's six flags, passed
+        by hand, write (with the wall clock stopped, so ``time_s`` agrees too)."""
         out = tmp_path / "tune"
         assert run("tune", "--instances", instance_dir, "--heatmap", "zero",
                    "--max-iters", 50, "--out-dir", out,
                    "--alpha-values", "0,1", "--beta-values", "10",
-                   "--max-depth-values", "10", "--mcn-values", "5",
+                   "--max-depth-values", "10", "--mcn-values", "5,20",
                    "--param-h-values", "2", "--use-heatmap-values", "false") == 0
-        res = tmp_path / "res.csv"
-        code = run("solve", "--instances", instance_dir, "--heatmap", "zero",
-                   "--params", out / "best_config.txt", "--max-iters", 100, "--out", res)
-        assert code == 0
-        rows = list(csv.DictReader(open(res)))
-        assert rows and rows[0]["config"].startswith("a")
+        rows = list(csv.DictReader(open(out / "tuning.csv")))
+        best = min(rows, key=lambda r: float(r["mean_gap"]))
+        monkeypatch.setattr(mcts, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        common = ("solve", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 100)
+        assert run(*common, f"@{out / 'best_config.txt'}", "--out", tmp_path / "file.csv") == 0
+        assert run(*common, "--alpha", best["alpha"], "--beta", best["beta"], "--max-depth", best["max_depth"],
+                   "--max-candidate-num", best["mcn"], "--param-h", best["param_h"],
+                   "--use-heatmap", best["use_heatmap"], "--out", tmp_path / "hand.csv") == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "hand.csv").read_bytes()
+        assert {r["config"] for r in csv.DictReader(open(tmp_path / "file.csv"))} == {best["config_id"]}
 
     def test_attribution_pass_runs_once(self, tmp_path, instance_dir, monkeypatch):
         passes = []
@@ -561,6 +607,13 @@ class TestAnalyzeKnn:
         assert run("analyze-knn", "--instances", tmp_path / "nope", "--out", tmp_path / "x.csv") == 2
         assert capsys.readouterr().err == "error: provide --tours DIR or --oracle\n"
 
+    def test_oracle_above_its_cap_names_the_instance(self, tmp_path, capsys):
+        inst_dir = tmp_path / "u20"
+        assert run("gen", "--n", 20, "--count", 2, "--seed", 1, "--out", inst_dir) == 0
+        assert run("analyze-knn", "--instances", inst_dir, "--oracle", "--out", tmp_path / "x.csv") == 4
+        assert capsys.readouterr().err == "config error: 0000-uniform-n20-s1: n=20 exceeds the exact oracle cap\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_tour_dir_mode(self, tmp_path, instance_dir):
         tour_dir = tmp_path / "tours"
         tour_dir.mkdir()
@@ -628,9 +681,14 @@ class TestReport:
         assert "Traceback" not in proc.stderr
 
     def test_malformed_number_config_error(self, tmp_path, capsys):
-        path = self.results_csv(tmp_path, "u1,c,zero,abc,1.0,50.0,0.1,0")
-        assert run("report", path) == 4
-        assert capsys.readouterr().err == f"config error: {path}: line 3: could not convert string to float: 'abc'\n"
+        """A length, gap or time that is not a finite number is a config error on its line."""
+        for row, message in [("u1,c,zero,abc,1.0,50.0,0.1,0", "could not convert string to float: 'abc'"),
+                             ("u1,c,zero,1.5,1.0,nan,0.1,0", "not finite: gap_pct"),
+                             ("u1,c,zero,inf,1.0,50.0,-inf,0", "not finite: length, time_s"),
+                             ("u1,c,zero,1.5,1.0,50.0,Infinity,0", "not finite: time_s")]:
+            path = self.results_csv(tmp_path, row)
+            assert run("report", path) == 4
+            assert capsys.readouterr().err == f"config error: {path}: line 3: {message}\n"
 
 
 def child_env() -> dict[str, str]:
@@ -655,6 +713,26 @@ def test_missing_tour_file_is_one_error(instance_dir, tmp_path, capsys, command,
     argv = [tmp_path / a if a == "x.csv" else a for a in rest]
     assert run(command, "--instances", instance_dir, tour_flag, tour_dir, *argv) == 3
     assert capsys.readouterr().err == f"I/O error: missing tour file: {tour_dir / missing.stem}.tour\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, tour_flag, rest", [
+    ("solve", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out", "x.csv")),
+    ("tune", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out-dir", "x.csv")),
+    ("tune", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--jobs", 2, "--out-dir", "x.csv")),
+    ("analyze-knn", "--tours", ("--out", "x.csv")),
+], ids=["solve", "tune", "tune-jobs-2", "analyze-knn"])
+def test_tour_of_another_size_names_the_file(instance_dir, tmp_path, capsys, command, tour_flag, rest):
+    """A tour file that is a permutation of fewer cities than its instance is a config error on that file."""
+    tour_dir = tmp_path / "tours"
+    tour_dir.mkdir()
+    files = sorted(instance_dir.glob("*.txt"))
+    for f in files:
+        (tour_dir / f"{f.stem}.tour").write_text(write_tour(np.arange(5)))
+    argv = [tmp_path / a if a == "x.csv" else a for a in rest]
+    assert run(command, "--instances", instance_dir, tour_flag, tour_dir, *argv) == 4
+    tour = tour_dir / f"{files[0].stem}.tour"
+    assert capsys.readouterr().err == f"config error: {tour}: tour has 5 cities, the instance has 10\n"
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import math
@@ -5,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from tspmcts import evalkit, heatmaps
+from tspmcts import cli, evalkit, heatmaps
 from tspmcts.evalkit import Budget
 from tspmcts.heatmaps import FileSource, ZeroSource, softdist_heatmap
-from tspmcts.instances import distance_matrix, generate_uniform
+from tspmcts.instances import distance_matrix, generate_uniform, write_native
 from tspmcts.mcts import MctsParams
 from tspmcts.tuner import (
     CoverageError,
@@ -19,7 +20,6 @@ from tspmcts.tuner import (
     config_key,
     grid_configs,
     make_benchmark_evaluator,
-    read_params_file,
     shapley_for_all_configs,
     shapley_importance,
     tune,
@@ -300,27 +300,52 @@ class TestBenchmarkEvaluator:
         ]
 
 
-def test_params_file_round_trip(tmp_path):
-    params = MctsParams(alpha=2.0, beta=150.0, max_depth=50, max_candidate_num=20,
-                        param_h=5, use_heatmap=False)
+def solve_with(tmp_path, *argv) -> int:
+    """``tspmcts solve`` through ``cli.main`` on one 8-city instance, into ``res.csv``, with ``argv`` appended."""
+    insts = tmp_path / "insts"
+    insts.mkdir(exist_ok=True)
+    (insts / "a.txt").write_text(write_native(generate_uniform(8, 1)))
+    return cli.main(["solve", "--instances", str(insts), "--heatmap", "zero", "--max-iters", "20",
+                     "--out", str(tmp_path / "res.csv"), *map(str, argv)])
+
+
+def test_params_file_round_trip(tmp_path, monkeypatch):
+    """``write_params_file`` writes ``solve``'s six flags, and ``solve @FILE`` reads back the same config."""
+    params = MctsParams(alpha=0.1 + 0.2, beta=150.0, max_depth=50, max_candidate_num=20, param_h=5, use_heatmap=False)
     path = tmp_path / "config.txt"
     write_params_file(params, path)
-    assert read_params_file(path) == params
+    assert path.read_text() == ("--alpha=0.30000000000000004\n--beta=150.0\n--max-depth=50\n--max-candidate-num=20\n"
+                                "--param-h=5\n--use-heatmap=False\n")
+    solved = []
+    run_benchmark = cli.run_benchmark
+    monkeypatch.setattr(cli, "run_benchmark",
+                        lambda tasks, p, *a, **kw: solved.append(p) or run_benchmark(tasks, p, *a, **kw))
+    assert solve_with(tmp_path, f"@{path}") == 0
+    assert solved == [params]
+    assert [row["config"] for row in csv.DictReader(open(tmp_path / "res.csv"))] == ["a0.3-b150-d50-c20-h5-u0"]
 
 
-def test_params_file_rejects_time_limit_factor(tmp_path):
-    """The budget comes from --time-factor or --max-iters; a ``time_limit_factor`` line is an unknown key."""
+def test_params_file_rejects_time_limit_factor(tmp_path, capsys):
+    """The budget comes from --time-factor or --max-iters: an old ``key=value`` file, whose
+    ``time_limit_factor`` line older files carry, and a ``--time-limit-factor`` flag are usage errors."""
     path = tmp_path / "config.txt"
-    path.write_text("alpha=2.0\ntime_limit_factor=0.05\n")
-    with pytest.raises(ValueError, match="time_limit_factor"):
-        read_params_file(path)
+    for text, unrecognized in [("alpha=2.0\ntime_limit_factor=0.05\n", "alpha=2.0 time_limit_factor=0.05"),
+                               ("--alpha=2.0\n--time-limit-factor=0.05\n", "--time-limit-factor=0.05")]:
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            solve_with(tmp_path, f"@{path}")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+    assert not (tmp_path / "res.csv").exists()
 
 
-def test_params_file_rejects_unknown_keys(tmp_path):
+def test_params_file_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "config.txt"
-    path.write_text("gamma=3\n")
-    with pytest.raises(ValueError):
-        read_params_file(path)
+    path.write_text("--gamma=3\n")
+    with pytest.raises(SystemExit) as exc:
+        solve_with(tmp_path, f"@{path}")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --gamma=3\n")
 
 
 @pytest.mark.parametrize("text, value", [
