@@ -30,9 +30,6 @@ EXIT_IO = 3
 EXIT_CONFIG = 4
 
 
-#: tune's grid flags by SearchSpace field; values parse with tuner.FIELD_PARSERS.
-GRID_FLAGS = {"alpha": "--alpha-values", "beta": "--beta-values", "max_depth": "--max-depth-values",
-              "max_candidate_num": "--mcn-values", "param_h": "--param-h-values", "use_heatmap": "--use-heatmap-values"}
 #: The results-CSV columns ``report`` reads: two group keys, then three numbers.
 REPORT_COLUMNS = ("heatmap", "config", "length", "gap_pct", "time_s")
 
@@ -41,51 +38,67 @@ class UsageError(Exception):
     pass
 
 
-def parse_heatmap_spec(spec: str) -> tuple[heatmaps.ZeroSource | heatmaps.PriorSource | heatmaps.SoftDistSource | heatmaps.FileSource, str]:
-    """Resolve ``zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH``."""
-    kind, _, arg = spec.partition(":")
-    if kind == "zero" and not arg:
-        return heatmaps.ZeroSource(), "zero"
-    if kind == "softdist":
-        if not arg:
-            raise UsageError("softdist needs a temperature, e.g. softdist:1.0")
-        return heatmaps.SoftDistSource(tau=_flag_value("--heatmap softdist", arg, float)), f"softdist:{arg}"
-    if kind == "gtprior":
-        if not arg:
-            raise UsageError("gtprior needs a builtin name or an analyze-knn CSV")
-        prior = heatmaps.BUILTIN_PRIORS[arg] if arg in heatmaps.BUILTIN_PRIORS else heatmaps.load_prior(arg)
-        return heatmaps.PriorSource(prior), f"gtprior:{Path(arg).name}"  # a builtin's name is its own
-    if kind == "file":
-        if not arg:
-            raise UsageError("file needs a path, e.g. file:heatmap.txt")
-        return heatmaps.FileSource(path=arg), f"file:{Path(arg).name}"
-    raise UsageError(f"unknown heatmap spec: {spec!r}")
+class ArgumentParser(argparse.ArgumentParser):
+    """Every subcommand's parser: no flag abbreviations, and a usage error raised as ``UsageError``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
-def _flag_value(flag: str, text: str, cast):
-    """``cast(text)``, with a malformed value reported as a usage error."""
-    try:
-        return cast(text)
-    except ValueError:
-        raise UsageError(f"{flag}: {text!r} is not a valid {cast.__name__}") from None
+def flag_type(cast, check):
+    """An argparse type: ``check(cast(text))``. argparse reports text that ``cast`` rejects as an
+    "invalid CAST value", and a value that ``check`` rejects by the rule it broke."""
+    def parse(text: str):
+        value = cast(text)
+        try:
+            return check(value)
+        except (ValueError, OverflowError) as exc:  # OverflowError: Budget's isfinite on an int past float range
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def int_at_least(low: int):
-    """An argparse type: an int of at least ``low``; anything else is a usage error on its flag."""
-    def parse(text: str) -> int:
-        if (value := int(text)) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse reports a malformed value as "invalid int value"
+    parse.__name__ = cast.__name__
     return parse
 
 
-def positive_float(text: str) -> float:
-    """An argparse type: a finite float above 0; anything else is a usage error on its flag."""
-    if not 0 < (value := float(text)) < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
+def int_at_least(low: int):
+    """An argparse type: an int of at least ``low``."""
+    def check(value: int) -> int:
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return flag_type(int, check)
+
+
+def param_type(name: str):
+    """An argparse type: solver parameter ``name`` as ``MctsParams`` stores it, checked by its rule."""
+    return flag_type(tuner.FIELD_PARSERS[name], lambda value: getattr(MctsParams(**{name: value}), name))
+
+
+def grid_type(name: str):
+    """An argparse type: comma-separated ``param_type(name)`` values, as a list checked by ``SearchSpace``."""
+    value = param_type(name)
+    return flag_type(str, lambda text: getattr(tuner.SearchSpace(**{
+        name: tuple(value(tok) for tok in text.split(",") if tok.strip())}), name))
+
+
+def heatmap_spec(spec: str):
+    """An argparse type: ``zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH`` as the heatmap's id and a
+    function that builds its source (so a prior file is read after the flags are parsed)."""
+    kind, _, arg = spec.partition(":")
+    if kind == "zero" and not arg:
+        return "zero", heatmaps.ZeroSource
+    if kind == "softdist" and arg:
+        tau = float(arg)  # malformed: an "invalid heatmap_spec value"
+        return spec, lambda: heatmaps.SoftDistSource(tau=tau)
+    if kind == "gtprior" and arg:  # a builtin's id is its name
+        return f"gtprior:{Path(arg).name}", lambda: heatmaps.PriorSource(
+            heatmaps.BUILTIN_PRIORS[arg] if arg in heatmaps.BUILTIN_PRIORS else heatmaps.load_prior(arg))
+    if kind == "file" and arg:
+        return f"file:{Path(arg).name}", lambda: heatmaps.FileSource(path=arg)
+    raise argparse.ArgumentTypeError(f"not zero, softdist:TAU, gtprior:NAME-or-FILE or file:PATH: {spec!r}")
 
 
 def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instances.Instance, np.ndarray | None]]:
@@ -115,26 +128,28 @@ def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instanc
 def _tasks_from_args(args) -> tuple[list[tuple], str]:
     """``prepare``'s arguments ``(inst, reference_tour, heatmap_source, metric)`` for each
     instance (a None reference means the exact oracle's), and the heatmap's id."""
-    source, heatmap_id = parse_heatmap_spec(args.heatmap)
+    heatmap_id, build_source = args.heatmap
+    source = build_source()
     metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
     return [(inst, ref, source, metric) for inst, ref in load_instance_dir(args.instances, args.refs)], heatmap_id
 
 
-def _budget_from_args(args) -> Budget:
-    if (args.time_factor is None) == (args.max_iters is None):
-        raise UsageError("exactly one of --time-factor or --max-iters is required")
-    if args.max_iters is not None:
-        return Budget(mode="iters", value=args.max_iters)
-    return Budget(mode="wall", value=args.time_factor)
+def _given_params(args) -> dict:
+    """The solver parameters (or their grid values) given as flags, by ``MctsParams`` field."""
+    return {name: value for name in tuner.PARAM_FIELDS if (value := getattr(args, name)) is not None}
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     """The inputs, budget and seeding that ``solve`` and ``tune`` share."""
     p.add_argument("--instances", required=True)
     p.add_argument("--refs", help="directory of <instance>.tour reference files (default: the exact oracle, n <= 18)")
-    p.add_argument("--heatmap", required=True, help="zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH")
-    p.add_argument("--time-factor", dest="time_factor", type=positive_float, help="wall seconds per city")
-    p.add_argument("--max-iters", dest="max_iters", type=int_at_least(1), help="k-opt simulation cap (deterministic)")
+    p.add_argument("--heatmap", required=True, type=heatmap_spec,
+                   help="zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH")
+    budget = p.add_mutually_exclusive_group(required=True)
+    budget.add_argument("--time-factor", dest="budget", type=flag_type(float, lambda s: Budget("wall", s)),
+                        metavar="S", help="wall seconds per city")
+    budget.add_argument("--max-iters", dest="budget", type=flag_type(int, lambda n: Budget("iters", n)),
+                        metavar="N", help="k-opt simulation cap (deterministic)")
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--jobs", type=int_at_least(1), default=1)
     p.add_argument("--metric", choices=["real", "int"], default="real")
@@ -164,36 +179,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    budget = _budget_from_args(args)
-    params = MctsParams(**{name: value for name in tuner.PARAM_FIELDS if (value := getattr(args, name)) is not None})
+    params = MctsParams(**_given_params(args))
     # prepare()'s arguments, not Prepared instances: each is prepared where it is solved.
     tasks, heatmap_id = _tasks_from_args(args)
-    table = run_benchmark(
-        tasks, params, budget, seed=args.seed, jobs=args.jobs,
-        config_id=tuner.config_id(params), heatmap_id=heatmap_id,
-    )
+    table = run_benchmark(tasks, params, args.budget, seed=args.seed, jobs=args.jobs,
+                          config_id=tuner.config_id(params), heatmap_id=heatmap_id)
     table.write_csv(args.out)
     print(f"{len(table.rows)} instances: mean gap {table.mean_gap:.4f}% "
           f"(min {table.min_gap:.4f}%, max {table.max_gap:.4f}%) -> {args.out}")
     return EXIT_OK
 
 
-def _space_from_args(args) -> tuner.SearchSpace:
-    overrides = {}
-    for name, flag in GRID_FLAGS.items():
-        text = getattr(args, flag[2:].replace("-", "_"))
-        if text:
-            cast = tuner.FIELD_PARSERS[name]
-            overrides[name] = tuple(_flag_value(flag, tok.strip(), cast) for tok in text.split(",") if tok.strip())
-    return tuner.SearchSpace(**overrides)
-
-
 def cmd_tune(args) -> int:
-    budget = _budget_from_args(args)
     tasks, heatmap_id = _tasks_from_args(args)
-    space = _space_from_args(args)
-    evaluator = tuner.make_benchmark_evaluator(tasks, budget, args.seed, jobs=args.jobs)
-    report = tuner.tune(space, evaluator)
+    evaluator = tuner.make_benchmark_evaluator(tasks, args.budget, args.seed, jobs=args.jobs)
+    report = tuner.tune(tuner.SearchSpace(**_given_params(args)), evaluator)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "tuning.csv")
@@ -205,10 +205,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_analyze_knn(args) -> int:
-    if not (args.tours or args.oracle):
-        raise UsageError("provide --tours DIR or --oracle")
     dms, tour_list = [], []
-    for inst, order in load_instance_dir(args.instances, None if args.oracle else args.tours):
+    for inst, order in load_instance_dir(args.instances, args.tours):
         if order is None and inst.n > tours.EXACT_SOLVE_MAX_N:
             raise tours.SizeLimitError(f"{inst.id}: n={inst.n} exceeds the exact oracle cap")
         dm = instances.distance_matrix(inst)
@@ -248,10 +246,7 @@ def cmd_report(args) -> int:
                     groups.setdefault((row["heatmap"], row["config"]), []).append(numbers)
             except csv.Error as exc:  # e.g. a field past the csv module's size limit, in the record after line_num
                 raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
-    lines = [
-        "| Heatmap | Config | Instances | Mean Length | Mean Gap | Mean Time |",
-        "|---|---|---|---|---|---|",
-    ]
+    lines = ["| Heatmap | Config | Instances | Mean Length | Mean Gap | Mean Time |", "|---|---|---|---|---|---|"]
     summaries = []
     for (hm, cfg), rows in groups.items():
         mean_len, mean_gap, mean_time = (float(np.mean(col)) for col in zip(*rows))
@@ -268,7 +263,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tspmcts", description=__doc__)
+    parser = ArgumentParser(prog="tspmcts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate instance files")
@@ -287,21 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance directory, emit a results CSV")
     _add_common_args(p)
     p.add_argument("--out", required=True)
-    for name, parse in tuner.FIELD_PARSERS.items():
-        p.add_argument(tuner.FIELD_FLAGS[name], type=parse)
+    for name, flag in tuner.FIELD_FLAGS.items():
+        p.add_argument(flag, type=param_type(name))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tune", help="grid-search solver hyperparameters")
     _add_common_args(p)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    for flag in GRID_FLAGS.values():
-        p.add_argument(flag, help="comma-separated grid values")
+    for name, flag in tuner.FIELD_FLAGS.items():  # --alpha-values, ..., but --mcn-values for --max-candidate-num
+        p.add_argument("--mcn-values" if name == "max_candidate_num" else flag + "-values", dest=name,
+                       type=grid_type(name), help="comma-separated grid values")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("analyze-knn", help="neighbor-rank distribution of (near-)optimal tours")
     p.add_argument("--instances", required=True)
-    p.add_argument("--tours", help="directory of <instance>.tour files")
-    p.add_argument("--oracle", action="store_true", help="exact-solve instances (n <= 18)")
+    tours_from = p.add_mutually_exclusive_group(required=True)
+    tours_from.add_argument("--tours", help="directory of <instance>.tour files")
+    tours_from.add_argument("--oracle", action="store_true", help="exact-solve instances (n <= 18)")
     p.add_argument("--out", required=True, help="rank,mass,cumulative CSV; gtprior:FILE reads it")
     p.set_defaults(func=cmd_analyze_knn)
 
@@ -330,9 +327,8 @@ def expand_flag_files(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(expand_flag_files(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(expand_flag_files(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ from .instances import DistanceMatrix, Instance, Metric, RankTable, distance_mat
 from .mcts import Budget, MctsParams, solve
 from .tours import EXACT_SOLVE_MAX_N, exact_solve, tour_length
 
-RESULT_CSV_HEADER = ["instance", "config", "heatmap", "length", "ref_length", "gap_pct", "time_s", "seed"]
+RESULT_CSV_HEADER = ["instance", "config", "heatmap", "length", "ref_length", "gap_pct", "time_s", "seed", "sims",
+                     "restarts", "accepts"]
 
 #: Builds a heatmap for one instance; receives (instance, dm, ranks).
 HeatmapSource = Callable[[Instance, DistanceMatrix, RankTable], Heatmap]
@@ -37,6 +38,9 @@ class GapReport:
     config_id: str = "default"
     heatmap_id: str = ""
     seed: int = 0
+    simulations: int = 0
+    restarts: int = 0
+    moves_accepted: int = 0
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,8 @@ class ResultTable:
             writer.writerow(RESULT_CSV_HEADER)
             for r in self.rows:
                 writer.writerow([
-                    r.instance_id, r.config_id, r.heatmap_id,
-                    f"{r.solver_length:.9f}", f"{r.reference_length:.9f}",
-                    f"{r.gap_percent:.9f}", f"{r.wall_time:.4f}", r.seed,
+                    r.instance_id, r.config_id, r.heatmap_id, f"{r.solver_length:.9f}", f"{r.reference_length:.9f}",
+                    f"{r.gap_percent:.9f}", f"{r.wall_time:.4f}", r.seed, r.simulations, r.restarts, r.moves_accepted,
                 ])
 
 
@@ -126,15 +129,12 @@ def prepare(inst: Instance, reference_tour: Optional[np.ndarray], heatmap_source
 def _evaluate_one(task, params, budget, seed, config_id, heatmap_id) -> GapReport:
     prep = task if isinstance(task, Prepared) else prepare(*task)
     result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, params, seed, budget)
+    length = result.best_tour.length
     return GapReport(
-        instance_id=prep.inst.id,
-        solver_length=result.best_tour.length,
-        reference_length=prep.reference_length,
-        gap_percent=optimality_gap(result.best_tour.length, prep.reference_length),
-        wall_time=result.wall_time,
-        config_id=config_id,
-        heatmap_id=heatmap_id,
-        seed=seed,
+        instance_id=prep.inst.id, solver_length=length, reference_length=prep.reference_length,
+        gap_percent=optimality_gap(length, prep.reference_length), wall_time=result.wall_time,
+        config_id=config_id, heatmap_id=heatmap_id, seed=seed,
+        simulations=result.simulations, restarts=result.restarts, moves_accepted=result.moves_accepted,
     )
 
 
@@ -145,10 +145,13 @@ def run_benchmark(tasks: Iterable[Prepared | tuple], params: MctsParams, budget:
     A task is a ``Prepared`` instance or ``prepare``'s arguments ``(inst,
     reference_tour, heatmap_source, metric)``, prepared in the process that
     solves it. With ``jobs=1`` tasks are prepared, solved and freed one at a
-    time; with ``jobs > 1`` each worker prepares its own, and the first task
-    that fails cancels those not yet started. Each instance is solved with
+    time; with ``jobs > 1`` each of at most one worker per task prepares its
+    own, and the first task that fails cancels those not yet started. Each instance is solved with
     seed ``seed + index`` so results do not depend on scheduling.
     """
+    if jobs > 1:  # a fork pool starts all its workers at once: no more workers than tasks, and no pool for one
+        tasks = list(tasks)
+        jobs = min(jobs, len(tasks))
     args = (tasks, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
     if jobs <= 1:
         # map() keeps no reference to a solved instance, so each preparation is freed before the next.

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
@@ -9,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tspmcts import evalkit, mcts, tuner
-from tspmcts.cli import load_instance_dir, main
+from tspmcts.cli import UsageError, build_parser, load_instance_dir, main
 from tspmcts.evalkit import RESULT_CSV_HEADER
-from tspmcts.heatmaps import PriorVector, load_prior, write_distribution_csv
+from tspmcts.heatmaps import PriorVector, ZeroSource, load_prior, write_distribution_csv
 from tspmcts.instances import ParseError, distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
 from tspmcts.tours import InvalidTourError, exact_solve, two_opt, make_tour, write_tour
 
@@ -60,25 +63,19 @@ class TestGen:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_usage_error(self, tmp_path, capsys, count):
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--n", 8, "--count", count, "--out", tmp_path / "d")
-        assert exc.value.code == 2
-        assert "--count" in capsys.readouterr().err
+        assert run("gen", "--n", 8, "--count", count, "--out", tmp_path / "d") == 2
+        assert capsys.readouterr().err == f"error: argument --count: must be at least 1, got {count}\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("n", [2, 0])
     def test_n_below_three_usage_error(self, tmp_path, capsys, n):
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--n", n, "--count", 1, "--out", tmp_path / "d")
-        assert exc.value.code == 2
-        assert "--n" in capsys.readouterr().err
+        assert run("gen", "--n", n, "--count", 1, "--out", tmp_path / "d") == 2
+        assert capsys.readouterr().err == f"error: argument --n: must be at least 3, got {n}\n"
         assert not (tmp_path / "d").exists()
 
     def test_negative_seed_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--n", 8, "--count", 1, "--seed", -1, "--out", tmp_path / "d")
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert run("gen", "--n", 8, "--count", 1, "--seed", -1, "--out", tmp_path / "d") == 2
+        assert capsys.readouterr().err == "error: argument --seed: must be at least 0, got -1\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("dist, flag, value", [("cluster", "--clusters", 0), ("cluster", "--spread", 0),
@@ -244,22 +241,18 @@ class TestSolve:
             load_instance_dir(tmp_path, tmp_path)
 
     def test_malformed_use_heatmap_usage_error(self, instance_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--use-heatmap", "ture",
-                "--max-iters", 10, "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert "--use-heatmap" in capsys.readouterr().err
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--use-heatmap", "ture",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "error: argument --use-heatmap: invalid boolean value: 'ture'\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_malformed_params_file_boolean_usage_error(self, instance_dir, tmp_path, capsys):
         """A value in an ``@FILE`` is parsed by its flag, as on the command line."""
         params = tmp_path / "params.txt"
         params.write_text("--alpha=1\n--use-heatmap=Ture\n")
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", f"@{params}",
-                "--max-iters", 10, "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith("error: argument --use-heatmap: invalid boolean value: 'Ture'\n")
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", f"@{params}",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "error: argument --use-heatmap: invalid boolean value: 'Ture'\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_flag_file_lines_follow_argument_order(self, instance_dir, tmp_path):
@@ -292,37 +285,31 @@ class TestSolve:
         """A tuned config is passed as ``@FILE``; the ``--params FILE`` option is gone."""
         params = tmp_path / "params.txt"
         params.write_text("--alpha=1\n")
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--params", params,
-                "--max-iters", 10, "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: --params {params}\n")
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--params", params,
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: --params {params}\n"
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_usage_error(self, instance_dir, tmp_path, capsys, jobs):
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--jobs", jobs,
-                "--max-iters", 10, "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--jobs", jobs,
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"error: argument --jobs: must be at least 1, got {jobs}\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_max_iters_below_one_usage_error(self, instance_dir, tmp_path, capsys, iters):
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", iters,
-                "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert "--max-iters" in capsys.readouterr().err
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", iters,
+                   "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (f"error: argument --max-iters: budget value must be finite and positive, "
+                                           f"got {iters}\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("factor", [0, -1, "nan", "inf"])
     def test_time_factor_not_finite_positive_usage_error(self, instance_dir, tmp_path, capsys, factor):
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--time-factor", factor,
-                "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert "argument --time-factor: must be finite and positive" in capsys.readouterr().err
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--time-factor", factor,
+                   "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (f"error: argument --time-factor: budget value must be finite and positive, "
+                                           f"got {float(factor)}\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_zero_reference_length_names_the_instance(self, tmp_path, capsys):
@@ -393,12 +380,27 @@ class TestSolve:
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_seed_usage_error(self, instance_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("solve", "--instances", instance_dir, "--heatmap", "zero", "--seed", -1,
-                "--max-iters", 10, "--out", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--seed", -1,
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "error: argument --seed: must be at least 0, got -1\n"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_csv_counts_equal_a_direct_solve(self, instance_dir, tmp_path):
+        """The results CSV's sims, restarts and accepts are those of ``mcts.solve`` on the same
+        instance at its seed (``--seed`` + index)."""
+        out = tmp_path / "x.csv"
+        assert run("solve", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 300, "--seed", 4,
+                   "--out", out) == 0
+        rows = list(csv.DictReader(open(out)))
+        for index, (row, path) in enumerate(zip(rows, sorted(instance_dir.glob("*.txt")), strict=True)):
+            prep = evalkit.prepare(load_instance(path), None, ZeroSource())
+            result = mcts.solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, mcts.MctsParams(), 4 + index,
+                                mcts.Budget("iters", 300))
+            assert row["instance"] == prep.inst.id
+            assert float(row["length"]) == pytest.approx(result.best_tour.length, abs=1e-9)
+            assert (int(row["sims"]), int(row["restarts"]), int(row["accepts"])) == (
+                result.simulations, result.restarts, result.moves_accepted)
+        assert {row["sims"] for row in rows} == {"300"}
 
     def test_idempotent_outputs(self, instance_dir, tmp_path):
         args = ("solve", "--instances", instance_dir, "--heatmap", "zero",
@@ -484,12 +486,20 @@ class TestTune:
         assert err.startswith("error:") and "--use-heatmap-values" in err
         assert not (tmp_path / "tune").exists()
 
-    @pytest.mark.parametrize("flag, values", [("--alpha-values", "-1"), ("--beta-values", "10,10")])
-    def test_invalid_grid_value_config_error(self, tmp_path, instance_dir, capsys, flag, values):
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--alpha-values", "-1", "alpha must be finite and non-negative, got -1.0"),
+        ("--beta-values", "10,10", "search space for beta has duplicates"),
+        ("--max-depth-values", "10,0", "max_depth must be >= 1"),
+        ("--mcn-values", " , ", "search space for max_candidate_num is empty"),
+    ], ids=["--alpha-values--1", "--beta-values-10,10", "--max-depth-values-10,0", "--mcn-values-empty"])
+    def test_invalid_grid_value_config_error(self, tmp_path, instance_dir, capsys, flag, values, message):
+        """An out-of-range grid value breaks the rule its ``solve`` flag has, and a repeated or empty
+        list ``SearchSpace``'s rule: a usage error on the flag (exit 2), as a malformed value is."""
         code = run("tune", "--instances", instance_dir, "--heatmap", "zero",
                    "--max-iters", 10, "--out-dir", tmp_path / "tune", flag, values)
-        assert code == 4
-        assert capsys.readouterr().err.startswith("config error:")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
+        assert not (tmp_path / "tune").exists()
 
     def test_best_config_feeds_solve(self, tmp_path, instance_dir, monkeypatch):
         """``solve @best_config.txt`` writes the results CSV that the best row's six flags, passed
@@ -523,19 +533,15 @@ class TestTune:
         assert len(list(csv.DictReader(open(tmp_path / "full" / "shapley.csv")))) == 24
 
     def test_jobs_below_one_usage_error(self, tmp_path, instance_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
-                "--out-dir", tmp_path / "tune", "--jobs", 0)
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
+                   "--out-dir", tmp_path / "tune", "--jobs", 0) == 2
+        assert capsys.readouterr().err == "error: argument --jobs: must be at least 1, got 0\n"
         assert not (tmp_path / "tune").exists()
 
     def test_negative_seed_usage_error(self, tmp_path, instance_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
-                "--out-dir", tmp_path / "tune", "--seed", -3)
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 10,
+                   "--out-dir", tmp_path / "tune", "--seed", -3) == 2
+        assert capsys.readouterr().err == "error: argument --seed: must be at least 0, got -3\n"
         assert not (tmp_path / "tune").exists()
 
 
@@ -563,11 +569,9 @@ class TestAnalyzeKnn:
 
     def test_emit_prior_is_gone(self, tmp_path, instance_dir, capsys):
         """The --out CSV is the one prior file; the one-float-per-line file and its flag are gone."""
-        with pytest.raises(SystemExit) as exc:
-            run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", tmp_path / "knn.csv",
-                "--emit-prior", tmp_path / "prior.txt")
-        assert exc.value.code == 2
-        assert "--emit-prior" in capsys.readouterr().err
+        assert run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", tmp_path / "knn.csv",
+                   "--emit-prior", tmp_path / "prior.txt") == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: --emit-prior {tmp_path / 'prior.txt'}\n"
 
     @pytest.mark.parametrize("text, where", [
         ("0.5\n0.3\n0.2\n", ""),
@@ -605,7 +609,7 @@ class TestAnalyzeKnn:
     def test_usage_error_before_reading_files(self, tmp_path, capsys):
         """Without --tours or --oracle nothing is read, so a missing instance directory goes unreported."""
         assert run("analyze-knn", "--instances", tmp_path / "nope", "--out", tmp_path / "x.csv") == 2
-        assert capsys.readouterr().err == "error: provide --tours DIR or --oracle\n"
+        assert capsys.readouterr().err == "error: one of the arguments --tours --oracle is required\n"
 
     def test_oracle_above_its_cap_names_the_instance(self, tmp_path, capsys):
         inst_dir = tmp_path / "u20"
@@ -689,6 +693,86 @@ class TestReport:
             path = self.results_csv(tmp_path, row)
             assert run("report", path) == 4
             assert capsys.readouterr().err == f"config error: {path}: line 3: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--heatmap", "zero", "--max-iters", 10, "--max-c", 5, "--out", "x.csv"),
+     "unrecognized arguments: --max-c 5"),
+    (("solve", "--heatmap", "zero", "--max-iters", 10, "--max-depth", 0, "--out", "x.csv"),
+     "argument --max-depth: max_depth must be >= 1"),
+    (("solve", "--heatmap", "zero", "--out", "x.csv"), "one of the arguments --time-factor --max-iters is required"),
+    (("solve", "--heatmap", "zero", "--max-iters", "1e3", "--out", "x.csv"),
+     "argument --max-iters: invalid int value: '1e3'"),
+    (("solve", "--heatmap", "mystery", "--max-iters", 10, "--out", "x.csv"),
+     "argument --heatmap: not zero, softdist:TAU, gtprior:NAME-or-FILE or file:PATH: 'mystery'"),
+    (("analyze-knn", "--oracle", "--tours", "tours", "--out", "x.csv"),
+     "argument --tours: not allowed with argument --oracle"),
+], ids=["abbreviation", "max-depth", "no-budget", "max-iters-float", "heatmap-kind", "tours-and-oracle"])
+def test_usage_error_is_one_line_naming_the_flag(instance_dir, tmp_path, capsys, argv, message):
+    """Every bad flag or flag value is returned by ``main`` as exit 2 with one stderr line, before
+    any file is read or written; argparse prints no usage and raises no ``SystemExit``."""
+    command, *rest = argv
+    assert run(command, "--instances", instance_dir, *[tmp_path / a if a == "x.csv" else a for a in rest]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_flag_abbreviation_in_a_flag_file_usage_error(instance_dir, tmp_path, capsys):
+    """A truncated line of a tuned config is not taken for the flag it starts."""
+    (tmp_path / "best.txt").write_text("--alpha=0\n--max-cand=5\n")
+    assert run("solve", "--instances", instance_dir, "--heatmap", "zero", f"@{tmp_path / 'best.txt'}",
+               "--max-iters", 10, "--out", tmp_path / "x.csv") == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --max-cand=5\n"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("solve", "--help"), ("tune", "-h")])
+def test_help_is_the_one_exit_through_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tspmcts")
+
+
+#: tune's grid flag of each solver parameter.
+GRID_FLAGS = {"alpha": "--alpha-values", "beta": "--beta-values", "max_depth": "--max-depth-values",
+              "max_candidate_num": "--mcn-values", "param_h": "--param-h-values", "use_heatmap": "--use-heatmap-values"}
+#: Texts near every rule: numbers in and out of range, non-finite floats, floats for ints, booleans, junk.
+VALUE_TEXT = st.one_of(
+    st.integers(-3, 3).map(str), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e400", "-0", "1_000", " 7 ", "2.5", "", "true", "No", "tru", "0x10", "\u0661"]), st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(tuner.PARAM_FIELDS), grid=st.booleans(), data=st.data())
+def test_solver_flag_parses_to_the_stored_value_or_exits_2(name, grid, data):
+    """Any text for a solver flag or a grid flag either parses to exactly the value(s) ``MctsParams``
+    (and ``SearchSpace``) store, or is a usage error (exit 2) on one stderr line that names the flag.
+    It is never a config error (exit 4) and never a traceback."""
+    text = data.draw(st.lists(VALUE_TEXT, max_size=4).map(",".join) if grid else VALUE_TEXT)
+    flag = GRID_FLAGS[name] if grid else tuner.FIELD_FLAGS[name]
+    out = ("--out-dir", "no-such-dir") if grid else ("--out", "no-such.csv")
+    argv = ["tune" if grid else "solve", "--instances", "no-such-dir", "--heatmap", "zero", "--max-iters", "1",
+            f"{flag}={text}", *out]
+    err = io.StringIO()
+    try:
+        value = getattr(build_parser().parse_args(argv), name)
+    except UsageError:
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue().startswith(f"error: argument {flag}: ") and err.getvalue().count("\n") == 1
+        return
+    parse = tuner.FIELD_PARSERS[name]
+    if grid:
+        assert value == getattr(tuner.SearchSpace(**{name: value}), name) == tuple(
+            parse(tok) for tok in text.split(",") if tok.strip())
+        assert [getattr(mcts.MctsParams(**{name: v}), name) for v in value] == list(value)
+    else:
+        assert value == getattr(mcts.MctsParams(**{name: value}), name) == parse(text)
+        value = (value,)
+    assert {type(v) for v in value} == {type(parse("1"))}
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 3  # parsed: the missing instance directory is the first error
+    assert err.getvalue().startswith("I/O error: ")
 
 
 def child_env() -> dict[str, str]:

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -125,6 +127,25 @@ class TestRunBenchmark:
         assert len(refs) == (8 if jobs == 1 else 0)
         assert peak == (1 if jobs == 1 else 0)
 
+    def test_pool_starts_no_more_workers_than_tasks(self, small_set, monkeypatch):
+        """A fork pool starts all its workers at once: jobs=8 on two tasks asks for two workers,
+        and on one task for no pool; the rows are those of jobs=1."""
+        asked = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)  # whatever is asked, start two at most
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        tasks = [(inst, None, ZeroSource(), Metric.EUC2D_REAL) for inst in small_set[:2]]
+        kwargs = dict(params=MctsParams(use_heatmap=False), budget=Budget("iters", 100), seed=3)
+        untimed = lambda table: [dataclasses.replace(r, wall_time=0.0) for r in table.rows]
+        assert untimed(run_benchmark(tasks, **kwargs, jobs=8)) == untimed(run_benchmark(tasks, **kwargs, jobs=1))
+        assert asked == [2]
+        assert untimed(run_benchmark(tasks[:1], **kwargs, jobs=8)) == untimed(run_benchmark(tasks[:1], **kwargs))
+        assert asked == [2]
+
     def test_mean_matches_rows(self, small_set):
         table = run_benchmark(
             prepared_zero(small_set), MctsParams(use_heatmap=False),
@@ -153,7 +174,7 @@ class TestRunBenchmark:
         path = tmp_path / "out.csv"
         table.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "instance,config,heatmap,length,ref_length,gap_pct,time_s,seed"
+        assert lines[0] == "instance,config,heatmap,length,ref_length,gap_pct,time_s,seed,sims,restarts,accepts"
         assert len(lines) == 3
 
 

@@ -332,20 +332,16 @@ def test_params_file_rejects_time_limit_factor(tmp_path, capsys):
     for text, unrecognized in [("alpha=2.0\ntime_limit_factor=0.05\n", "alpha=2.0 time_limit_factor=0.05"),
                                ("--alpha=2.0\n--time-limit-factor=0.05\n", "--time-limit-factor=0.05")]:
         path.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            solve_with(tmp_path, f"@{path}")
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+        assert solve_with(tmp_path, f"@{path}") == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {unrecognized}\n"
     assert not (tmp_path / "res.csv").exists()
 
 
 def test_params_file_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "config.txt"
     path.write_text("--gamma=3\n")
-    with pytest.raises(SystemExit) as exc:
-        solve_with(tmp_path, f"@{path}")
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --gamma=3\n")
+    assert solve_with(tmp_path, f"@{path}") == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --gamma=3\n"
 
 
 @pytest.mark.parametrize("text, value", [
