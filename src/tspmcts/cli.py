@@ -90,9 +90,9 @@ def heatmap_spec(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "zero" and not arg:
         return "zero", heatmaps.ZeroSource
-    if kind == "softdist" and arg:
-        tau = float(arg)  # malformed: an "invalid heatmap_spec value"
-        return spec, lambda: heatmaps.SoftDistSource(tau=tau)
+    if kind == "softdist" and arg:  # malformed: an "invalid heatmap_spec value"; out of range: the rule it broke
+        source = heatmaps.SoftDistSource(flag_type(float, heatmaps.check_tau)(arg))
+        return spec, lambda: source
     if kind == "gtprior" and arg:  # a builtin's id is its name
         return f"gtprior:{Path(arg).name}", lambda: heatmaps.PriorSource(
             heatmaps.BUILTIN_PRIORS[arg] if arg in heatmaps.BUILTIN_PRIORS else heatmaps.load_prior(arg))
@@ -180,10 +180,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     params = MctsParams(**_given_params(args))
-    # prepare()'s arguments, not Prepared instances: each is prepared where it is solved.
     tasks, heatmap_id = _tasks_from_args(args)
-    table = run_benchmark(tasks, params, args.budget, seed=args.seed, jobs=args.jobs,
-                          config_id=tuner.config_id(params), heatmap_id=heatmap_id)
+    table = run_benchmark(tasks, {tuner.config_id(params): params}, args.budget, seed=args.seed, jobs=args.jobs,
+                          heatmap_id=heatmap_id)
     table.write_csv(args.out)
     print(f"{len(table.rows)} instances: mean gap {table.mean_gap:.4f}% "
           f"(min {table.min_gap:.4f}%, max {table.max_gap:.4f}%) -> {args.out}")
@@ -192,8 +191,8 @@ def cmd_solve(args) -> int:
 
 def cmd_tune(args) -> int:
     tasks, heatmap_id = _tasks_from_args(args)
-    evaluator = tuner.make_benchmark_evaluator(tasks, args.budget, args.seed, jobs=args.jobs)
-    report = tuner.tune(tuner.SearchSpace(**_given_params(args)), evaluator)
+    space = tuner.SearchSpace(**_given_params(args))
+    report = tuner.tune(space, tuner.evaluate_grid(space, tasks, args.budget, seed=args.seed, jobs=args.jobs))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "tuning.csv")

@@ -4,8 +4,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
-from typing import Callable, Iterable, Optional
+from itertools import chain, count, repeat
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -126,39 +126,43 @@ def prepare(inst: Instance, reference_tour: Optional[np.ndarray], heatmap_source
     return Prepared(inst, dm, ranks, ref_len, heatmap_source(inst, dm, ranks))
 
 
-def _evaluate_one(task, params, budget, seed, config_id, heatmap_id) -> GapReport:
-    prep = task if isinstance(task, Prepared) else prepare(*task)
-    result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, params, seed, budget)
-    length = result.best_tour.length
-    return GapReport(
-        instance_id=prep.inst.id, solver_length=length, reference_length=prep.reference_length,
-        gap_percent=optimality_gap(length, prep.reference_length), wall_time=result.wall_time,
-        config_id=config_id, heatmap_id=heatmap_id, seed=seed,
-        simulations=result.simulations, restarts=result.restarts, moves_accepted=result.moves_accepted,
-    )
+def _evaluate_one(task, configs, budget, seed, heatmap_id) -> list[GapReport]:
+    prep = prepare(*task)
+    reports = []
+    for config_id, params in configs.items():
+        result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, params, seed, budget)
+        length = result.best_tour.length
+        reports.append(GapReport(
+            instance_id=prep.inst.id, solver_length=length, reference_length=prep.reference_length,
+            gap_percent=optimality_gap(length, prep.reference_length), wall_time=result.wall_time,
+            config_id=config_id, heatmap_id=heatmap_id, seed=seed,
+            simulations=result.simulations, restarts=result.restarts, moves_accepted=result.moves_accepted,
+        ))
+    return reports
 
 
-def run_benchmark(tasks: Iterable[Prepared | tuple], params: MctsParams, budget: Budget, seed: int = 0,
-                  jobs: int = 1, config_id: str = "default", heatmap_id: str = "") -> ResultTable:
-    """Solve every task's instance and report gaps, in input order.
+def run_benchmark(tasks: Iterable[tuple], configs: Mapping[str, MctsParams], budget: Budget, seed: int = 0,
+                  jobs: int = 1, heatmap_id: str = "") -> ResultTable:
+    """Solve every task's instance under every config; the gaps come config by config, in input order.
 
-    A task is a ``Prepared`` instance or ``prepare``'s arguments ``(inst,
-    reference_tour, heatmap_source, metric)``, prepared in the process that
-    solves it. With ``jobs=1`` tasks are prepared, solved and freed one at a
-    time; with ``jobs > 1`` each of at most one worker per task prepares its
-    own, and the first task that fails cancels those not yet started. Each instance is solved with
-    seed ``seed + index`` so results do not depend on scheduling.
+    A task is ``prepare``'s arguments ``(inst, reference_tour, heatmap_source, metric)``, and
+    ``configs`` maps config ids to parameters. Each task is prepared once, in the process that
+    solves it, solved under every config in order, then freed. ``jobs > 1`` runs the tasks in one
+    pool of at most one worker per task; the first task that fails cancels those not yet started.
+    Instance i is solved with seed ``seed + i`` under every config, so results do not depend on scheduling.
     """
     if jobs > 1:  # a fork pool starts all its workers at once: no more workers than tasks, and no pool for one
         tasks = list(tasks)
         jobs = min(jobs, len(tasks))
-    args = (tasks, repeat(params), repeat(budget), count(seed), repeat(config_id), repeat(heatmap_id))
+    args = (tasks, repeat(configs), repeat(budget), count(seed), repeat(heatmap_id))
     if jobs <= 1:
         # map() keeps no reference to a solved instance, so each preparation is freed before the next.
-        return ResultTable(rows=tuple(map(_evaluate_one, *args)))
-    # Imported here: the process pool loads multiprocessing, about 1.5 MB no serial run needs.
-    from concurrent.futures import ProcessPoolExecutor
+        per_task = list(map(_evaluate_one, *args))
+    else:
+        # Imported here: the process pool loads multiprocessing, about 1.5 MB no serial run needs.
+        from concurrent.futures import ProcessPoolExecutor
 
-    # Executor.map cancels the pending tasks as soon as one raises.
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return ResultTable(rows=tuple(pool.map(_evaluate_one, *args)))
+        # Executor.map cancels the pending tasks as soon as one raises.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_task = list(pool.map(_evaluate_one, *args))
+    return ResultTable(rows=tuple(chain.from_iterable(zip(*per_task))))

@@ -250,6 +250,13 @@ def zero_heatmap(n: int) -> Heatmap:
 SOFTDIST_KEEP = 24
 
 
+def check_tau(tau: float) -> float:
+    """``tau`` if it is finite and positive, as a softdist temperature must be."""
+    if not 0 < tau < math.inf:  # also rejects NaN
+        raise ValueError(f"softdist tau must be finite and positive, got {tau}")
+    return tau
+
+
 def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     """Distance softmax rows: p_ij proportional to exp(-d_ij / tau).
 
@@ -260,8 +267,7 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
     Rows are computed in blocks of about ``BLOCK_ELEMS`` entries. A tau that
     is not finite, or so small that d / tau can overflow, is rejected first.
     """
-    if not 0 < tau < math.inf:  # also rejects NaN
-        raise ValueError(f"softdist tau must be finite and positive, got {tau}")
+    check_tau(tau)
     (x0, y0), (x1, y1) = dm.points.min(axis=0).tolist(), dm.points.max(axis=0).tolist()
     # The bounding box's diagonal bounds every distance, with slack for rounding and for nint's +0.5.
     longest = math.hypot(x1 - x0, y1 - y0) * (1 + 1e-12) + (0.5 if dm.metric is Metric.EUC2D_INT else 0.0)

@@ -153,8 +153,6 @@ class RankTable:
 
 def generate_uniform(n: int, seed: int) -> Instance:
     """n i.i.d. points uniform on the unit square."""
-    if n < 3:
-        raise ValueError(f"instance needs at least 3 cities, got {n}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     return Instance(id=f"uniform-n{n}-s{seed}", points=pts)
@@ -170,8 +168,6 @@ def generate_structured(n: int, seed: int, kind: str, *, n_clusters: int = 5, sp
     the same points are contracted halfway toward the center instead.
     cluster reads only (n_clusters, spread), the other two only (center, radius).
     """
-    if n < 3:
-        raise ValueError(f"instance needs at least 3 cities, got {n}")
     rng = np.random.default_rng(seed)
     if kind == "cluster":
         if n_clusters < 1:

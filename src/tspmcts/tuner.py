@@ -13,11 +13,11 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .evalkit import Budget, prepare, run_benchmark
+from .evalkit import Budget, ResultTable, run_benchmark
 from .mcts import MctsParams
 
 
@@ -120,29 +120,23 @@ class TuningReport:
                     writer.writerow([cid, name, getattr(cfg, name), f"{phi[name]:.12g}"])
 
 
-#: Evaluates one configuration on the tuning set; returns its mean gap.
-ConfigEvaluator = Callable[[MctsParams], float]
+def evaluate_grid(space: SearchSpace, tasks: Iterable[tuple], budget: Budget, seed: int = 0,
+                  jobs: int = 1) -> list[float]:
+    """Each grid config's mean gap over ``tasks``, in grid order, from one ``run_benchmark`` call:
+    each task, ``prepare``'s arguments, is prepared once and solved under every config."""
+    configs = {config_id(cfg): cfg for cfg in grid_configs(space)}
+    if len(configs) < space.size:
+        raise ValueError("grid values too close to tell apart in config ids (6 significant digits)")
+    rows = run_benchmark(tasks, configs, budget, seed=seed, jobs=jobs).rows  # config by config
+    return [ResultTable(tuple(group)).mean_gap for _, group in itertools.groupby(rows, lambda row: row.config_id)]
 
 
-def make_benchmark_evaluator(tasks: Iterable[tuple], budget: Budget, seed: int, jobs: int = 1) -> ConfigEvaluator:
-    """Prepare each task, ``prepare``'s arguments ``(inst, reference_tour, heatmap_source,
-    metric)``, once; the evaluator then only solves, per config."""
-    prepared = [prepare(*task) for task in tasks]
-
-    def evaluate(params: MctsParams) -> float:
-        table = run_benchmark(prepared, params, budget, seed=seed, jobs=jobs, config_id=config_id(params))
-        return table.mean_gap
-
-    return evaluate
-
-
-def tune(space: SearchSpace, evaluator: ConfigEvaluator) -> TuningReport:
-    """Evaluate the grid, pick the best configuration and attribute every config's gap.
+def tune(space: SearchSpace, gaps: Sequence[float]) -> TuningReport:
+    """The report of a grid's mean gaps, in grid order: the best configuration and every config's attribution.
 
     Ties are broken by grid order (lexicographic in the canonical field order).
     """
     configs = grid_configs(space)
-    gaps = [evaluator(cfg) for cfg in configs]
     best_idx = min(range(len(configs)), key=gaps.__getitem__)
     default_key = config_key(DEFAULT_PARAMS)
     default_idx = next((i for i, c in enumerate(configs) if config_key(c) == default_key), None)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tspmcts.evalkit import Budget, optimality_gap, prepare, run_benchmark
+from tspmcts.evalkit import Budget, optimality_gap, run_benchmark
 from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
     PriorSource,
@@ -22,7 +22,7 @@ from tspmcts.heatmaps import (
 from tspmcts.instances import Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
 from tspmcts.mcts import MctsParams, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
 from tspmcts.tours import exact_solve, parse_tour, tour_length
-from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, grid_configs, make_benchmark_evaluator, shapley_for_all_configs, tune
+from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, evaluate_grid, grid_configs, shapley_for_all_configs, tune
 
 from conftest import brute_force_solve, set_weight, union_neighbors
 
@@ -132,10 +132,8 @@ def test_c04_tuning_dominance(oracle_corpus, held_out_set):
         max_candidate_num=(1000,), param_h=(10,), use_heatmap=(True,),
     )
     assert config_key(DEFAULT_PARAMS) in {config_key(c) for c in grid_configs(space)}
-    evaluator = make_benchmark_evaluator(
-        [(inst, None, PriorSource(prior)) for inst in instances], Budget("iters", 5_000), seed=0,
-    )
-    rpt = tune(space, evaluator)
+    gaps = evaluate_grid(space, [(inst, None, PriorSource(prior)) for inst in instances], Budget("iters", 5_000), seed=0)
+    rpt = tune(space, gaps)
     elapsed = time.monotonic() - start
     assert rpt.default_gap is not None
     assert rpt.best_gap <= rpt.default_gap + 1e-12
@@ -246,10 +244,10 @@ def test_c10_determinism_and_scheduling_independence():
     assert a.best_tour.length == b.best_tour.length
 
     batch = [generate_uniform(14, 50_000 + i) for i in range(8)]
-    prepared = [prepare(inst, None, PriorSource(BUILTIN_PRIORS["tsp500"])) for inst in batch]
-    kwargs = dict(params=MctsParams(), budget=Budget("iters", 600), seed=3)
-    serial = run_benchmark(prepared, **kwargs, jobs=1)
-    parallel = run_benchmark(prepared, **kwargs, jobs=8)
+    tasks = [(inst, None, PriorSource(BUILTIN_PRIORS["tsp500"])) for inst in batch]
+    kwargs = dict(configs={"default": MctsParams()}, budget=Budget("iters", 600), seed=3)
+    serial = run_benchmark(tasks, **kwargs, jobs=1)
+    parallel = run_benchmark(tasks, **kwargs, jobs=8)
     for r1, r8 in zip(serial.rows, parallel.rows):
         assert r1.instance_id == r8.instance_id
         assert r1.solver_length == r8.solver_length  # bitwise float equality

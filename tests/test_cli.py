@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -196,16 +198,24 @@ class TestSolve:
         assert "Traceback" not in err
 
     # softdist:inf would tie every probability of a row and keep the lowest indices, not the nearest cities.
-    @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 4), ("softdist:inf", 4)])
+    @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 2), ("softdist:0", 2),
+                                            ("softdist:nan", 2), ("softdist:inf", 2), ("softdist:1e-320", 4)])
     def test_softdist_temperature(self, instance_dir, tmp_path, capsys, spec, code):
+        """A malformed TAU, or one not finite and positive, is a usage error on --heatmap, named by the
+        rule it broke; a TAU too small for an instance's distances is a config error on that instance."""
         assert run("solve", "--instances", instance_dir, "--heatmap", spec,
                    "--max-iters", 10, "--out", tmp_path / "x.csv") == code
         err = capsys.readouterr().err
+        tau = spec.partition(":")[2]
+        try:
+            rule = f"softdist tau must be finite and positive, got {float(tau)}"
+        except ValueError:
+            rule = f"invalid heatmap_spec value: {spec!r}"
         if code == 2:
-            assert err.startswith("error:") and "--heatmap" in err
+            assert err == f"error: argument --heatmap: {rule}\n"
         else:
-            assert err.startswith("config error:") and "tau" in err and err.count("\n") == 1
-        assert "Traceback" not in err
+            assert err.startswith(f"config error: softdist tau {tau} is too small") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("inst_text, tour_text, at, message", [
         ("n 3\n0 0\n1 1\n", None, "inst", "expected 3 coordinate lines, found 2"),
@@ -324,23 +334,39 @@ class TestSolve:
         assert not (tmp_path / "x.csv").exists()
 
     def test_jobs_two_writes_the_serial_csv(self, instance_dir, tmp_path, monkeypatch):
-        """The workers prepare the instances: under --jobs 2 this process builds no ``Prepared``."""
+        """The workers prepare the instances: under --jobs 2 this process builds no ``Prepared``, and
+        ``solve`` and ``tune`` each start one process pool; ``tune`` writes the serial run's files."""
         built, init = [], evalkit.Prepared.__init__
+        pools = []
 
         def counted_init(self, inst, *fields):
             built.append(inst.id)
             init(self, inst, *fields)
 
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
         monkeypatch.setattr(evalkit.Prepared, "__init__", counted_init)
-        args = ("solve", "--instances", instance_dir, "--heatmap", "gtprior:tsp500", "--max-iters", 300, "--seed", 7)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        common = ("--instances", instance_dir, "--heatmap", "gtprior:tsp500", "--max-iters", 300, "--seed", 7)
         out_1, out_2 = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
-        assert run(*args, "--jobs", 1, "--out", out_1) == 0
+        assert run("solve", *common, "--jobs", 1, "--out", out_1) == 0
         assert len(built) == 4
-        assert run(*args, "--jobs", 2, "--out", out_2) == 0
-        assert len(built) == 4
+        assert run("solve", *common, "--jobs", 2, "--out", out_2) == 0
+        assert len(built) == 4 and pools == [2]
         strip = lambda p: [{k: v for k, v in row.items() if k != "time_s"} for row in csv.DictReader(open(p))]
         assert len(strip(out_1)) == 4
         assert strip(out_2) == strip(out_1)
+        grid = ("--alpha-values", "0,1", "--beta-values", "10", "--max-depth-values", "10", "--mcn-values", "5,20",
+                "--param-h-values", "2", "--use-heatmap-values", "true")
+        assert run("tune", *common, *grid, "--jobs", 1, "--out-dir", tmp_path / "tune1") == 0
+        assert len(built) == 8
+        assert run("tune", *common, *grid, "--jobs", 2, "--out-dir", tmp_path / "tune2") == 0
+        assert len(built) == 8 and pools == [2, 2]
+        for name in ("tuning.csv", "shapley.csv", "best_config.txt"):
+            assert (tmp_path / "tune2" / name).read_bytes() == (tmp_path / "tune1" / name).read_bytes()
 
     @pytest.mark.parametrize("text, code, message", [
         ("4 1\n0 1 0.5\n", 4, "config error: {path}: heatmap file is for n=4, instance has n=10\n"),
@@ -440,6 +466,28 @@ class TestTune:
         grand = sum(gaps.values()) / len(gaps)
         for cid, total in by_config.items():
             assert total == pytest.approx(gaps[cid] - grand, abs=1e-9)
+
+    def test_one_preparation_alive_at_a_time(self, tmp_path, instance_dir, monkeypatch):
+        """``tune --jobs 1`` prepares an instance, solves it under every config and frees it before the next."""
+        refs, live, solve = [], [], evalkit.solve
+        init = evalkit.Prepared.__init__
+
+        def tracked_init(self, *fields):
+            init(self, *fields)
+            refs.append(weakref.ref(self))
+
+        def counting_solve(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in refs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(evalkit.Prepared, "__init__", tracked_init)
+        monkeypatch.setattr(evalkit, "solve", counting_solve)
+        assert run("tune", "--instances", instance_dir, "--heatmap", "zero", "--max-iters", 50, "--jobs", 1,
+                   "--out-dir", tmp_path / "tune", "--alpha-values", "0,1", "--beta-values", "10",
+                   "--max-depth-values", "10", "--mcn-values", "5,20", "--param-h-values", "2",
+                   "--use-heatmap-values", "false") == 0
+        assert len(refs) == 4
+        assert live == [1] * 16
 
     def test_refs_gaps_equal_solve_gaps(self, tmp_path):
         """``tune --refs`` evaluates the tasks ``solve --refs`` builds: at n=40, beyond the exact

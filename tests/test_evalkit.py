@@ -72,16 +72,21 @@ def small_set():
     return [generate_uniform(10, 900 + i) for i in range(4)]
 
 
-def prepared_zero(instances, reference_tours=None):
+def zero_tasks(instances, reference_tours=None):
+    """``prepare``'s arguments for each instance, with the Zero heatmap."""
     if reference_tours is None:
         reference_tours = [None] * len(instances)
-    return (prepare(inst, ref, ZeroSource()) for inst, ref in zip(instances, reference_tours, strict=True))
+    return [(inst, ref, ZeroSource(), Metric.EUC2D_REAL) for inst, ref in zip(instances, reference_tours, strict=True)]
+
+
+def one_config(params):
+    return {"default": params}
 
 
 class TestRunBenchmark:
     def test_rows_in_instance_order(self, small_set):
         table = run_benchmark(
-            prepared_zero(small_set), MctsParams(use_heatmap=False),
+            zero_tasks(small_set), one_config(MctsParams(use_heatmap=False)),
             Budget("iters", 300), seed=1,
         )
         assert [r.instance_id for r in table.rows] == [i.id for i in small_set]
@@ -95,16 +100,12 @@ class TestRunBenchmark:
                 for r in table.rows
             ]
 
-        kwargs = dict(params=MctsParams(use_heatmap=False), budget=Budget("iters", 300), seed=5)
-        serial = run_benchmark(prepared_zero(small_set), **kwargs, jobs=1)
-        again = run_benchmark(prepared_zero(small_set), **kwargs, jobs=1)
-        parallel = run_benchmark(prepared_zero(small_set), **kwargs, jobs=3)
+        kwargs = dict(configs=one_config(MctsParams(use_heatmap=False)), budget=Budget("iters", 300), seed=5)
+        serial = run_benchmark(zero_tasks(small_set), **kwargs, jobs=1)
+        again = run_benchmark(zero_tasks(small_set), **kwargs, jobs=1)
+        parallel = run_benchmark(zero_tasks(small_set), **kwargs, jobs=3)
         assert fingerprint(serial) == fingerprint(again)
         assert fingerprint(serial) == fingerprint(parallel)
-        # Tasks given as prepare()'s arguments are prepared where they run, with the same results.
-        tasks = [(inst, None, ZeroSource(), Metric.EUC2D_REAL) for inst in small_set]
-        for jobs in (1, 3):
-            assert fingerprint(run_benchmark(tasks, **kwargs, jobs=jobs)) == fingerprint(serial)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_instances_are_prepared_where_they_are_solved(self, monkeypatch, jobs):
@@ -122,10 +123,25 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(evalkit, "prepare", tracked)
         tasks = [(generate_uniform(30, 700 + i), np.arange(30), ZeroSource(), Metric.EUC2D_REAL) for i in range(8)]
-        table = run_benchmark(tasks, MctsParams(use_heatmap=False), Budget("iters", 100), jobs=jobs)
+        table = run_benchmark(tasks, one_config(MctsParams(use_heatmap=False)), Budget("iters", 100), jobs=jobs)
         assert [r.instance_id for r in table.rows] == [inst.id for inst, *_ in tasks]
         assert len(refs) == (8 if jobs == 1 else 0)
         assert peak == (1 if jobs == 1 else 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_task_prepared_once_for_every_config(self, small_set, monkeypatch, jobs):
+        """Rows come config by config, in input order; each config's rows are those of a run with that
+        config alone, and each instance is prepared once for all of them (counted in this process)."""
+        configs = {"a": MctsParams(use_heatmap=False), "b": MctsParams(alpha=0.0, use_heatmap=False)}
+        kwargs = dict(budget=Budget("iters", 100), seed=4, jobs=jobs)
+        untimed = lambda rows: [dataclasses.replace(r, wall_time=0.0) for r in rows]
+        alone = {cid: untimed(run_benchmark(zero_tasks(small_set), {cid: p}, **kwargs).rows) for cid, p in configs.items()}
+        prepared = []
+        monkeypatch.setattr(evalkit, "prepare", lambda *task: prepared.append(task) or prepare(*task))
+        table = run_benchmark(zero_tasks(small_set), configs, **kwargs)
+        assert [(r.config_id, r.instance_id) for r in table.rows] == [(c, i.id) for c in configs for i in small_set]
+        assert untimed(table.rows) == alone["a"] + alone["b"]
+        assert len(prepared) == (len(small_set) if jobs == 1 else 0)
 
     def test_pool_starts_no_more_workers_than_tasks(self, small_set, monkeypatch):
         """A fork pool starts all its workers at once: jobs=8 on two tasks asks for two workers,
@@ -138,8 +154,8 @@ class TestRunBenchmark:
                 super().__init__(max_workers=min(max_workers, 2), **kwargs)  # whatever is asked, start two at most
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        tasks = [(inst, None, ZeroSource(), Metric.EUC2D_REAL) for inst in small_set[:2]]
-        kwargs = dict(params=MctsParams(use_heatmap=False), budget=Budget("iters", 100), seed=3)
+        tasks = zero_tasks(small_set[:2])
+        kwargs = dict(configs=one_config(MctsParams(use_heatmap=False)), budget=Budget("iters", 100), seed=3)
         untimed = lambda table: [dataclasses.replace(r, wall_time=0.0) for r in table.rows]
         assert untimed(run_benchmark(tasks, **kwargs, jobs=8)) == untimed(run_benchmark(tasks, **kwargs, jobs=1))
         assert asked == [2]
@@ -148,7 +164,7 @@ class TestRunBenchmark:
 
     def test_mean_matches_rows(self, small_set):
         table = run_benchmark(
-            prepared_zero(small_set), MctsParams(use_heatmap=False),
+            zero_tasks(small_set), one_config(MctsParams(use_heatmap=False)),
             Budget("iters", 200), seed=2,
         )
         assert table.mean_gap == pytest.approx(
@@ -158,17 +174,17 @@ class TestRunBenchmark:
         assert table.max_gap == max(r.gap_percent for r in table.rows)
 
     def test_empty_table(self):
-        table = run_benchmark(prepared_zero([]), MctsParams(), Budget("iters", 10))
+        table = run_benchmark(zero_tasks([]), one_config(MctsParams()), Budget("iters", 10))
         assert table.rows == ()
         assert math.isnan(table.mean_gap)
 
     def test_reference_alignment_checked(self, small_set):
         with pytest.raises(ValueError):
-            run_benchmark(prepared_zero(small_set, [None]), MctsParams(), Budget("iters", 10))
+            run_benchmark(zero_tasks(small_set, [None]), one_config(MctsParams()), Budget("iters", 10))
 
     def test_csv_schema(self, small_set, tmp_path):
         table = run_benchmark(
-            prepared_zero(small_set[:2]), MctsParams(use_heatmap=False),
+            zero_tasks(small_set[:2]), one_config(MctsParams(use_heatmap=False)),
             Budget("iters", 100), heatmap_id="zero",
         )
         path = tmp_path / "out.csv"

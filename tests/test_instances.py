@@ -47,8 +47,9 @@ class TestGenerateUniform:
         assert abs(inst.points[:, 1].mean() - 0.5) < 0.05
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            generate_uniform(2, 0)
+        for n in (-1, 0, 2):
+            with pytest.raises(ValueError):
+                generate_uniform(n, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -105,6 +106,12 @@ class TestGenerateStructured:
             generate_structured(10, 0, "implosion", center=(1.5, 0.5))
         with pytest.raises(ValueError):
             generate_structured(10, 0, "spiral")
+
+    @pytest.mark.parametrize("kind", ["cluster", "explosion", "implosion"])
+    def test_too_small(self, kind):
+        for n in (-1, 0, 2):
+            with pytest.raises(ValueError):
+                generate_structured(n, 0, kind)
 
     @pytest.mark.parametrize("kind", ["cluster", "explosion", "implosion"])
     def test_clipped_to_unit_square(self, kind):

@@ -690,10 +690,11 @@ def test_optimal_run_reports_a_gap_of_exactly_zero():
     """n=9 runs that reach the Held-Karp optimum report its length bit for bit: the best tour's
     length is summed from its canonical order, as the oracle sums its own tour's."""
     for seed in range(5):
-        prep = prepare(generate_uniform(9, seed), None, lambda inst, dm, ranks: zero_heatmap(inst.n))
+        task = (generate_uniform(9, seed), None, lambda inst, dm, ranks: zero_heatmap(inst.n))
+        prep = prepare(*task)
         result = solve(prep.inst, prep.dm, prep.ranks, prep.heatmap, MctsParams(), seed, Budget("iters", 2000))
         assert np.array_equal(result.best_tour.order, exact_solve(prep.dm).order)
-        row = run_benchmark([prep], MctsParams(), Budget("iters", 2000), seed=seed).rows[0]
+        row = run_benchmark([task], {"default": MctsParams()}, Budget("iters", 2000), seed=seed).rows[0]
         assert row.solver_length == row.reference_length
         assert row.gap_percent == 0.0 and math.copysign(1.0, row.gap_percent) == 1.0
 

@@ -18,8 +18,8 @@ from tspmcts.tuner import (
     SearchSpace,
     boolean,
     config_key,
+    evaluate_grid,
     grid_configs,
-    make_benchmark_evaluator,
     shapley_for_all_configs,
     shapley_importance,
     tune,
@@ -63,26 +63,30 @@ def stub_gap(params: MctsParams) -> float:
     return abs(params.alpha - 1.0) + abs(params.beta - 100.0) / 1000.0
 
 
+def stub_gaps(space: SearchSpace, gap=stub_gap) -> list[float]:
+    return [gap(c) for c in grid_configs(space)]
+
+
 class TestTune:
     def test_stub_argmin(self):
-        report = tune(SearchSpace(), stub_gap)
+        report = tune(SearchSpace(), stub_gaps(SearchSpace()))
         assert report.best_config.alpha == 1.0
         assert report.best_config.beta == 100.0
         assert report.best_gap <= min(report.mean_gaps)
 
     def test_best_beats_default(self):
-        report = tune(SearchSpace(), stub_gap)
+        report = tune(SearchSpace(), stub_gaps(SearchSpace()))
         assert report.default_gap is not None
         assert report.best_gap <= report.default_gap <= max(report.mean_gaps)
 
     def test_deterministic(self):
-        a = tune(SearchSpace(), stub_gap)
-        b = tune(SearchSpace(), stub_gap)
+        a = tune(SearchSpace(), stub_gaps(SearchSpace()))
+        b = tune(SearchSpace(), stub_gaps(SearchSpace()))
         assert a.mean_gaps == b.mean_gaps
         assert config_key(a.best_config) == config_key(b.best_config)
 
     def test_tie_breaks_to_grid_order(self):
-        report = tune(SearchSpace(), lambda p: 1.0)
+        report = tune(SearchSpace(), stub_gaps(SearchSpace(), lambda p: 1.0))
         assert config_key(report.best_config) == (0.0, 10.0, 10, 5, 2, True)
 
     def test_csv_schema(self, tmp_path):
@@ -90,7 +94,7 @@ class TestTune:
             alpha=(0.0, 1.0), beta=(10.0,), max_depth=(10,),
             max_candidate_num=(1000,), param_h=(10,), use_heatmap=(True,),
         )
-        report = tune(space, stub_gap)
+        report = tune(space, stub_gaps(space))
         path = tmp_path / "tuning.csv"
         report.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -276,8 +280,8 @@ class TestBenchmarkEvaluator:
     def test_each_instance_prepared_once(self, pair, monkeypatch):
         distances = counting(monkeypatch, evalkit, "distance_matrix")
         oracle = counting(monkeypatch, evalkit, "exact_solve")
-        evaluator = make_benchmark_evaluator([(inst, None, ZeroSource()) for inst in pair], Budget("iters", 50), seed=3)
-        rpt = tune(SMALL_GRID, evaluator)
+        rpt = tune(SMALL_GRID, evaluate_grid(SMALL_GRID, [(inst, None, ZeroSource()) for inst in pair],
+                                             Budget("iters", 50), seed=3))
         assert len(rpt.mean_gaps) == 8
         assert len(distances) == 2
         assert len(oracle) == 2
@@ -286,14 +290,20 @@ class TestBenchmarkEvaluator:
         path = tmp_path / "hm.txt"
         write_heatmap(softdist_heatmap(distance_matrix(pair[0]), 0.1, 5), path)
         loads = counting(monkeypatch, heatmaps, "load_heatmap")
-        evaluator = make_benchmark_evaluator([(inst, None, FileSource(str(path))) for inst in pair], Budget("iters", 50), seed=3)
-        tune(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)), evaluator)
+        evaluate_grid(dataclasses.replace(SMALL_GRID, use_heatmap=(True,)),
+                      [(inst, None, FileSource(str(path))) for inst in pair], Budget("iters", 50), seed=3)
         assert len(loads) == 2
+
+    def test_config_ids_must_tell_configs_apart(self, pair):
+        """Rows are told apart by config id: two alphas that print alike are rejected, not merged."""
+        space = dataclasses.replace(SMALL_GRID, alpha=(0.1234561, 0.1234562))
+        with pytest.raises(ValueError, match="config ids"):
+            evaluate_grid(space, [(inst, None, ZeroSource()) for inst in pair], Budget("iters", 10))
 
     def test_golden_mean_gaps(self, pair):
         """Pinned bit for bit; preparing once must not change any result."""
-        evaluator = make_benchmark_evaluator([(inst, None, ZeroSource()) for inst in pair], Budget("iters", 200), seed=3)
-        rpt = tune(SMALL_GRID, evaluator)
+        rpt = tune(SMALL_GRID, evaluate_grid(SMALL_GRID, [(inst, None, ZeroSource()) for inst in pair],
+                                             Budget("iters", 200), seed=3))
         assert [float.hex(g) for g in rpt.mean_gaps] == [
             "0x1.fb5c0fedc6fb0p-2", "0x1.2ce008668fe95p+1", "0x1.fb5c0fedc6fb0p-2", "0x1.2ce008668fe95p+1",
             "0x1.576277bf5a16cp+0", "0x1.b89f9ca551b8fp+3", "0x0.0p+0", "0x1.0cbc09b678080p+4",
@@ -319,9 +329,9 @@ def test_params_file_round_trip(tmp_path, monkeypatch):
     solved = []
     run_benchmark = cli.run_benchmark
     monkeypatch.setattr(cli, "run_benchmark",
-                        lambda tasks, p, *a, **kw: solved.append(p) or run_benchmark(tasks, p, *a, **kw))
+                        lambda tasks, configs, *a, **kw: solved.append(configs) or run_benchmark(tasks, configs, *a, **kw))
     assert solve_with(tmp_path, f"@{path}") == 0
-    assert solved == [params]
+    assert solved == [{"a0.3-b150-d50-c20-h5-u0": params}]
     assert [row["config"] for row in csv.DictReader(open(tmp_path / "res.csv"))] == ["a0.3-b150-d50-c20-h5-u0"]
 
 
