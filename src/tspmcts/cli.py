@@ -14,7 +14,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import heatmaps, instances, tours, tuner
-from .evalkit import Budget, run_benchmark
+from .evalkit import Budget, reference_tour, run_benchmark
 from .mcts import MctsParams
 
 # Loaded after numpy and the package: loaded before numpy, they raised the CLI's peak RSS
@@ -126,12 +126,11 @@ def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instanc
 
 
 def _tasks_from_args(args) -> tuple[list[tuple], str]:
-    """``prepare``'s arguments ``(inst, reference_tour, heatmap_source, metric)`` for each
-    instance (a None reference means the exact oracle's), and the heatmap's id."""
+    """``prepare``'s arguments ``(inst, reference_order, heatmap_source)`` for each instance
+    (a None reference means the exact oracle's), and the heatmap's id."""
     heatmap_id, build_source = args.heatmap
     source = build_source()
-    metric = instances.Metric.EUC2D_INT if args.metric == "int" else instances.Metric.EUC2D_REAL
-    return [(inst, ref, source, metric) for inst, ref in load_instance_dir(args.instances, args.refs)], heatmap_id
+    return [(inst, ref, source) for inst, ref in load_instance_dir(args.instances, args.refs)], heatmap_id
 
 
 def _given_params(args) -> dict:
@@ -139,10 +138,15 @@ def _given_params(args) -> dict:
     return {name: value for name in tuner.PARAM_FIELDS if (value := getattr(args, name)) is not None}
 
 
+def _add_inputs(p: argparse.ArgumentParser) -> None:
+    """The instance directory and its reference tours, read by ``load_instance_dir``."""
+    p.add_argument("--instances", required=True, help="directory of native .txt and TSPLIB EUC_2D .tsp files")
+    p.add_argument("--refs", help="directory of <instance>.tour reference files (default: the exact oracle, n <= 18)")
+
+
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     """The inputs, budget and seeding that ``solve`` and ``tune`` share."""
-    p.add_argument("--instances", required=True)
-    p.add_argument("--refs", help="directory of <instance>.tour reference files (default: the exact oracle, n <= 18)")
+    _add_inputs(p)
     p.add_argument("--heatmap", required=True, type=heatmap_spec,
                    help="zero | softdist:TAU | gtprior:NAME-or-FILE | file:PATH")
     budget = p.add_mutually_exclusive_group(required=True)
@@ -152,7 +156,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                         metavar="N", help="k-opt simulation cap (deterministic)")
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--jobs", type=int_at_least(1), default=1)
-    p.add_argument("--metric", choices=["real", "int"], default="real")
 
 
 def cmd_gen(args) -> int:
@@ -205,12 +208,10 @@ def cmd_tune(args) -> int:
 
 def cmd_analyze_knn(args) -> int:
     dms, tour_list = [], []
-    for inst, order in load_instance_dir(args.instances, args.tours):
-        if order is None and inst.n > tours.EXACT_SOLVE_MAX_N:
-            raise tours.SizeLimitError(f"{inst.id}: n={inst.n} exceeds the exact oracle cap")
+    for inst, order in load_instance_dir(args.instances, args.refs):
         dm = instances.distance_matrix(inst)
         dms.append(dm)
-        tour_list.append(tours.exact_solve(dm) if order is None else tours.make_tour(order, dm))
+        tour_list.append(reference_tour(inst, dm, order))
     prior = heatmaps.build_gt_prior(dms, tour_list)
     heatmaps.write_distribution_csv(prior, args.out)
     top5 = heatmaps.cumulative_mass(prior, 5)
@@ -294,10 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("analyze-knn", help="neighbor-rank distribution of (near-)optimal tours")
-    p.add_argument("--instances", required=True)
-    tours_from = p.add_mutually_exclusive_group(required=True)
-    tours_from.add_argument("--tours", help="directory of <instance>.tour files")
-    tours_from.add_argument("--oracle", action="store_true", help="exact-solve instances (n <= 18)")
+    _add_inputs(p)
     p.add_argument("--out", required=True, help="rank,mass,cumulative CSV; gtprior:FILE reads it")
     p.set_defaults(func=cmd_analyze_knn)
 

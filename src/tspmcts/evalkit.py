@@ -10,9 +10,9 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .heatmaps import BUILTIN_PRIORS, Heatmap, PriorSource
-from .instances import DistanceMatrix, Instance, Metric, RankTable, distance_matrix, nearest_neighbor_ranks
+from .instances import DistanceMatrix, Instance, RankTable, distance_matrix, nearest_neighbor_ranks
 from .mcts import Budget, MctsParams, solve
-from .tours import EXACT_SOLVE_MAX_N, exact_solve, tour_length
+from .tours import EXACT_SOLVE_MAX_N, Tour, exact_solve, make_tour
 
 RESULT_CSV_HEADER = ["instance", "config", "heatmap", "length", "ref_length", "gap_pct", "time_s", "seed", "sims",
                      "restarts", "accepts"]
@@ -81,21 +81,13 @@ def optimality_gap(length: float, reference: float) -> float:
     return (length / reference - 1.0) * 100.0
 
 
-def reference_length_for(
-    inst: Instance,
-    dm: DistanceMatrix,
-    reference_tour: Optional[np.ndarray],
-) -> float:
-    """Length of the supplied reference tour, or of the exact oracle tour; it must be positive."""
-    if reference_tour is not None:
-        length = tour_length(reference_tour, dm)
-    elif inst.n <= EXACT_SOLVE_MAX_N:
-        length = exact_solve(dm).length
-    else:
+def reference_tour(inst: Instance, dm: DistanceMatrix, order: Optional[np.ndarray]) -> Tour:
+    """The tour of ``order`` (an instance's tour file), or without one the exact oracle's (n <= 18)."""
+    if order is not None:
+        return make_tour(order, dm)
+    if inst.n > EXACT_SOLVE_MAX_N:
         raise MissingReferenceError(f"{inst.id}: no reference tour and n={inst.n} exceeds the exact oracle cap")
-    if not length > 0:
-        raise ValueError(f"{inst.id}: reference length must be positive, got {length}")
-    return length
+    return exact_solve(dm)
 
 
 @dataclass(frozen=True)
@@ -109,20 +101,21 @@ class Prepared:
     heatmap: Heatmap
 
 
-def prepare(inst: Instance, reference_tour: Optional[np.ndarray], heatmap_source: HeatmapSource,
-            metric: Metric = Metric.EUC2D_REAL) -> Prepared:
+def prepare(inst: Instance, reference_order: Optional[np.ndarray], heatmap_source: HeatmapSource) -> Prepared:
     """Distances, ranks, reference length (None: the exact oracle's) and heatmap of one instance.
 
     The one rank table is as wide as the heatmap reads: ``RANK_TABLE_WIDTH``,
     or a wider prior's truncation. O(n * width) memory: distances are computed
     from the coordinates.
     """
-    dm = distance_matrix(inst, metric)
+    dm = distance_matrix(inst)
     width = RANK_TABLE_WIDTH
     if isinstance(heatmap_source, PriorSource):  # its heatmap reads the table up to the prior's truncation
         width = max(width, heatmap_source.prior.truncation)
     ranks = nearest_neighbor_ranks(dm, width)
-    ref_len = reference_length_for(inst, dm, reference_tour)
+    ref_len = reference_tour(inst, dm, reference_order).length
+    if not ref_len > 0:
+        raise ValueError(f"{inst.id}: reference length must be positive, got {ref_len}")
     return Prepared(inst, dm, ranks, ref_len, heatmap_source(inst, dm, ranks))
 
 
@@ -145,7 +138,7 @@ def run_benchmark(tasks: Iterable[tuple], configs: Mapping[str, MctsParams], bud
                   jobs: int = 1, heatmap_id: str = "") -> ResultTable:
     """Solve every task's instance under every config; the gaps come config by config, in input order.
 
-    A task is ``prepare``'s arguments ``(inst, reference_tour, heatmap_source, metric)``, and
+    A task is ``prepare``'s arguments ``(inst, reference_order, heatmap_source)``, and
     ``configs`` maps config ids to parameters. Each task is prepared once, in the process that
     solves it, solved under every config in order, then freed. ``jobs > 1`` runs the tasks in one
     pool of at most one worker per task; the first task that fails cancels those not yet started.

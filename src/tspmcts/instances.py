@@ -37,10 +37,11 @@ class Metric(enum.Enum):
 
 @dataclass(frozen=True)
 class Instance:
-    """A labeled set of planar points."""
+    """A labeled set of planar points and the metric its distances are measured in."""
 
     id: str
     points: np.ndarray  # shape (n, 2), float64
+    metric: Metric = Metric.EUC2D_REAL
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=np.float64)
@@ -247,7 +248,7 @@ def _coords(fields: list[str], line: str) -> list[float]:
 
 
 def parse_tsplib(text: str) -> Instance:
-    """Parse a EUC_2D TSPLIB instance; coordinates are kept verbatim."""
+    """Parse a EUC_2D TSPLIB instance; coordinates are kept verbatim, and distances are TSPLIB's nint ones."""
     header, data = _tsplib_fields(text, "NODE_COORD_SECTION")
     if "DIMENSION" not in header:
         raise ParseError("missing DIMENSION")
@@ -268,7 +269,7 @@ def parse_tsplib(text: str) -> Instance:
             raise ParseError(f"bad or repeated city index on line: {line!r}")
         seen[idx] = True
         pts[idx] = _coords(parts[1:], line)
-    return Instance(id=header.get("NAME", "unnamed"), points=pts)
+    return Instance(id=header.get("NAME", "unnamed"), points=pts, metric=Metric.EUC2D_INT)
 
 
 def parse_native(text: str, id: str = "native") -> Instance:
@@ -286,14 +287,17 @@ def parse_native(text: str, id: str = "native") -> Instance:
 
 
 def write_native(inst: Instance) -> str:
+    """The native text of a real-metric instance (the format has no metric field)."""
+    if inst.metric is not Metric.EUC2D_REAL:
+        raise ValueError(f"native files hold real-metric points; {inst.id} is {inst.metric.name}")
     lines = [f"n {inst.n}"]
     lines.extend(f"{x:.17g} {y:.17g}" for x, y in inst.points)
     return "\n".join(lines) + "\n"
 
 
-def distance_matrix(inst: Instance, metric: Metric = Metric.EUC2D_REAL) -> DistanceMatrix:
-    """Euclidean distances of the instance, rounded to nearest int for EUC2D_INT."""
-    return DistanceMatrix(metric=metric, points=inst.points)
+def distance_matrix(inst: Instance) -> DistanceMatrix:
+    """Euclidean distances of the instance, rounded to nearest int for an EUC2D_INT one."""
+    return DistanceMatrix(metric=inst.metric, points=inst.points)
 
 
 def nearest_in_rows(dist: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:

@@ -36,7 +36,7 @@ def circle_instance(n: int) -> Instance:
 
 
 def dm_and_ranks(inst: Instance, metric: Metric = Metric.EUC2D_REAL):
-    dm = distance_matrix(inst, metric)
+    dm = distance_matrix(Instance(inst.id, inst.points, metric))
     return dm, nearest_neighbor_ranks(dm)
 
 

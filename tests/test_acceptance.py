@@ -19,7 +19,7 @@ from tspmcts.heatmaps import (
     prior_to_heatmap,
     zero_heatmap,
 )
-from tspmcts.instances import Metric, distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
+from tspmcts.instances import distance_matrix, generate_uniform, nearest_neighbor_ranks, parse_tsplib
 from tspmcts.mcts import MctsParams, accept_or_restart, generate_kopt_move, init_state, potential, sample_initial_tour, solve, weight, weight_update
 from tspmcts.tours import exact_solve, parse_tour, tour_length
 from tspmcts.tuner import DEFAULT_PARAMS, SearchSpace, config_key, evaluate_grid, grid_configs, shapley_for_all_configs, tune
@@ -258,7 +258,7 @@ def test_c10_determinism_and_scheduling_independence():
 def test_c11_tsplib_eil51(eil51_text, eil51_tour_text):
     inst = parse_tsplib(eil51_text)
     assert inst.n == 51
-    dm = distance_matrix(inst, Metric.EUC2D_INT)
+    dm = distance_matrix(inst)
     order = parse_tour(eil51_tour_text)
     length = tour_length(order, dm)
     assert length == 426

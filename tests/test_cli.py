@@ -104,7 +104,29 @@ class TestGen:
         assert not (tmp_path / "d").exists()
 
 
+@pytest.fixture
+def eil51_dirs(tmp_path):
+    """(instance directory, reference directory) holding TSPLIB's eil51 and its optimal tour."""
+    data = Path(__file__).parent / "data"
+    inst_dir, ref_dir = tmp_path / "eil51", tmp_path / "eil51-refs"
+    inst_dir.mkdir()
+    ref_dir.mkdir()
+    (inst_dir / "eil51.tsp").write_text((data / "eil51.tsp").read_text())
+    (ref_dir / "eil51.tour").write_text((data / "eil51.opt.tour").read_text())
+    return inst_dir, ref_dir
+
+
 class TestSolve:
+    def test_tsplib_file_is_measured_in_nint(self, eil51_dirs, tmp_path):
+        """A TSPLIB EUC_2D file sets its own metric: the optimal tour is the published 426 with no flag."""
+        inst_dir, ref_dir = eil51_dirs
+        out = tmp_path / "eil51.csv"
+        assert run("solve", "--instances", inst_dir, "--refs", ref_dir, "--heatmap", "gtprior:tsp500",
+                   "--max-iters", 200, "--out", out) == 0
+        (row,) = csv.DictReader(open(out))
+        assert float(row["ref_length"]) == 426
+        assert float(row["length"]) == round(float(row["length"])) and float(row["gap_pct"]) >= 0
+
     def test_zero_heatmap_run(self, instance_dir, tmp_path):
         out = tmp_path / "res.csv"
         code = run("solve", "--instances", instance_dir, "--heatmap", "zero",
@@ -596,7 +618,7 @@ class TestTune:
 class TestAnalyzeKnn:
     def test_oracle_distribution(self, tmp_path, instance_dir):
         out = tmp_path / "knn.csv"
-        code = run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", out)
+        code = run("analyze-knn", "--instances", instance_dir, "--out", out)
         assert code == 0
         rows = list(csv.DictReader(open(out)))
         total = sum(float(r["mass"]) for r in rows)
@@ -608,7 +630,7 @@ class TestAnalyzeKnn:
 
     def test_emitted_prior_feeds_solve(self, tmp_path, instance_dir):
         prior_path = tmp_path / "knn.csv"
-        assert run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", prior_path) == 0
+        assert run("analyze-knn", "--instances", instance_dir, "--out", prior_path) == 0
         out = tmp_path / "res.csv"
         code = run("solve", "--instances", instance_dir, "--heatmap", f"gtprior:{prior_path}",
                    "--max-iters", 300, "--out", out)
@@ -617,7 +639,7 @@ class TestAnalyzeKnn:
 
     def test_emit_prior_is_gone(self, tmp_path, instance_dir, capsys):
         """The --out CSV is the one prior file; the one-float-per-line file and its flag are gone."""
-        assert run("analyze-knn", "--instances", instance_dir, "--oracle", "--out", tmp_path / "knn.csv",
+        assert run("analyze-knn", "--instances", instance_dir, "--out", tmp_path / "knn.csv",
                    "--emit-prior", tmp_path / "prior.txt") == 2
         assert capsys.readouterr().err == f"error: unrecognized arguments: --emit-prior {tmp_path / 'prior.txt'}\n"
 
@@ -645,26 +667,45 @@ class TestAnalyzeKnn:
         for k, n in enumerate((8, 10, 12)):
             (inst_dir / f"c{k}.txt").write_text(write_native(circle_instance(n)))
         out = tmp_path / "knn.csv"
-        assert run("analyze-knn", "--instances", inst_dir, "--oracle", "--out", out) == 0
+        assert run("analyze-knn", "--instances", inst_dir, "--out", out) == 0
         rows = list(csv.DictReader(open(out)))
         cumulative_two = float(rows[1]["cumulative"])
         assert cumulative_two == pytest.approx(1.0, abs=1e-9)
 
     def test_requires_tours_or_oracle(self, tmp_path, instance_dir):
-        code = run("analyze-knn", "--instances", instance_dir, "--out", tmp_path / "x.csv")
-        assert code == 2
+        """Without --refs the tours are the exact oracle's, as for ``solve`` and ``tune``."""
+        tour_dir = tmp_path / "tours"
+        tour_dir.mkdir()
+        for f in sorted(instance_dir.glob("*.txt")):
+            (tour_dir / f"{f.stem}.tour").write_text(write_tour(exact_solve(distance_matrix(load_instance(f))).order))
+        assert run("analyze-knn", "--instances", instance_dir, "--out", tmp_path / "oracle.csv") == 0
+        assert run("analyze-knn", "--instances", instance_dir, "--refs", tour_dir, "--out", tmp_path / "refs.csv") == 0
+        assert (tmp_path / "oracle.csv").read_bytes() == (tmp_path / "refs.csv").read_bytes()
 
     def test_usage_error_before_reading_files(self, tmp_path, capsys):
-        """Without --tours or --oracle nothing is read, so a missing instance directory goes unreported."""
-        assert run("analyze-knn", "--instances", tmp_path / "nope", "--out", tmp_path / "x.csv") == 2
-        assert capsys.readouterr().err == "error: one of the arguments --tours --oracle is required\n"
+        """No flag is missing, so the instance directory is read: a missing one is an I/O error."""
+        assert run("analyze-knn", "--instances", tmp_path / "nope", "--out", tmp_path / "x.csv") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(tmp_path / "nope") in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_oracle_above_its_cap_names_the_instance(self, tmp_path, capsys):
+        """``solve`` and ``analyze-knn`` take their reference tours from one function: the same error."""
         inst_dir = tmp_path / "u20"
         assert run("gen", "--n", 20, "--count", 2, "--seed", 1, "--out", inst_dir) == 0
-        assert run("analyze-knn", "--instances", inst_dir, "--oracle", "--out", tmp_path / "x.csv") == 4
-        assert capsys.readouterr().err == "config error: 0000-uniform-n20-s1: n=20 exceeds the exact oracle cap\n"
-        assert not (tmp_path / "x.csv").exists()
+        capsys.readouterr()
+        for argv in (("solve", "--heatmap", "zero", "--max-iters", 10), ("analyze-knn",)):
+            assert run(*argv, "--instances", inst_dir, "--out", tmp_path / "x.csv") == 4
+            assert capsys.readouterr().err == (
+                "config error: 0000-uniform-n20-s1: no reference tour and n=20 exceeds the exact oracle cap\n")
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_tsplib_file_is_ranked_in_nint(self, eil51_dirs, tmp_path):
+        """eil51's optimal tour ranked under nint, the metric ``solve`` measures it in: 102 tour-edge ends."""
+        inst_dir, ref_dir = eil51_dirs
+        assert run("analyze-knn", "--instances", inst_dir, "--refs", ref_dir, "--out", tmp_path / "knn.csv") == 0
+        masses = [float(r["mass"]) for r in csv.DictReader(open(tmp_path / "knn.csv"))]
+        assert masses[:3] == [45 / 102, 25 / 102, 16 / 102]
 
     def test_tour_dir_mode(self, tmp_path, instance_dir):
         tour_dir = tmp_path / "tours"
@@ -675,7 +716,7 @@ class TestAnalyzeKnn:
             dm, _ = dm_and_ranks(inst)
             (tour_dir / f"{f.stem}.tour").write_text(write_tour(exact_solve(dm).order))
         out = tmp_path / "knn.csv"
-        assert run("analyze-knn", "--instances", instance_dir, "--tours", tour_dir, "--out", out) == 0
+        assert run("analyze-knn", "--instances", instance_dir, "--refs", tour_dir, "--out", out) == 0
         rows = list(csv.DictReader(open(out)))
         assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
 
@@ -753,9 +794,11 @@ class TestReport:
      "argument --max-iters: invalid int value: '1e3'"),
     (("solve", "--heatmap", "mystery", "--max-iters", 10, "--out", "x.csv"),
      "argument --heatmap: not zero, softdist:TAU, gtprior:NAME-or-FILE or file:PATH: 'mystery'"),
-    (("analyze-knn", "--oracle", "--tours", "tours", "--out", "x.csv"),
-     "argument --tours: not allowed with argument --oracle"),
-], ids=["abbreviation", "max-depth", "no-budget", "max-iters-float", "heatmap-kind", "tours-and-oracle"])
+    (("solve", "--heatmap", "zero", "--max-iters", 10, "--metric", "int", "--out", "x.csv"),
+     "unrecognized arguments: --metric int"),
+    (("analyze-knn", "--oracle", "--out", "x.csv"), "unrecognized arguments: --oracle"),
+    (("analyze-knn", "--tours", "tours", "--out", "x.csv"), "unrecognized arguments: --tours tours"),
+], ids=["abbreviation", "max-depth", "no-budget", "max-iters-float", "heatmap-kind", "metric", "oracle", "tours"])
 def test_usage_error_is_one_line_naming_the_flag(instance_dir, tmp_path, capsys, argv, message):
     """Every bad flag or flag value is returned by ``main`` as exit 2 with one stderr line, before
     any file is read or written; argparse prints no usage and raises no ``SystemExit``."""
@@ -832,10 +875,10 @@ def child_env() -> dict[str, str]:
 @pytest.mark.parametrize("command, tour_flag, rest", [
     ("solve", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out", "x.csv")),
     ("tune", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out-dir", "x.csv")),
-    ("analyze-knn", "--tours", ("--out", "x.csv")),
+    ("analyze-knn", "--refs", ("--out", "x.csv")),
 ])
 def test_missing_tour_file_is_one_error(instance_dir, tmp_path, capsys, command, tour_flag, rest):
-    """``solve --refs``, ``tune --refs`` and ``analyze-knn --tours`` read tours through one loader:
+    """``solve``, ``tune`` and ``analyze-knn`` read ``--refs`` tours through one loader:
     the last instance's missing tour is the same I/O error (exit 3) from each, and nothing is written."""
     tour_dir = tmp_path / "tours"
     tour_dir.mkdir()
@@ -852,7 +895,7 @@ def test_missing_tour_file_is_one_error(instance_dir, tmp_path, capsys, command,
     ("solve", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out", "x.csv")),
     ("tune", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--out-dir", "x.csv")),
     ("tune", "--refs", ("--heatmap", "zero", "--max-iters", 10, "--jobs", 2, "--out-dir", "x.csv")),
-    ("analyze-knn", "--tours", ("--out", "x.csv")),
+    ("analyze-knn", "--refs", ("--out", "x.csv")),
 ], ids=["solve", "tune", "tune-jobs-2", "analyze-knn"])
 def test_tour_of_another_size_names_the_file(instance_dir, tmp_path, capsys, command, tour_flag, rest):
     """A tour file that is a permutation of fewer cities than its instance is a config error on that file."""
@@ -1013,7 +1056,7 @@ def test_analyze_knn_at_paper_scale_in_bounded_memory(tmp_path):
     35 MB max RSS on a 2-CPU host, against 797 MB with the inverse."""
     one_instance(tmp_path, 10_000, np.random.default_rng(0).permutation(10_000))
     code, max_rss = cli_in_child(tmp_path, "analyze-knn", "--instances", tmp_path / "insts",
-                                 "--tours", tmp_path / "tours", "--out", tmp_path / "knn.csv")
+                                 "--refs", tmp_path / "tours", "--out", tmp_path / "knn.csv")
     assert code == 0
     assert max_rss <= 100 * 1024  # KiB on Linux
 
@@ -1023,7 +1066,7 @@ def test_analyze_knn_matches_the_rank_inverse(tmp_path):
     n = 2000
     order = np.random.default_rng(1).permutation(n)
     inst = one_instance(tmp_path, n, order)
-    assert run("analyze-knn", "--instances", tmp_path / "insts", "--tours", tmp_path / "tours",
+    assert run("analyze-knn", "--instances", tmp_path / "insts", "--refs", tmp_path / "tours",
                "--out", tmp_path / "knn.csv") == 0
     inverse = nearest_neighbor_ranks(distance_matrix(inst)).inverse
     succ = np.roll(order, -1)

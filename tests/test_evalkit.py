@@ -15,11 +15,11 @@ from tspmcts.evalkit import (
     ResultTable,
     optimality_gap,
     prepare,
-    reference_length_for,
+    reference_tour,
     run_benchmark,
 )
 from tspmcts.heatmaps import BUILTIN_PRIORS, PriorSource, PriorVector, ZeroSource
-from tspmcts.instances import Metric, generate_uniform, nearest_neighbor_ranks
+from tspmcts.instances import generate_uniform, nearest_neighbor_ranks
 from tspmcts.mcts import MctsParams, init_state, solve
 from tspmcts.tours import exact_solve
 
@@ -50,7 +50,7 @@ class TestReferenceLength:
     def test_oracle_fallback(self):
         inst = generate_uniform(9, 17)
         dm, _ = dm_and_ranks(inst)
-        assert reference_length_for(inst, dm, None) == exact_solve(dm).length
+        assert reference_tour(inst, dm, None).length == exact_solve(dm).length
 
     def test_supplied_tour_wins(self):
         inst = generate_uniform(9, 17)
@@ -58,13 +58,13 @@ class TestReferenceLength:
         order = np.arange(9)
         from tspmcts.tours import tour_length
 
-        assert reference_length_for(inst, dm, order) == tour_length(order, dm)
+        assert reference_tour(inst, dm, order).length == tour_length(order, dm)
 
     def test_missing_reference_for_large_instance(self):
         inst = generate_uniform(19, 0)
         dm, _ = dm_and_ranks(inst)
         with pytest.raises(MissingReferenceError):
-            reference_length_for(inst, dm, None)
+            reference_tour(inst, dm, None)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def zero_tasks(instances, reference_tours=None):
     """``prepare``'s arguments for each instance, with the Zero heatmap."""
     if reference_tours is None:
         reference_tours = [None] * len(instances)
-    return [(inst, ref, ZeroSource(), Metric.EUC2D_REAL) for inst, ref in zip(instances, reference_tours, strict=True)]
+    return [(inst, ref, ZeroSource()) for inst, ref in zip(instances, reference_tours, strict=True)]
 
 
 def one_config(params):
@@ -122,7 +122,7 @@ class TestRunBenchmark:
             return prep
 
         monkeypatch.setattr(evalkit, "prepare", tracked)
-        tasks = [(generate_uniform(30, 700 + i), np.arange(30), ZeroSource(), Metric.EUC2D_REAL) for i in range(8)]
+        tasks = [(generate_uniform(30, 700 + i), np.arange(30), ZeroSource()) for i in range(8)]
         table = run_benchmark(tasks, one_config(MctsParams(use_heatmap=False)), Budget("iters", 100), jobs=jobs)
         assert [r.instance_id for r in table.rows] == [inst.id for inst, *_ in tasks]
         assert len(refs) == (8 if jobs == 1 else 0)

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks. All but the CLI option count need nothing beyond the standard library."""
+import argparse
 import ast
 from pathlib import Path
 
@@ -283,3 +284,15 @@ def test_no_test_only_code_in_the_package():
     bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
     unused = definitions_only_tests_read(modules, (SRC / "__init__.py").read_text(), bench)
     assert sorted(set(unused) - set(READ_ONLY_BY_TESTS)) == []
+
+
+def test_cli_option_count():
+    """Every subcommand's optional flags (``--help`` aside), counted from the parser, so that a new
+    knob shows up as an edit here."""
+    from tspmcts.cli import build_parser
+
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    counts = {name: sum(1 for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction))
+              for name, p in subcommands.items()}
+    assert counts == {"gen": 10, "solve": 14, "tune": 14, "analyze-knn": 3, "report": 1}
+    assert sum(counts.values()) == 42

@@ -125,6 +125,10 @@ class TestParseTsplib:
         assert inst.n == 51
         assert inst.id == "eil51"
 
+    def test_metric_is_nint(self, eil51_text):
+        """TSPLIB's EUC_2D is the nearest-integer metric, so a parsed file carries it."""
+        assert parse_tsplib(eil51_text).metric is Metric.EUC2D_INT
+
     def test_explicit_weights_rejected(self):
         text = "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n3 1 0\nEOF\n"
         with pytest.raises(UnsupportedMetricError):
@@ -165,6 +169,14 @@ class TestNativeFormat:
         again = parse_native(write_native(inst))
         assert np.array_equal(again.points, inst.points)
 
+    def test_metric_is_real(self):
+        assert parse_native("n 3\n0 0\n0 1\n1 0\n").metric is Metric.EUC2D_REAL
+
+    def test_nint_instance_is_not_written(self, eil51_text):
+        """The native format has no metric field: a TSPLIB instance written to it would read back as real."""
+        with pytest.raises(ValueError, match="^native files hold real-metric points; eil51 is EUC2D_INT$"):
+            write_native(parse_tsplib(eil51_text))
+
     def test_bad_header(self):
         for text in ("3\n0 0\n0 1\n1 0\n", "n 3 junk\n0 0\n1 1\n0 1\n"):
             with pytest.raises(ParseError):
@@ -173,7 +185,7 @@ class TestNativeFormat:
 
 class TestDistanceMatrix:
     def test_unit_square_geometry(self, unit_square):
-        dm = distance_matrix(unit_square, Metric.EUC2D_REAL)
+        dm = distance_matrix(Instance(unit_square.id, unit_square.points, Metric.EUC2D_REAL))
         assert dm.pair(0, 1) == 1.0 and dm.pair(1, 2) == 1.0 and dm.pair(2, 3) == 1.0 and dm.pair(3, 0) == 1.0
         assert dm.pair(0, 2) == pytest.approx(math.sqrt(2), abs=1e-15)
 
@@ -184,8 +196,8 @@ class TestDistanceMatrix:
         assert (np.diag(dm.entries) == 0).all()
 
     def test_int_metric_rounds_to_nearest(self):
-        inst = Instance(id="i", points=np.array([[0.0, 0.0], [0.0, 1.4], [0.0, 3.0]]))
-        dm = distance_matrix(inst, Metric.EUC2D_INT)
+        inst = Instance(id="i", points=np.array([[0.0, 0.0], [0.0, 1.4], [0.0, 3.0]]), metric=Metric.EUC2D_INT)
+        dm = distance_matrix(inst)
         assert dm.pair(0, 1) == 1  # 1.4 rounds down
         assert dm.pair(1, 2) == 2  # 1.6 rounds up
         assert dm.entries.dtype == np.int64
@@ -194,7 +206,7 @@ class TestDistanceMatrix:
         from tspmcts.tours import parse_tour
 
         inst = parse_tsplib(eil51_text)
-        dm = distance_matrix(inst, Metric.EUC2D_INT)
+        dm = distance_matrix(inst)
         order = parse_tour(eil51_tour_text)
         assert tour_length(order, dm) == 426
 
@@ -269,8 +281,8 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("metric", list(Metric))
     @pytest.mark.parametrize("points", ["random", "duplicates"])
     def test_matches_dense_reference(self, n, metric, points):
-        inst = Instance(id="t", points=block_test_points(n, points))
-        dm = distance_matrix(inst, metric)
+        inst = Instance(id="t", points=block_test_points(n, points), metric=metric)
+        dm = distance_matrix(inst)
         expected = dense_distances(inst.points, metric)
         assert dm.entries.dtype == expected.dtype
         assert dm.entries.tobytes() == expected.tobytes()
@@ -289,8 +301,8 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("metric", list(Metric))
     def test_readers_match_dense_reference_without_building_it(self, metric):
         n = 263
-        inst = Instance(id="t", points=block_test_points(n, "random") / 7)
-        dm = distance_matrix(inst, metric)
+        inst = Instance(id="t", points=block_test_points(n, "random") / 7, metric=metric)
+        dm = distance_matrix(inst)
         expected = dense_distances(inst.points, metric)
         for lo, hi in ((0, 1), (3, 258), (n - 1, n)):
             block = dm.rows(lo, hi)
@@ -352,7 +364,7 @@ def rank_inputs(draw):
 def test_grid_built_table_equals_full_rows(case, metric):
     """A truncated table, grid-certified rows and fallback rows alike, is the full table's prefix byte for byte."""
     points, k = case
-    dm = distance_matrix(Instance(id="t", points=points), metric)
+    dm = distance_matrix(Instance(id="t", points=points, metric=metric))
     full = nearest_neighbor_ranks(dm).rows
     assert nearest_neighbor_ranks(dm, k).rows.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
 
@@ -361,7 +373,7 @@ def test_grid_built_table_equals_full_rows(case, metric):
 def test_rows_the_grid_cannot_certify_fall_back(metric):
     """Uniform n=600 at width 30: a few rows fail the grid's bound and are ranked against all cities."""
     n, k = 600, 30
-    dm = distance_matrix(Instance(id="t", points=generate_uniform(n, 0).points * 1000), metric)
+    dm = distance_matrix(Instance(id="t", points=generate_uniform(n, 0).points * 1000, metric=metric))
     scratch = np.full((n, k), -1, dtype=np.int32)
     fallback = _grid_ranks(dm, k, scratch)
     assert 0 < len(fallback) < n // 10
@@ -422,7 +434,7 @@ def full_rows(draw):
         points = rng.random((n, 2))
         points[rng.integers(0, n, n // 2)] = points[rng.integers(0, n, n // 2)]
     own = rng.integers(0, n, draw(st.integers(1, 2 * n)))
-    dm = distance_matrix(Instance(id="t", points=points), draw(st.sampled_from(list(Metric))))
+    dm = distance_matrix(Instance(id="t", points=points, metric=draw(st.sampled_from(list(Metric)))))
     return dm.edges(own[:, None], np.arange(n)), own
 
 

@@ -74,7 +74,7 @@ def grid_tours(draw):
 def test_rank_counts_match_per_row_sort(case, metric):
     points, order = case
     n = len(order)
-    dm = distance_matrix(Instance(id="grid", points=points), metric)
+    dm = distance_matrix(Instance(id="grid", points=points, metric=metric))
     expected = np.zeros(n - 1, dtype=np.int64)
     for t in range(n):
         a, b = int(order[t]), int(order[(t + 1) % n])
@@ -91,7 +91,7 @@ def test_rank_counts_match_nearest_in_rows(case, metric, scale):
     sorts it, ties and duplicate cities included."""
     points, order = case
     n = len(order)
-    dm = distance_matrix(Instance(id="grid", points=points * scale), metric)
+    dm = distance_matrix(Instance(id="grid", points=points * scale, metric=metric))
     ranked = nearest_in_rows(dm.rows(0, n), np.arange(n), n - 1)
     expected = np.zeros(n - 1, dtype=np.int64)
     for a, b in zip(order, np.roll(order, -1)):

@@ -133,7 +133,7 @@ class TestLayeredHeldKarp:
         """Same tour and the same length bits, ties included (an integer grid has many)."""
         rng = np.random.default_rng(n)
         pts = rng.random((n, 2)) * 100 if points == "random" else np.floor(rng.random((n, 2)) * 5)
-        dm = distance_matrix(Instance(id="t", points=pts), metric)
+        dm = distance_matrix(Instance(id="t", points=pts, metric=metric))
         layered, per_mask = exact_solve(dm), per_mask_exact_solve(dm)
         assert np.array_equal(layered.order, per_mask.order)
         assert layered.length.hex() == per_mask.length.hex()
