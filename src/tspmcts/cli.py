@@ -1,7 +1,8 @@
 """Command-line pipelines: gen, solve, tune, analyze-knn, report.
 
 An argument @FILE stands for the lines of FILE, one argument per line (solve @tuned/best_config.txt).
-Exit codes: 0 success, 2 usage, 3 I/O, 4 config/dimension errors.
+Exit codes: 0 success, 2 ``UsageError``, 3 ``OSError``, 4 ``ValueError`` (on an input, it names the file, line
+or instance at fault) or ``MemoryError``.
 """
 from __future__ import annotations
 
@@ -109,20 +110,25 @@ def load_instance_dir(inst_dir: str, tour_dir: str | None) -> list[tuple[instanc
         raise FileNotFoundError(f"no instance files (.txt/.tsp) in {inst_dir}")
     pairs = []
     for path in files:
-        at, order = path, None
-        try:
+        order = None
+        with instances.naming(path):
             inst = instances.load_instance(path)
-            if tour_dir is not None:
-                at = Path(tour_dir) / (path.stem + ".tour")
-                if not at.exists():
-                    raise FileNotFoundError(f"missing tour file: {at}")
+        if tour_dir is not None:
+            at = Path(tour_dir) / (path.stem + ".tour")
+            if not at.exists():
+                raise FileNotFoundError(f"missing tour file: {at}")
+            with instances.naming(at):
                 order = tours.parse_tour(at.read_text())
                 if len(order) != inst.n:
-                    raise tours.InvalidTourError(f"tour has {len(order)} cities, the instance has {inst.n}")
-        except ValueError as exc:  # named by the file at fault, in its own type (a decode error's needs 5 fields)
-            raise (ValueError if isinstance(exc, UnicodeError) else type(exc))(f"{at}: {exc}") from None
+                    raise ValueError(f"tour has {len(order)} cities, the instance has {inst.n}")
         pairs.append((inst, order))
     return pairs
+
+
+def _with_parent_dir(path: str) -> Path:
+    """``path``, once its parent directory exists (made just before writing: a failed run leaves none)."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(path)
 
 
 def _tasks_from_args(args) -> tuple[list[tuple], str]:
@@ -186,7 +192,7 @@ def cmd_solve(args) -> int:
     tasks, heatmap_id = _tasks_from_args(args)
     table = run_benchmark(tasks, {tuner.config_id(params): params}, args.budget, seed=args.seed, jobs=args.jobs,
                           heatmap_id=heatmap_id)
-    table.write_csv(args.out)
+    table.write_csv(_with_parent_dir(args.out))
     print(f"{len(table.rows)} instances: mean gap {table.mean_gap:.4f}% "
           f"(min {table.min_gap:.4f}%, max {table.max_gap:.4f}%) -> {args.out}")
     return EXIT_OK
@@ -213,39 +219,37 @@ def cmd_analyze_knn(args) -> int:
         dms.append(dm)
         tour_list.append(reference_tour(inst, dm, order))
     prior = heatmaps.build_gt_prior(dms, tour_list)
-    heatmaps.write_distribution_csv(prior, args.out)
+    heatmaps.write_distribution_csv(prior, _with_parent_dir(args.out))
     top5 = heatmaps.cumulative_mass(prior, 5)
     print(f"{len(dms)} instances, truncation {prior.truncation}, top-5 mass {top5:.4f} -> {args.out}")
     return EXIT_OK
 
 
-def _report_numbers(path: str, line: int, row: dict) -> list[float]:
+def _report_numbers(row: dict) -> list[float]:
     """A results row's length, gap_pct and time_s; a missing, malformed or non-finite number is a config error."""
     if missing := [col for col in REPORT_COLUMNS if row[col] is None]:
-        raise ValueError(f"{path}: line {line}: missing {', '.join(missing)}")
-    try:
-        numbers = [float(row[col]) for col in REPORT_COLUMNS[2:]]
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {line}: {exc}") from None
+        raise ValueError(f"missing {', '.join(missing)}")
+    numbers = [float(row[col]) for col in REPORT_COLUMNS[2:]]
     if bad := [col for col, x in zip(REPORT_COLUMNS[2:], numbers) if not np.isfinite(x)]:
-        raise ValueError(f"{path}: line {line}: not finite: {', '.join(bad)}")
+        raise ValueError(f"not finite: {', '.join(bad)}")
     return numbers
 
 
 def cmd_report(args) -> int:
     groups: dict[tuple[str, str], list[list[float]]] = {}
     for path in args.inputs:
-        with open(path, newline="") as f:
+        with open(path, newline="") as f, instances.naming(path):
             reader = csv.DictReader(f)
             try:
                 missing = sorted(set(REPORT_COLUMNS) - set(reader.fieldnames or ()))
                 if missing:
-                    raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+                    raise ValueError(f"missing columns {', '.join(missing)}")
                 for row in reader:
-                    numbers = _report_numbers(path, reader.line_num, row)
+                    with instances.naming(f"line {reader.line_num}"):
+                        numbers = _report_numbers(row)
                     groups.setdefault((row["heatmap"], row["config"]), []).append(numbers)
             except csv.Error as exc:  # e.g. a field past the csv module's size limit, in the record after line_num
-                raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+                raise ValueError(f"line {reader.line_num + 1}: {exc}") from None
     lines = ["| Heatmap | Config | Instances | Mean Length | Mean Gap | Mean Time |", "|---|---|---|---|---|---|"]
     summaries = []
     for (hm, cfg), rows in groups.items():
@@ -255,7 +259,7 @@ def cmd_report(args) -> int:
         lines.append(f"| {hm} | {cfg} | {count} | {mean_len:.4f} | {mean_gap:.2f}% | {mean_time:.2f}s |")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _with_parent_dir(args.out).write_text(text)
         print(f"report -> {args.out}")
     else:
         print(text, end="")
@@ -315,10 +319,8 @@ def expand_flag_files(argv: list[str]) -> list[str]:
         if not arg.startswith("@"):
             expanded.append(arg)
             continue
-        try:
+        with instances.naming(arg[1:]):
             text = Path(arg[1:]).read_text()
-        except UnicodeError as exc:  # a decode error's type needs 5 fields
-            raise ValueError(f"{arg[1:]}: {exc}") from None
         expanded += [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
     return expanded
 

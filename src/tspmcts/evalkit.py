@@ -24,10 +24,6 @@ HeatmapSource = Callable[[Instance, DistanceMatrix, RankTable], Heatmap]
 RANK_TABLE_WIDTH = max(prior.truncation for prior in BUILTIN_PRIORS.values())
 
 
-class MissingReferenceError(ValueError):
-    """Raised when an instance lacks a reference tour and is too big to solve exactly."""
-
-
 @dataclass(frozen=True)
 class GapReport:
     instance_id: str
@@ -86,7 +82,7 @@ def reference_tour(inst: Instance, dm: DistanceMatrix, order: Optional[np.ndarra
     if order is not None:
         return make_tour(order, dm)
     if inst.n > EXACT_SOLVE_MAX_N:
-        raise MissingReferenceError(f"{inst.id}: no reference tour and n={inst.n} exceeds the exact oracle cap")
+        raise ValueError(f"{inst.id}: no reference tour and n={inst.n} exceeds the exact oracle cap")
     return exact_solve(dm)
 
 

@@ -15,12 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import BLOCK_ELEMS, DistanceMatrix, Metric, RankTable
+from .instances import BLOCK_ELEMS, DistanceMatrix, Metric, RankTable, naming
 from .tours import Tour, _check_permutation
-
-
-class HeatmapFormatError(ValueError):
-    """Raised for malformed heatmap files; the message names the file and the line at fault."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,22 +169,20 @@ def write_distribution_csv(prior: PriorVector, path) -> None:
 def load_prior(path) -> PriorVector:
     """The prior in a ``write_distribution_csv`` file, whose ``rank`` column runs 1, 2, ... in order. Any
     other file is a ValueError that names it, and the line at fault."""
-    with open(path, newline="") as f:
-        reader, masses, where = csv.DictReader(f), [], ""
+    with open(path, newline="") as f, naming(path):
+        reader, masses = csv.DictReader(f), []
         try:
             if not {"rank", "mass"} <= set(reader.fieldnames or ()):
                 raise ValueError("expected the rank,mass,cumulative CSV that analyze-knn writes")
             for row in reader:
-                where, rank, mass = f" line {reader.line_num}:", row["rank"], row["mass"]
-                if rank != str(len(masses) + 1) or not 0 <= float(mass or "nan") <= 1:  # NaN is outside too
-                    raise ValueError(f"expected rank {len(masses) + 1} with a mass in [0, 1], got {rank!r}, {mass!r}")
-                masses.append(float(mass))
-            where = ""
-            return PriorVector(masses=np.array(masses))  # rejects no rows, or masses summing past 1
+                with naming(f"line {reader.line_num}"):
+                    rank, mass = row["rank"], row["mass"]
+                    if rank != str(len(masses) + 1) or not 0 <= float(mass or "nan") <= 1:  # NaN is outside too
+                        raise ValueError(f"expected rank {len(masses) + 1} with a mass in [0, 1], got {rank!r}, {mass!r}")
+                    masses.append(float(mass))
         except csv.Error as exc:  # e.g. a field past the csv module's size limit, in the record after line_num
-            raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}:{where} {exc}") from None
+            raise ValueError(f"line {reader.line_num + 1}: {exc}") from None
+        return PriorVector(masses=np.array(masses))  # rejects no rows, or masses summing past 1
 
 
 #: Published rank-prior vectors, derived from Concorde/LKH-3 solutions of
@@ -298,38 +292,38 @@ def softdist_heatmap(dm: DistanceMatrix, tau: float, k_keep: int) -> Heatmap:
 def load_heatmap(path, instance_n: int | None = None) -> Heatmap:
     """Read the ``n m`` / ``i j p`` text format, validating every entry; a header n other
     than ``instance_n``, when given, is rejected before anything is sized by it."""
-    with open(path) as f:
+    with open(path) as f, naming(path):
         lines = f.read().splitlines() or [""]  # an empty file has an empty header
-    try:
-        n, m = (int(tok) for tok in lines[0].split())
-        if n < 0 or m < 0:
-            raise ValueError
-    except ValueError:
-        raise HeatmapFormatError(f"{path}: line 1: expected 'n m' header, got {lines[0]!r}") from None
-    if instance_n is not None and n != instance_n:
-        raise ValueError(f"{path}: heatmap file is for n={n}, instance has n={instance_n}")
-    entries: dict[tuple[int, int], float] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         try:
-            i, j, p = line.split()
-            i, j, p = int(i), int(j), float(p)
+            n, m = (int(tok) for tok in lines[0].split())
+            if n < 0 or m < 0:
+                raise ValueError
         except ValueError:
-            raise HeatmapFormatError(f"{path}: line {line_no}: expected 'i j p', got {line!r}") from None
-        if not 0 <= i < n or not 0 <= j < n:
-            raise HeatmapFormatError(f"{path}: line {line_no}: index out of range for n={n}: {line!r}")
-        if i == j:
-            raise HeatmapFormatError(f"{path}: line {line_no}: self-edge: {line!r}")
-        if not 0.0 <= p <= 1.0:
-            raise HeatmapFormatError(f"{path}: line {line_no}: probability outside [0, 1]: {line!r}")
-        if (i, j) in entries:
-            raise HeatmapFormatError(f"{path}: line {line_no}: duplicate entry ({i}, {j}): {line!r}")
-        entries[i, j] = p
-    if len(entries) != m:
-        raise HeatmapFormatError(f"{path}: header declared {m} entries, found {len(entries)}")
-    ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    return _from_entries(n, ij[:, 0], ij[:, 1].astype(np.int32), np.array(list(entries.values())))
+            raise ValueError(f"line 1: expected 'n m' header, got {lines[0]!r}") from None
+        if instance_n is not None and n != instance_n:
+            raise ValueError(f"heatmap file is for n={n}, instance has n={instance_n}")
+        entries: dict[tuple[int, int], float] = {}
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                i, j, p = line.split()
+                i, j, p = int(i), int(j), float(p)
+            except ValueError:
+                raise ValueError(f"line {line_no}: expected 'i j p', got {line!r}") from None
+            if not 0 <= i < n or not 0 <= j < n:
+                raise ValueError(f"line {line_no}: index out of range for n={n}: {line!r}")
+            if i == j:
+                raise ValueError(f"line {line_no}: self-edge: {line!r}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"line {line_no}: probability outside [0, 1]: {line!r}")
+            if (i, j) in entries:
+                raise ValueError(f"line {line_no}: duplicate entry ({i}, {j}): {line!r}")
+            entries[i, j] = p
+        if len(entries) != m:
+            raise ValueError(f"header declared {m} entries, found {len(entries)}")
+        ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        return _from_entries(n, ij[:, 0], ij[:, 1].astype(np.int32), np.array(list(entries.values())))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,12 +21,14 @@ import numpy as np
 BLOCK_ELEMS = 1 << 16
 
 
-class ParseError(ValueError):
-    """Raised when an instance file cannot be parsed."""
-
-
-class UnsupportedMetricError(ValueError):
-    """Raised for TSPLIB edge weight types other than EUC_2D."""
+@contextmanager
+def naming(where):
+    """Put ``where`` (a file, or a line of one) in front of the message of any ValueError
+    raised in the block, a decode error's included: ``ValueError(f"{where}: {exc}")``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class Metric(enum.Enum):
@@ -51,6 +54,14 @@ class Instance:
             raise ValueError(f"instance needs at least 3 cities, got {pts.shape[0]}")
         if not np.isfinite(pts).all():
             raise ValueError(f"instance {self.id!r} has non-finite coordinates")
+        # Every |dx| and |dy| is at most the bounding box's w and h, so no distance exceeds
+        # sqrt(w*w + h*h), and with nint no tour length exceeds n * (that + 1): in Python floats,
+        # which overflow to inf without a numpy warning.
+        (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        w, h = x1 - x0, y1 - y0
+        diagonal = math.sqrt(w * w + h * h)
+        if not math.isfinite(diagonal) or self.metric is Metric.EUC2D_INT and pts.shape[0] * (diagonal + 1) >= 2**63:
+            raise ValueError(f"instance {self.id!r} spans {w:.6g} by {h:.6g}: its tour lengths overflow {self.metric.name}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -227,46 +238,46 @@ def _tsplib_fields(text: str, section: str) -> tuple[dict[str, str], list[str]]:
         else:
             header[line.upper()] = ""
     if not in_data:
-        raise ParseError(f"missing {section}")
+        raise ValueError(f"missing {section}")
     return header, data
 
 
-def _int(token: str, what: str, error: type[ValueError] = ParseError) -> int:
-    """``int(token)``; a malformed token raises ``error`` naming ``what`` and the token."""
+def _int(token: str, what: str) -> int:
+    """``int(token)``; a malformed token raises a ValueError naming ``what`` and the token."""
     try:
         return int(token)
     except ValueError:
-        raise error(f"bad {what}: {token!r}") from None
+        raise ValueError(f"bad {what}: {token!r}") from None
 
 
 def _coords(fields: list[str], line: str) -> list[float]:
-    """The floats of a coordinate line's fields; a non-numeric one raises ParseError naming the line."""
+    """The floats of a coordinate line's fields; a non-numeric one raises a ValueError naming the line."""
     try:
         return [float(v) for v in fields]
     except ValueError:
-        raise ParseError(f"bad coordinate line: {line!r}") from None
+        raise ValueError(f"bad coordinate line: {line!r}") from None
 
 
 def parse_tsplib(text: str) -> Instance:
     """Parse a EUC_2D TSPLIB instance; coordinates are kept verbatim, and distances are TSPLIB's nint ones."""
     header, data = _tsplib_fields(text, "NODE_COORD_SECTION")
     if "DIMENSION" not in header:
-        raise ParseError("missing DIMENSION")
+        raise ValueError("missing DIMENSION")
     n = _int(header["DIMENSION"], "DIMENSION")
     weight_type = header.get("EDGE_WEIGHT_TYPE", "")
     if weight_type.upper() != "EUC_2D":
-        raise UnsupportedMetricError(f"unsupported EDGE_WEIGHT_TYPE: {weight_type or 'missing'!r}")
+        raise ValueError(f"unsupported EDGE_WEIGHT_TYPE: {weight_type or 'missing'!r}")
     if len(data) != n:
-        raise ParseError(f"expected {n} coordinate lines, found {len(data)}")
+        raise ValueError(f"expected {n} coordinate lines, found {len(data)}")
     pts = np.empty((n, 2))
     seen = np.zeros(n, dtype=bool)
     for line in data:
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"bad coordinate line: {line!r}")
+            raise ValueError(f"bad coordinate line: {line!r}")
         idx = _int(parts[0], "city index") - 1
         if not 0 <= idx < n or seen[idx]:
-            raise ParseError(f"bad or repeated city index on line: {line!r}")
+            raise ValueError(f"bad or repeated city index on line: {line!r}")
         seen[idx] = True
         pts[idx] = _coords(parts[1:], line)
     return Instance(id=header.get("NAME", "unnamed"), points=pts, metric=Metric.EUC2D_INT)
@@ -276,13 +287,13 @@ def parse_native(text: str, id: str = "native") -> Instance:
     """Parse the native format: header ``n <count>``, then one ``x y`` per city."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or len(header := lines[0].split()) != 2 or header[0] != "n":
-        raise ParseError("missing 'n <count>' header")
+        raise ValueError("missing 'n <count>' header")
     n = _int(header[1], "city count")
     if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} coordinate lines, found {len(lines) - 1}")
+        raise ValueError(f"expected {n} coordinate lines, found {len(lines) - 1}")
     rows = [_coords(ln.split(), ln) for ln in lines[1:]]
     if not rows or any(len(row) != 2 for row in rows):
-        raise ParseError("coordinate lines must hold exactly two values")
+        raise ValueError("coordinate lines must hold exactly two values")
     return Instance(id=id, points=np.array(rows))
 
 

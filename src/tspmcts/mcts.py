@@ -43,10 +43,6 @@ W_FLOOR = 1e-6
 IMPROVE_REL = 1e-12
 
 
-class DegenerateRowError(ValueError):
-    """Raised when a city's weight row sums to zero (no usable candidates)."""
-
-
 @dataclass(frozen=True)
 class MctsParams:
     """Solver hyperparameters; defaults follow the conventional settings."""
@@ -303,7 +299,7 @@ def _explore_scale(state: MctsState) -> float:
 def _z(w, omega: float, sl: float, qinv):
     """Z = W / Omega + sl / sqrt(Q + 1) of entries of one row, as floats or arrays alike."""
     if omega <= 0.0:
-        raise DegenerateRowError("a weight row sums to zero")
+        raise ValueError("a weight row sums to zero")
     return w * (1.0 / omega) + sl * qinv
 
 

@@ -12,14 +12,6 @@ from .instances import BLOCK_ELEMS, DistanceMatrix, _int, _tsplib_fields
 EXACT_SOLVE_MAX_N = 18
 
 
-class InvalidTourError(ValueError):
-    """Raised when an index sequence is not a permutation of the cities."""
-
-
-class SizeLimitError(ValueError):
-    """Raised when exact_solve is asked for an instance beyond its cap."""
-
-
 @dataclass(frozen=True)
 class Tour:
     """A closed tour: a permutation of city indices with its cached length."""
@@ -53,13 +45,13 @@ class SolveResult:
 def _check_permutation(order: np.ndarray, n: int) -> np.ndarray:
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,):
-        raise InvalidTourError(f"tour has {order.shape} entries, expected ({n},)")
+        raise ValueError(f"tour has {order.shape} entries, expected ({n},)")
     seen = np.zeros(n, dtype=bool)
     if order.min(initial=0) < 0 or order.max(initial=0) >= n:
-        raise InvalidTourError("tour contains out-of-range city indices")
+        raise ValueError("tour contains out-of-range city indices")
     seen[order] = True
     if not seen.all():
-        raise InvalidTourError("tour is missing cities (duplicates present)")
+        raise ValueError("tour is missing cities (duplicates present)")
     return order
 
 
@@ -95,7 +87,7 @@ def exact_solve(dm: DistanceMatrix) -> Tour:
     """
     n = dm.n
     if n > EXACT_SOLVE_MAX_N:
-        raise SizeLimitError(f"exact_solve handles n <= {EXACT_SOLVE_MAX_N}, got {n}")
+        raise ValueError(f"exact_solve handles n <= {EXACT_SOLVE_MAX_N}, got {n}")
     d = dm.rows(0, n).astype(np.float64)
     m = n - 1  # cities 1..n-1; tours anchored at city 0
     full = 1 << m
@@ -155,16 +147,16 @@ def parse_tour(text: str) -> np.ndarray:
     if "TOUR_SECTION" in text:
         header, data = _tsplib_fields(text, "TOUR_SECTION")
         tokens = " ".join(data).split() + ["-1"]
-        values = [_int(t, "tour index", InvalidTourError) - 1 for t in tokens[: tokens.index("-1")]]
-        n = _int(header["DIMENSION"], "DIMENSION", InvalidTourError) if "DIMENSION" in header else len(values)
+        values = [_int(t, "tour index") - 1 for t in tokens[: tokens.index("-1")]]
+        n = _int(header["DIMENSION"], "DIMENSION") if "DIMENSION" in header else len(values)
     else:
         tokens = text.split()
         if not tokens:
-            raise InvalidTourError("empty tour file")
-        n = _int(tokens[0], "tour size", InvalidTourError)
-        values = [_int(t, "tour index", InvalidTourError) for t in tokens[1:]]
+            raise ValueError("empty tour file")
+        n = _int(tokens[0], "tour size")
+        values = [_int(t, "tour index") for t in tokens[1:]]
         if len(values) != n:
-            raise InvalidTourError(f"expected {n} indices, found {len(values)}")
+            raise ValueError(f"expected {n} indices, found {len(values)}")
     return _check_permutation(np.array(values), n).astype(np.int32)
 
 

@@ -40,10 +40,6 @@ FIELD_FLAGS = {name: "--" + name.replace("_", "-") for name in PARAM_FIELDS}
 DEFAULT_PARAMS = MctsParams()
 
 
-class CoverageError(ValueError):
-    """Raised when Shapley attribution is asked for an incomplete grid."""
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Finite value lists per hyperparameter, in canonical field order."""
@@ -159,9 +155,9 @@ def _attributions(space: SearchSpace, gaps: Sequence[float]) -> np.ndarray:
     shape = space.shape
     grid = np.asarray(gaps, dtype=np.float64)
     if grid.shape != (space.size,):
-        raise CoverageError(f"grid has {space.size} configs, got {len(gaps)} gaps")
+        raise ValueError(f"grid has {space.size} configs, got {len(gaps)} gaps")
     if not np.isfinite(grid).all():
-        raise CoverageError("grid results contain non-finite gaps")
+        raise ValueError("grid results contain non-finite gaps")
     grid = grid.reshape(shape)
     nf = len(shape)
     values = []

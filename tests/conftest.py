@@ -8,7 +8,7 @@ import pytest
 from tspmcts.heatmaps import Heatmap, _from_entries, entry_rows
 from tspmcts.instances import DistanceMatrix, Instance, Metric, distance_matrix, nearest_neighbor_ranks
 from tspmcts.mcts import MctsState, _count_access, _slots_of, _write_weight
-from tspmcts.tours import SizeLimitError, Tour, make_tour
+from tspmcts.tours import Tour, make_tour
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -112,7 +112,7 @@ def brute_force_solve(dm: DistanceMatrix) -> Tour:
     """Exhaustive enumeration, for cross-checking exact_solve on tiny n."""
     n = dm.n
     if n > 10:
-        raise SizeLimitError(f"brute force is capped at n <= 10, got {n}")
+        raise ValueError(f"brute force is capped at n <= 10, got {n}")
     d = dm.entries.tolist()
     d0 = d[0]
     best_order = None

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from types import SimpleNamespace
 from pathlib import Path
@@ -19,8 +20,8 @@ from tspmcts import evalkit, mcts, tuner
 from tspmcts.cli import UsageError, build_parser, load_instance_dir, main
 from tspmcts.evalkit import RESULT_CSV_HEADER
 from tspmcts.heatmaps import PriorVector, ZeroSource, load_prior, write_distribution_csv
-from tspmcts.instances import ParseError, distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
-from tspmcts.tours import InvalidTourError, exact_solve, two_opt, make_tour, write_tour
+from tspmcts.instances import distance_matrix, generate_uniform, load_instance, nearest_neighbor_ranks, write_native
+from tspmcts.tours import exact_solve, two_opt, make_tour, write_tour
 
 from conftest import circle_instance, dm_and_ranks
 
@@ -219,6 +220,31 @@ class TestSolve:
         assert err.startswith(f"config error: {hm_path}: line {line}: ")
         assert "Traceback" not in err
 
+    def test_undecodable_heatmap_file_names_it(self, instance_dir, tmp_path, capsys):
+        hm_path = tmp_path / "hm.txt"
+        hm_path.write_bytes(b"10 1\n0 1 \xff\n")
+        assert run("solve", "--instances", instance_dir, "--heatmap", f"file:{hm_path}",
+                   "--max-iters", 10, "--out", tmp_path / "x.csv") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {hm_path}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("wide.txt", "n 4\n0 0\n1e308 0\n-1e308 0\n0 1e308\n",
+         "instance 'wide' spans inf by 1e+308: its tour lengths overflow EUC2D_REAL"),
+        ("wide.tsp", "NAME : wide\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1e19 0\n3 0 1e19\nEOF\n",
+         "instance 'wide' spans 1e+19 by 1e+19: its tour lengths overflow EUC2D_INT"),
+    ], ids=["native-past-float", "tsplib-past-int64"])
+    def test_overflowing_coordinates_config_error(self, tmp_path, capsys, name, text, message):
+        """Distances past the float range, or nint tour lengths past int64, are rejected as the file is read."""
+        inst_dir = tmp_path / "insts"
+        inst_dir.mkdir()
+        (inst_dir / name).write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("solve", "--instances", inst_dir, "--heatmap", "zero", "--max-iters", 10,
+                       "--out", tmp_path / "x.csv") == 4
+        assert capsys.readouterr().err == f"config error: {inst_dir / name}: {message}\n"
+
     # softdist:inf would tie every probability of a row and keep the lowest indices, not the nearest cities.
     @pytest.mark.parametrize("spec, code", [("softdist:abc", 2), ("softdist:1e", 2), ("softdist:-1", 2), ("softdist:0", 2),
                                             ("softdist:nan", 2), ("softdist:inf", 2), ("softdist:1e-320", 4)])
@@ -263,13 +289,13 @@ class TestSolve:
         assert err.startswith(f"config error: {paths[at]}: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_input_file_errors_keep_their_type(self, tmp_path):
+    def test_load_instance_dir_names_the_file(self, tmp_path):
         (tmp_path / "a.txt").write_text("n 3\n0 0\n1 1\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path / 'a.txt'))}: expected 3"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'a.txt'))}: expected 3"):
             load_instance_dir(tmp_path, None)
         (tmp_path / "a.txt").write_text("n 3\n0 0\n1 1\n0 1\n")
         (tmp_path / "a.tour").write_text("3\n0 x 2\n")
-        with pytest.raises(InvalidTourError, match=f"^{re.escape(str(tmp_path / 'a.tour'))}: bad tour index"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'a.tour'))}: bad tour index"):
             load_instance_dir(tmp_path, tmp_path)
 
     def test_malformed_use_heatmap_usage_error(self, instance_dir, tmp_path, capsys):
@@ -773,6 +799,13 @@ class TestReport:
         assert proc.stderr.startswith(f"config error: {path}: line 3: {message or ''}")
         assert "Traceback" not in proc.stderr
 
+    def test_undecodable_csv_names_it(self, tmp_path, capsys):
+        path = self.results_csv(tmp_path, "u1,c,zero,1.5,1.0,50.0,0.1,0")
+        path.write_bytes(path.read_bytes().replace(b"u1", b"\xff1"))
+        assert run("report", path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
     def test_malformed_number_config_error(self, tmp_path, capsys):
         """A length, gap or time that is not a finite number is a config error on its line."""
         for row, message in [("u1,c,zero,abc,1.0,50.0,0.1,0", "could not convert string to float: 'abc'"),
@@ -864,6 +897,89 @@ def test_solver_flag_parses_to_the_stored_value_or_exits_2(name, grid, data):
     with contextlib.redirect_stderr(err):
         assert main(argv) == 3  # parsed: the missing instance directory is the first error
     assert err.getvalue().startswith("I/O error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze-knn", "report"])
+def test_out_directory_is_made_only_by_a_run_that_succeeds(instance_dir, tmp_path, command):
+    """``--out`` in a directory not yet made: a run makes it just before it writes, and a run that
+    fails (on a heatmap of another size, an instance of 2 cities, a length that is not a number) makes none."""
+    hm = tmp_path / "hm.txt"
+    hm.write_text("4 1\n0 1 0.5\n")
+    bad_insts = tmp_path / "bad"
+    bad_insts.mkdir()
+    (bad_insts / "a.txt").write_text("n 2\n0 0\n1 1\n")
+    results, bad_results = tmp_path / "res.csv", tmp_path / "bad.csv"
+    for path, length in ((results, "1.5"), (bad_results, "abc")):
+        path.write_text(",".join(RESULT_CSV_HEADER) + f"\nu0,c,zero,{length},1.0,50.0,0.1,0\n")
+    solve = ("solve", "--instances", instance_dir, "--max-iters", 10, "--heatmap")
+    good, bad = {"solve": ((*solve, "zero"), (*solve, f"file:{hm}")),
+                 "analyze-knn": (("analyze-knn", "--instances", instance_dir), ("analyze-knn", "--instances", bad_insts)),
+                 "report": (("report", results), ("report", bad_results))}[command]
+    assert run(*bad, "--out", tmp_path / "failed" / "dir" / "out") == 4
+    assert not (tmp_path / "failed").exists()
+    assert run(*good, "--out", tmp_path / "made" / "dir" / "out") == 0
+    assert (tmp_path / "made" / "dir" / "out").stat().st_size > 0
+
+
+#: Bytes that no reader's format holds, and numbers that are not finite or pass the float range.
+NOISE_TOKENS = [b"\xff", b"\r", b"", b"nan", b"1e400", b"-1", b"0", b"1", b"2", b"3", b"4", b"0.5"]
+#: Each reader's tokens: a whole valid file of the 4-city instance, its lines, and its format's words.
+FORMAT_TOKENS = {
+    "instance": [b"n 4\n0 0\n1 0\n1 1\n0 1", b"n", b"0 0", b"NAME : fuzzed", b"DIMENSION : 3", b"EDGE_WEIGHT_TYPE : EUC_2D",
+                 b"NODE_COORD_SECTION", b"EOF", b"1e19", b"1e308"],
+    "tour": [b"4\n0 1 2 3", b"DIMENSION : 4", b"TOUR_SECTION", b"1 2 3 4 -1", b"EOF"],
+    "heatmap": [b"4 2\n0 1 0.5\n1 0 0.5", b"4 2", b"0 1 0.5", b"2 3 1", b"1.5"],
+    "prior": [b"rank,mass,cumulative\n1,0.5,0.5\n2,0.5,1", b"rank,mass,cumulative", b"1,0.5,0.5", b"rank", b"mass",
+              b",", b"0.25", b'"'],
+    "report": [",".join(RESULT_CSV_HEADER).encode() + b"\nu0,c,zero,1.5,1.0,50.0,0.1,0", b"u1,c,zero,2,1,100,0.5,0", b",",
+               b"zero", b"inf", b'"'],
+    "flags": [b"--alpha=0\n--max-depth=3", b"--alpha", b"--max-depth", b"--seed", b"--heatmap", b"zero", b"softdist:0.5",
+              b"--use-heatmap", b"true", b"#", b"@x"],
+}
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """A 4-city instance and its tour, which stand beside the one fuzzed file of each reader."""
+    root = tmp_path_factory.mktemp("readers")
+    for name in ("insts", "refs", "fuzz-insts", "fuzz-refs"):
+        (root / name).mkdir()
+    (root / "insts" / "fuzzed.txt").write_text("n 4\n0 0\n1 0\n1 1\n0 1\n")
+    (root / "refs" / "fuzzed.tour").write_text("4\n0 1 2 3\n")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(FORMAT_TOKENS)), data=st.data())
+def test_every_reader_rejects_a_bad_file_on_one_line_naming_it(reader_inputs, reader, data):
+    """Whatever bytes a file holds, the command runs (exit 0), or fails on a usage or I/O error (exit 2
+    or 3), or on a config error (exit 4) of one stderr line that names the file (or, once the file is
+    read, its instance). It never raises, and no warning is issued."""
+    root = reader_inputs
+    token = st.one_of(st.sampled_from(FORMAT_TOKENS[reader]), st.sampled_from(NOISE_TOKENS))
+    blob = data.draw(st.lists(st.lists(token, max_size=4).map(b" ".join), max_size=8).map(b"\n".join))
+    path = root / {"instance": "fuzz-insts/fuzzed.txt", "tour": "fuzz-refs/fuzzed.tour"}.get(reader, f"{reader}.txt")
+    path.write_bytes(blob)
+    solve = ["solve", "--max-iters", 5, "--out", root / "out.csv", "--instances"]
+    given_refs = [*solve, root / "insts", "--refs", root / "refs"]
+    argv = {"instance": [*solve, root / "fuzz-insts", "--heatmap", "zero"],
+            "tour": [*solve, root / "insts", "--refs", root / "fuzz-refs", "--heatmap", "zero"],
+            "heatmap": [*given_refs, "--heatmap", f"file:{path}"],
+            "prior": [*given_refs, "--heatmap", f"gtprior:{path}"],
+            "report": ["report", path],
+            "flags": [*given_refs, "--heatmap", "zero", f"@{path}"]}[reader]
+    names = [str(path)]
+    if reader == "instance":
+        try:
+            names.append(load_instance(path).id)
+        except ValueError:
+            pass
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = run(*argv)
+    assert code in (0, 2, 3) or code == 4 and err.getvalue().count("\n") == 1 and any(
+        name in err.getvalue() for name in names), (code, err.getvalue())
 
 
 def child_env() -> dict[str, str]:

@@ -11,7 +11,6 @@ from tspmcts import evalkit, instances, mcts
 from tspmcts.evalkit import (
     RANK_TABLE_WIDTH,
     Budget,
-    MissingReferenceError,
     ResultTable,
     optimality_gap,
     prepare,
@@ -63,7 +62,7 @@ class TestReferenceLength:
     def test_missing_reference_for_large_instance(self):
         inst = generate_uniform(19, 0)
         dm, _ = dm_and_ranks(inst)
-        with pytest.raises(MissingReferenceError):
+        with pytest.raises(ValueError, match="^uniform-n19-s0: no reference tour and n=19 exceeds the exact oracle cap$"):
             reference_tour(inst, dm, None)
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,6 @@ from tspmcts.heatmaps import (
     BUILTIN_PRIORS,
     FileSource,
     Heatmap,
-    HeatmapFormatError,
     PriorVector,
     build_gt_prior,
     load_heatmap,
@@ -246,19 +246,19 @@ class TestHeatmapIO:
     def test_self_edge_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n2 2 0.5\n")
-        with pytest.raises(HeatmapFormatError, match="line 2"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: self-edge"):
             load_heatmap(path)
 
     def test_out_of_range_probability(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n0 1 1.5\n")
-        with pytest.raises(HeatmapFormatError, match=r"\[0, 1\]"):
+        with pytest.raises(ValueError, match=r"line 2: probability outside \[0, 1\]"):
             load_heatmap(path)
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n0 3 0.5\n")
-        with pytest.raises(HeatmapFormatError):
+        with pytest.raises(ValueError, match="line 2: index out of range for n=3"):
             load_heatmap(path)
 
     def test_header_n_is_checked_before_anything_is_sized(self, tmp_path):

@@ -111,6 +111,27 @@ def test_no_assert_statements():
     assert found == []
 
 
+def value_error_subclasses(source: str) -> list[str]:
+    """Classes a module defines on ``ValueError`` (by name or as ``builtins.ValueError``)."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", getattr(base, "attr", None)) == "ValueError" for base in node.bases)]
+
+
+def test_value_error_subclass_detector():
+    source = (
+        "import builtins\nclass A(ValueError):\n    pass\nclass B(builtins.ValueError):\n    pass\n"
+        "class C(Exception):\n    pass\ndef f():\n    class D(KeyError, ValueError):\n        pass\n"
+    )
+    assert value_error_subclasses(source) == ["A", "B", "D"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_value_error_subclasses(module):
+    """Every bad input is a plain ValueError, whose message names the file, line or instance at fault:
+    nothing catches a subclass, and the CLI reports every ValueError alike (exit 4)."""
+    assert value_error_subclasses((SRC / module).read_text()) == []
+
+
 #: numpy calls that run through BLAS. The CLI starts numpy with one BLAS thread, which
 #: would slow any of these without notice.
 BLAS_CALLS = {"dot", "matmul", "einsum", "linalg", "inner", "outer", "tensordot", "vdot"}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from tspmcts.instances import (
     BLOCK_ELEMS,
     Instance,
     Metric,
-    ParseError,
-    UnsupportedMetricError,
     distance_matrix,
     generate_structured,
     generate_uniform,
@@ -58,6 +57,42 @@ def test_instance_rejects_non_finite_points(bad):
     pts[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         Instance(id="bad", points=pts)
+
+
+class TestOverflowingCoordinates:
+    """An instance whose distances or tour lengths its metric cannot hold is rejected by name, with no warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_distances_past_the_float_range(self):
+        points = [[0, 0], [1e308, 0], [-1e308, 0], [0, 1e308]]
+        for metric in Metric:
+            with pytest.raises(ValueError, match=f"^instance 'wide' spans inf by 1e\\+308: its tour lengths overflow {metric.name}$"):
+                Instance("wide", points, metric)
+
+    def test_nint_distances_past_int64(self):
+        with pytest.raises(ValueError, match=r"^instance 'wide' spans 1e\+19 by 1e\+19: its tour lengths overflow EUC2D_INT$"):
+            Instance("wide", [[0, 0], [1e19, 0], [0, 1e19]], Metric.EUC2D_INT)
+
+    def test_nint_tour_length_past_int64(self):
+        """Each distance fits in int64 here, but a tour's sum of three would wrap."""
+        points = [[0, 0], [4e18, 0], [0, 4e18]]
+        assert distance_matrix(Instance("reals", points)).pair(1, 2) < 2**63
+        with pytest.raises(ValueError, match="^instance 'wide' spans 4e\\+18 by 4e\\+18: its tour lengths overflow EUC2D_INT$"):
+            Instance("wide", points, Metric.EUC2D_INT)
+
+    def test_largest_nint_square_is_measured_exactly(self):
+        """A square of side s has diagonal s * sqrt(2): four cities fit while 4 * (s * sqrt(2) + 1) < 2**63."""
+        side = 2**63 / (4 * math.sqrt(2)) * (1 - 1e-9)
+        inst = Instance("square", [[0, 0], [side, 0], [side, side], [0, side]], Metric.EUC2D_INT)
+        length = tour_length(np.arange(4), distance_matrix(inst))
+        assert length == 4 * math.floor(side + 0.5)
+        with pytest.raises(ValueError, match="overflow EUC2D_INT"):
+            Instance("square", inst.points * (1 + 1e-8), Metric.EUC2D_INT)
 
 
 class TestGenerateStructured:
@@ -131,7 +166,7 @@ class TestParseTsplib:
 
     def test_explicit_weights_rejected(self):
         text = "NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n3 1 0\nEOF\n"
-        with pytest.raises(UnsupportedMetricError):
+        with pytest.raises(ValueError, match="^unsupported EDGE_WEIGHT_TYPE: 'EXPLICIT'$"):
             parse_tsplib(text)
 
     def test_minimal_round_trip(self):
@@ -147,19 +182,19 @@ class TestParseTsplib:
         assert np.array_equal(inst.points, np.array([[37.0, 52.0], [49.0, 49.0], [52.0, 64.0]]))
 
     def test_missing_sections(self):
-        with pytest.raises(ParseError, match="NODE_COORD_SECTION"):
+        with pytest.raises(ValueError, match="NODE_COORD_SECTION"):
             parse_tsplib("NAME : x\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n")
-        with pytest.raises(ParseError, match="DIMENSION"):
+        with pytest.raises(ValueError, match="DIMENSION"):
             parse_tsplib("NAME : x\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n")
 
     def test_non_numeric_coordinate(self):
         text = "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 x 1\n3 1 0\nEOF\n"
-        with pytest.raises(ParseError, match="^bad coordinate line: '2 x 1'$"):
+        with pytest.raises(ValueError, match="^bad coordinate line: '2 x 1'$"):
             parse_tsplib(text)
 
     def test_coordinate_count_mismatch(self):
         text = "DIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n3 1 0\nEOF\n"
-        with pytest.raises(ParseError, match="coordinate lines"):
+        with pytest.raises(ValueError, match="coordinate lines"):
             parse_tsplib(text)
 
 
@@ -179,7 +214,7 @@ class TestNativeFormat:
 
     def test_bad_header(self):
         for text in ("3\n0 0\n0 1\n1 0\n", "n 3 junk\n0 0\n1 1\n0 1\n"):
-            with pytest.raises(ParseError):
+            with pytest.raises(ValueError, match="^missing 'n <count>' header$"):
                 parse_native(text)
 
 

@@ -12,7 +12,6 @@ from tspmcts.heatmaps import FileSource, ZeroSource, softdist_heatmap
 from tspmcts.instances import distance_matrix, generate_uniform, write_native
 from tspmcts.mcts import MctsParams
 from tspmcts.tuner import (
-    CoverageError,
     DEFAULT_PARAMS,
     PARAM_FIELDS,
     SearchSpace,
@@ -172,7 +171,7 @@ class TestShapley:
 
     def test_incomplete_grid_rejected(self):
         space = SearchSpace()
-        with pytest.raises(CoverageError):
+        with pytest.raises(ValueError, match=f"^grid has {space.size} configs, got 10 gaps$"):
             shapley_importance(space, [1.0] * 10, DEFAULT_PARAMS)
 
     def test_all_config_export_consistent(self):
